@@ -11,7 +11,6 @@
 //	iqnbench -exp route                           # Fast-IQN lazy vs exhaustive routing cost
 //	iqnbench -exp overload                        # tail latency bare vs overload-hardened
 //	iqnbench -exp cache                           # directory read cache on a Zipfian repeated-term workload
-//	iqnbench -exp qps                             # saturation queries/sec, bare vs optimized serving engine
 //	iqnbench -exp topk                            # bytes on the wire, pull-everything vs threshold streaming
 //	iqnbench -exp adaptive                        # query-log prior vs cold IQN, inflated-publisher defense
 //	iqnbench -exp build -docs 1000000             # out-of-core index build: throughput, peak RSS, parity, resume
@@ -65,7 +64,6 @@ type benchExperiment struct {
 	// recall per cell as the static baseline.
 	ChurnSweep []eval.ChurnSweepCell `json:"churnSweep,omitempty"`
 	Cache      []cachePoint          `json:"cache,omitempty"`
-	QPS        *eval.QPSResult       `json:"qps,omitempty"`
 	TopK       []topkPoint           `json:"topk,omitempty"`
 	// Build is set only for the build experiment: out-of-core indexing
 	// throughput, peak RSS vs budget, and the parity/resume gates.
@@ -77,9 +75,6 @@ type benchExperiment struct {
 	// RPCReductionPct is set only for the cache experiment: the
 	// directory read-RPC reduction of cached over cold, in percent.
 	RPCReductionPct float64 `json:"rpcReductionPct,omitempty"`
-	// SpeedupX is set only for the qps experiment: the optimized/bare
-	// saturation-QPS ratio over TCP — the serving-engine speedup.
-	SpeedupX float64 `json:"speedupX,omitempty"`
 	// BytesReductionPct and ParityOK are set only for the topk
 	// experiment: the worst sweep cell's transport.bytes_in reduction
 	// of streaming over pull, and whether every draw's merged results
@@ -194,7 +189,7 @@ func toBenchSeries(series []eval.Series) []benchSeries {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig2left|fig2right|fig3left|fig3right|aggregation|histogram|budget|hetero|prior|cost|churn|chaos|load|route|overload|cache|qps|topk|build|adaptive|all")
+		exp     = flag.String("exp", "all", "experiment: fig2left|fig2right|fig3left|fig3right|aggregation|histogram|budget|hetero|prior|cost|churn|chaos|load|route|overload|cache|topk|build|adaptive|all")
 		docs    = flag.Int("docs", 20000, "corpus size for fig3-style experiments")
 		vocab   = flag.Int("vocab", 0, "vocabulary size (0: docs/10)")
 		runs    = flag.Int("runs", 50, "runs per point for fig2-style experiments")
@@ -422,20 +417,6 @@ func main() {
 				e.RPCReductionPct = res.ReductionPct
 			})
 			fmt.Print(eval.CacheTable(res))
-		case "qps":
-			res, err := eval.QPS(eval.QPSConfig{
-				CorpusDocs: *docs, VocabSize: *vocab,
-				QueryPool: *numQ, Seed: *seed,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: qps: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) {
-				e.QPS = res
-				e.SpeedupX = res.SpeedupX["tcp"]
-			})
-			fmt.Print(eval.QPSTable(res))
 		case "topk":
 			res, err := eval.TopK(eval.TopKConfig{
 				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
@@ -538,7 +519,7 @@ func main() {
 
 	if *exp == "all" {
 		for _, name := range []string{"fig2left", "fig2right", "fig3left", "fig3right",
-			"aggregation", "histogram", "budget", "hetero", "prior", "cost", "churn", "chaos", "load", "route", "overload", "cache", "qps", "topk", "build", "adaptive"} {
+			"aggregation", "histogram", "budget", "hetero", "prior", "cost", "churn", "chaos", "load", "route", "overload", "cache", "topk", "build", "adaptive"} {
 			run(name)
 		}
 	} else {

@@ -228,9 +228,6 @@ func (c *Client) EnableCache(ttl time.Duration) {
 	c.cache = newReadCache(ttl)
 }
 
-// CacheEnabled reports whether the client has a read cache armed.
-func (c *Client) CacheEnabled() bool { return c.cache != nil }
-
 // InvalidateCachedTerm evicts one term from the read cache (no-op when
 // the cache is disabled or the term is not cached). Republishes, prunes
 // and repairs — local or observed via Service.SetInvalidation — call

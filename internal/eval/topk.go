@@ -13,11 +13,11 @@ import (
 )
 
 // This file measures what incremental top-k streaming buys on the wire.
-// The pull-everything protocol ships every selected peer's full local
-// top-K to the initiator and merges there; the streaming protocol pulls
-// score-descending chunks and stops each peer the moment its refined
-// upper bound drops below the k-th best merged score. The experiment
-// replays one Zipfian workload under both protocols on the same
+// Pull forwarding ships every selected peer's full local top-K to the
+// initiator as one chunk; streaming (SearchOptions.TopKStreaming) pulls
+// small score-descending chunks and stops each peer the moment its
+// refined upper bound drops below the k-th best merged score. The
+// experiment replays one Zipfian workload at both settings on the same
 // network and reports the initiator's transport.bytes_in reduction —
 // which must come at *identical* results, checked per draw, not just
 // identical recall.

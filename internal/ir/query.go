@@ -111,12 +111,3 @@ func searchPostings(postings func(term string) []Posting, terms []string, k int,
 	})
 	return out
 }
-
-// ResultIDs projects results to their document IDs, preserving order.
-func ResultIDs(rs []Result) []uint64 {
-	ids := make([]uint64, len(rs))
-	for i, r := range rs {
-		ids[i] = r.DocID
-	}
-	return ids
-}

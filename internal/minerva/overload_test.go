@@ -1,6 +1,7 @@
 package minerva
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -208,25 +209,37 @@ func TestExecuteBudgetExpiredBeforeForwarding(t *testing.T) {
 	if len(plan.Peers) == 0 {
 		t.Fatal("empty plan")
 	}
-	dl := core.StartDeadline(time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	exec := p.execute(q, plan, self, cands, SearchOptions{K: 20, MaxPeers: 3}, nil, dl, nil)
-	if !exec.budgetExpired {
-		t.Fatal("budgetExpired not set")
-	}
-	if len(exec.errs) != len(plan.Peers) {
-		t.Fatalf("%d errors for %d planned peers", len(exec.errs), len(plan.Peers))
-	}
-	for _, pe := range exec.errs {
-		if !strings.Contains(pe.Err, "deadline budget exhausted") {
-			t.Fatalf("unexpected error text: %q", pe.Err)
+	// At chunk = K (pull) and at chunk = 16 alike: an expired budget
+	// forwards nothing, whatever the chunk size would have been.
+	var outcomes []execOutcome
+	for _, opts := range []SearchOptions{
+		{K: 20, MaxPeers: 3, DisableSelf: true},
+		{K: 20, MaxPeers: 3, DisableSelf: true, TopKStreaming: true, ChunkSize: 16},
+	} {
+		dl := core.StartDeadline(time.Nanosecond)
+		time.Sleep(time.Millisecond)
+		exec, merged := p.execute(q, plan, lists, self, cands, opts, nil, dl, nil)
+		if !exec.budgetExpired {
+			t.Fatal("budgetExpired not set")
 		}
-		if !pe.Unreachable {
-			t.Fatalf("budget expiry classified as application error: %+v", pe)
+		if len(exec.errs) != len(plan.Peers) {
+			t.Fatalf("%d errors for %d planned peers", len(exec.errs), len(plan.Peers))
 		}
+		for _, pe := range exec.errs {
+			if !strings.Contains(pe.Err, "deadline budget exhausted") {
+				t.Fatalf("unexpected error text: %q", pe.Err)
+			}
+			if !pe.Unreachable {
+				t.Fatalf("budget expiry classified as application error: %+v", pe)
+			}
+		}
+		if len(merged) != 0 || len(exec.deliveries) != 0 {
+			t.Fatal("peers were forwarded to despite an expired budget")
+		}
+		outcomes = append(outcomes, exec)
 	}
-	if len(exec.lists) != 0 {
-		t.Fatal("peers were forwarded to despite an expired budget")
+	if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
+		t.Fatalf("outcome depends on chunk size:\n pull   %+v\n stream %+v", outcomes[0], outcomes[1])
 	}
 }
 

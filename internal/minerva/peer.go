@@ -35,27 +35,17 @@ import (
 	"iqn/internal/transport"
 )
 
-// MethodQuery is the query-forwarding RPC every peer serves — exported
-// so fault-injection harnesses (internal/sim) can scope rules to the
-// query path (e.g. "crash the peer on its Nth incoming query").
+// MethodQuery is the query-forwarding RPC every peer serves: one
+// score-descending chunk of the peer's local result list per call,
+// addressed by a (generation, offset) cursor. Exported so
+// fault-injection harnesses (internal/sim) can scope rules to the query
+// path (e.g. "crash the peer on its Nth incoming query call").
 const MethodQuery = "peer.query"
 
-// methodQuery is the internal alias.
-const methodQuery = MethodQuery
-
-// MethodQueryChunk is the incremental top-k RPC: one score-descending
-// chunk of the peer's local result list per call, addressed by a
-// (generation, offset) cursor. Exported for the same fault-injection
-// reason as MethodQuery.
-const MethodQueryChunk = "peer.query_chunk"
-
-// methodQueryChunk is the internal alias.
-const methodQueryChunk = MethodQueryChunk
-
-// staleCursorMsg is the error text the chunk handler returns when a
+// staleCursorMsg is the error text the query handler returns when a
 // cursor's generation no longer matches the live index snapshot; the
-// streaming client matches on it to restart the stream from offset 0
-// instead of failing the peer.
+// initiator matches on it to restart the stream from offset 0 instead
+// of failing the peer.
 const staleCursorMsg = "minerva: stale cursor"
 
 // Config is the network-wide peer configuration. All peers must agree on
@@ -128,9 +118,9 @@ type Config struct {
 	// AdmissionQueue bounds the admission wait queue (only meaningful
 	// with AdmissionLimit > 0).
 	AdmissionQueue int
-	// TopKChunkSize is the default entries-per-chunk of the incremental
-	// top-k protocol (SearchOptions.TopKStreaming); per-query
-	// SearchOptions.ChunkSize overrides it. Default 16.
+	// TopKChunkSize is the default entries-per-chunk of query forwarding
+	// under SearchOptions.TopKStreaming; per-query SearchOptions.ChunkSize
+	// overrides it. Default 16.
 	TopKChunkSize int
 	// Adaptive, non-nil, arms adaptive routing from the query log
 	// (internal/adapt): every finished search records which answering
@@ -245,10 +235,11 @@ type indexSnapshot struct {
 	selfSyn  map[string]synopsis.Set
 	selfCard map[string]float64
 
-	// queryMu guards the chunk handler's query memo: one stream issues
-	// an RPC per chunk, and without the memo each would re-execute the
-	// local query. Entries are read-only once stored (the handler only
-	// slices them), so concurrent streams share them.
+	// queryMu guards the query handler's memo of result lists longer
+	// than one chunk: a stream issues an RPC per chunk, and without the
+	// memo each would re-execute the local query. Entries are read-only
+	// once stored (the handler only slices them), so concurrent streams
+	// share them.
 	queryMu   sync.Mutex
 	queryMemo map[string][]ir.Result
 }
@@ -275,23 +266,36 @@ func newIndexSnapshot(idx ir.Searcher) *indexSnapshot {
 const maxQueryMemo = 64
 
 // queryResults returns the snapshot's full local result list for one
-// query shape, memoized — the list every chunk of a stream slices.
-func (s *indexSnapshot) queryResults(terms []string, k int, conjunctive bool) []ir.Result {
-	key := fmt.Sprintf("%d\x00%t\x00%s", k, conjunctive, strings.Join(terms, "\x1f"))
-	s.queryMu.Lock()
-	defer s.queryMu.Unlock()
-	if rs, ok := s.queryMemo[key]; ok {
-		return rs
-	}
+// query shape — the list every chunk of a stream slices. The search
+// runs outside queryMu, so streams never queue behind each other's
+// index reads (concurrent first chunks of one shape may both search;
+// the lists are identical). Only a list its first chunk does not
+// exhaust is memoized: a one-chunk pull (size ≥ k) has nothing to
+// resume and never touches the memo.
+func (s *indexSnapshot) queryResults(terms []string, k int, conjunctive bool, size int) []ir.Result {
 	mode := ir.Disjunctive
 	if conjunctive {
 		mode = ir.Conjunctive
 	}
-	rs := s.index.Search(terms, k, mode)
-	if len(s.queryMemo) >= maxQueryMemo {
-		s.queryMemo = map[string][]ir.Result{}
+	if size >= k {
+		return s.index.Search(terms, k, mode)
 	}
-	s.queryMemo[key] = rs
+	key := fmt.Sprintf("%d\x00%t\x00%s", k, conjunctive, strings.Join(terms, "\x1f"))
+	s.queryMu.Lock()
+	rs, ok := s.queryMemo[key]
+	s.queryMu.Unlock()
+	if ok {
+		return rs
+	}
+	rs = s.index.Search(terms, k, mode)
+	if len(rs) > size {
+		s.queryMu.Lock()
+		if len(s.queryMemo) >= maxQueryMemo {
+			s.queryMemo = map[string][]ir.Result{}
+		}
+		s.queryMemo[key] = rs
+		s.queryMu.Unlock()
+	}
 	return rs
 }
 
@@ -313,16 +317,9 @@ func (s *indexSnapshot) selfSynopsis(term string, scfg synopsis.Config) (synopsi
 	return set, float64(len(ids))
 }
 
-// queryRequest is the wire form of a forwarded query.
-type queryRequest struct {
-	Terms       []string
-	K           int
-	Conjunctive bool
-}
-
-// chunkRequest is the wire form of one incremental top-k pull: the
-// query shape plus a (generation, offset) cursor into the peer's
-// score-sorted local result list. Gen 0 means "any generation" (the
+// chunkRequest is the wire form of one forwarded query call: the query
+// shape plus a (generation, offset) cursor into the peer's score-sorted
+// local result list. Gen 0 means "any generation" (the
 // stream's first pull); afterwards the client pins the generation the
 // first chunk reported, and a mismatch is answered with a stale-cursor
 // error instead of silently mixing two snapshots' orderings.
@@ -395,17 +392,8 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 		node.Mux().SetLimit(cfg.AdmissionLimit, cfg.AdmissionQueue)
 	}
 	served := cfg.Metrics.Counter("peer.queries_served")
-	node.Mux().Handle(methodQuery, func(req []byte) ([]byte, error) {
-		var q queryRequest
-		if err := transport.Unmarshal(req, &q); err != nil {
-			return nil, err
-		}
-		p.queriesServed.Add(1)
-		served.Inc()
-		return transport.Marshal(p.LocalSearch(q.Terms, q.K, q.Conjunctive))
-	})
 	chunksServed := cfg.Metrics.Counter("peer.chunks_served")
-	node.Mux().Handle(methodQueryChunk, func(req []byte) ([]byte, error) {
+	node.Mux().Handle(MethodQuery, func(req []byte) ([]byte, error) {
 		var q chunkRequest
 		if err := transport.Unmarshal(req, &q); err != nil {
 			return nil, err
@@ -425,18 +413,18 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 		}
 		if q.Offset == 0 {
 			// One stream = one served query, however many chunks it
-			// pulls — keeps the load counter comparable to peer.query.
+			// pulls.
 			p.queriesServed.Add(1)
 			served.Inc()
 		}
 		if q.K <= 0 {
 			q.K = 50
 		}
-		results := s.queryResults(q.Terms, q.K, q.Conjunctive)
 		size := q.Size
 		if size <= 0 {
 			size = cfg.topKChunkSize()
 		}
+		results := s.queryResults(q.Terms, q.K, q.Conjunctive, size)
 		off := q.Offset
 		if off > len(results) {
 			off = len(results)
@@ -493,15 +481,9 @@ func (p *Peer) AntiEntropySweep() (terms, repaired int) {
 // CreateRing makes the peer the first node of a new network.
 func (p *Peer) CreateRing() { p.node.Create() }
 
-// JoinRing joins the network of an existing peer. Once the ring has
-// stabilized (the peer knows its predecessor), call AcquireDirectoryRange
-// to pull the directory fraction the peer now owns.
+// JoinRing joins the network of an existing peer without any directory
+// handoff; JoinLive is the join that also pulls the peer's range.
 func (p *Peer) JoinRing(seedAddr string) error { return p.node.Join(seedAddr) }
-
-// AcquireDirectoryRange pulls the directory posts this peer now owns
-// from its successor-list replicas — the key-handoff step of a join.
-// Returns the number of posts acquired.
-func (p *Peer) AcquireDirectoryRange() (int, error) { return p.svc.AcquireOwnedRange() }
 
 // JoinLive enters an existing network with the directory handoff
 // ordered so lookups never route to a dark range: the peer joins the
@@ -576,9 +558,6 @@ func (p *Peer) Close() { p.node.Close() }
 // answered — the per-peer load the paper's Section 8.2 worries about
 // ("response times are a highly superlinear function of load").
 func (p *Peer) QueriesServed() int64 { return p.queriesServed.Load() }
-
-// ResetQueriesServed zeroes the load counter (between experiment phases).
-func (p *Peer) ResetQueriesServed() { p.queriesServed.Store(0) }
 
 // Reachable reports whether the peer answers RPCs through the transport
 // under its own address — false once it has crashed, closed, or been

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"iqn/internal/adapt"
@@ -51,10 +50,13 @@ type SearchOptions struct {
 	// K is the result-list depth: each queried peer returns its local
 	// top K (default 50).
 	K int
-	// MergeK truncates the merged result list when > 0. The default (0)
-	// keeps every returned document — the paper's recall measure counts
-	// a reference document as found if any queried peer returned it, so
-	// evaluation must not re-truncate after merging.
+	// MergeK is the merge depth: the merged result list keeps the MergeK
+	// best documents. The default (0) keeps every returned document —
+	// the paper's recall measure counts a reference document as found if
+	// any queried peer returned it, so evaluation must not re-truncate
+	// after merging. The rule is the same with or without TopKStreaming;
+	// at depth 0 there is no k-th best score to threshold against, so
+	// every queried peer's list is transferred whole either way.
 	MergeK int
 	// MaxPeers bounds how many remote peers the query is forwarded to
 	// (default 5).
@@ -108,21 +110,18 @@ type SearchOptions struct {
 	// BudgetExpired is set — instead of hanging past the deadline. Zero
 	// means no budget (the pre-deadline behavior).
 	Budget time.Duration
-	// TopKStreaming switches query forwarding to the incremental top-k
-	// protocol: instead of each selected peer shipping its full local
-	// top-K in one response, peers stream score-descending chunks
-	// (MethodQueryChunk) and the initiator's threshold coordinator
-	// stops each peer the moment its score upper bound — seeded from
-	// the directory's published MaxScore statistics, refined by every
-	// chunk — drops strictly below the k-th best merged score. Entries
-	// the threshold proves irrelevant never cross the wire, and the
-	// merged top-k is byte-identical to the pull-everything path's.
-	// Streaming never materializes the full result union, so the
-	// merged depth is MergeK (or K when MergeK is 0) — MergeK = 0's
-	// keep-everything semantics do not apply in this mode.
+	// TopKStreaming picks how query forwarding (MethodQuery) trades
+	// round trips for bytes; it never changes Results. Off, each
+	// selected peer ships its local top-K as one chunk and is asked
+	// exactly once. On, peers stream ChunkSize-entry chunks and the
+	// initiator's threshold coordinator stops each peer the moment its
+	// score upper bound — seeded from the directory's published
+	// MaxScore statistics, refined by every chunk — drops strictly below
+	// the MergeK-th best merged score, so entries the threshold proves
+	// irrelevant never cross the wire.
 	TopKStreaming bool
-	// ChunkSize is the entries-per-chunk of the streaming protocol
-	// (0: the peer's Config.TopKChunkSize, default 16).
+	// ChunkSize is the entries-per-chunk under TopKStreaming (0: the
+	// peer's Config.TopKChunkSize, default 16).
 	ChunkSize int
 }
 
@@ -138,15 +137,6 @@ func (o SearchOptions) maxPeers() int {
 		return 5
 	}
 	return o.MaxPeers
-}
-
-// streamK is the streaming path's merge depth: the explicit MergeK, or
-// the per-peer depth K when merging is left untruncated.
-func (o SearchOptions) streamK() int {
-	if o.MergeK > 0 {
-		return o.MergeK
-	}
-	return o.k()
 }
 
 func (o SearchOptions) chunkSize(cfg Config) int {
@@ -218,8 +208,8 @@ func (p *Peer) Search(terms []string, opts SearchOptions) (*SearchResult, error)
 // placed in ctx (telemetry.WithSpan) becomes the query's trace root and
 // receives the full span tree — directory.fetch, route (with one iter
 // child per Select-Best-Peer round), per-round forward fan-outs with a
-// call child per peer (attempt counts and failure causes), reroute
-// decisions, and merge. Span annotations are deterministic functions of
+// call child per peer (cursor, attempt counts and failure causes),
+// reroute decisions, and merge. Span annotations are deterministic functions of
 // the query's inputs and fault schedule; wall-clock spend appears only
 // in the trace's String() rendering, never in Canonical(). A context
 // without a span traces nothing at zero cost.
@@ -375,22 +365,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	}
 	routeSpan.SetInt("planned", int64(len(plan.Peers)))
 	routeSpan.End()
-	var exec execOutcome
-	var merged []ir.Result
-	if opts.TopKStreaming {
-		exec, merged = p.executeStreaming(q, plan, lists, initiator, cands, opts, routeOpts.Prior, dl, span)
-	} else {
-		exec = p.execute(q, plan, initiator, cands, opts, routeOpts.Prior, dl, span)
-		resultLists := exec.lists
-		if !opts.DisableSelf {
-			resultLists = append(resultLists, p.LocalSearch(terms, opts.k(), opts.Conjunctive))
-		}
-		mergeSpan := span.Child("merge")
-		merged = ir.Merge(resultLists, opts.MergeK)
-		mergeSpan.SetInt("lists", int64(len(resultLists)))
-		mergeSpan.SetInt("results", int64(len(merged)))
-		mergeSpan.End()
-	}
+	exec, merged := p.execute(q, plan, lists, initiator, cands, opts, routeOpts.Prior, dl, span)
 	if exec.budgetExpired {
 		span.Set("budget_expired", "true")
 		m.Counter("search.budget_expired").Inc()
@@ -414,156 +389,6 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	}, nil
 }
 
-// maxRerouteRounds caps the re-routing loop: each round replaces the
-// peers lost in the previous one, so pathological networks (every
-// replacement also dead) terminate after replacing at most this many
-// waves instead of draining the whole candidate set.
-const maxRerouteRounds = 4
-
-// execOutcome is the result of executing a plan with failure handling.
-type execOutcome struct {
-	lists         [][]ir.Result
-	perPeer       map[core.PeerID]int
-	errs          []PerPeerError
-	rerouted      []core.PeerID
-	budgetExpired bool
-	// deliveries maps each answering remote peer to the entries it
-	// actually delivered (pull: its full returned list; streaming: the
-	// entries that crossed the wire before the threshold stopped it) —
-	// the raw material of adaptive contribution accounting. Failed
-	// streams and unanswered peers are absent: a transport failure says
-	// nothing about a peer's honesty or usefulness.
-	deliveries map[core.PeerID][]ir.Result
-}
-
-// execute forwards the query to the planned peers with per-peer
-// retry/backoff and, when peers are lost anyway, re-runs Select-Best-Peer
-// against the reference synopsis of the peers that answered
-// (core.Reroute) to pick replacements. Every lost peer is reported in the
-// outcome's errs — the search degrades loudly, never silently.
-//
-// The deadline budget governs every stage: per-attempt timeouts are
-// capped by what remains, re-routing only runs while budget remains,
-// and a batch that would start after expiry is not forwarded at all —
-// its peers are reported as lost and the search returns the partial
-// results it already has.
-func (p *Peer) execute(q core.Query, plan core.Plan, initiator *core.Candidate, cands []core.Candidate, opts SearchOptions, prior func(core.PeerID) float64, dl *core.Deadline, span *telemetry.Span) execOutcome {
-	m := p.cfg.Metrics
-	out := execOutcome{
-		perPeer:    make(map[core.PeerID]int, len(plan.Peers)),
-		deliveries: make(map[core.PeerID][]ir.Result, len(plan.Peers)),
-	}
-	byID := make(map[core.PeerID]*core.Candidate, len(cands))
-	for i := range cands {
-		byID[cands[i].Peer] = &cands[i]
-	}
-	tried := make(map[core.PeerID]bool, len(plan.Peers))
-	var reached []core.Candidate // candidates that answered, for Reroute seeding
-	batch := plan.Peers
-	for round := 0; len(batch) > 0; round++ {
-		fwdSpan := span.Child("forward")
-		fwdSpan.SetInt("round", int64(round))
-		fwdSpan.SetInt("peers", int64(len(batch)))
-		if dl.Expired() {
-			fwdSpan.Set("budget_expired", "true")
-			fwdSpan.End()
-			for _, peer := range batch {
-				out.perPeer[peer] = 0
-				out.errs = append(out.errs, PerPeerError{
-					Peer:        peer,
-					Err:         "minerva: deadline budget exhausted before forwarding",
-					Unreachable: true,
-				})
-			}
-			break
-		}
-		fwdStart := time.Now()
-		results := p.forward(q.Terms, batch, opts, dl, fwdSpan)
-		fwdSpan.SetDuration("spent", time.Since(fwdStart))
-		fwdSpan.End()
-		var failed []int // indexes into out.errs from this round
-		for i, fo := range results {
-			peer := batch[i]
-			tried[peer] = true
-			if fo.err != nil {
-				m.Counter("search.peer_errors." + errCause(fo.err)).Inc()
-				out.perPeer[peer] = 0
-				out.errs = append(out.errs, PerPeerError{
-					Peer:        peer,
-					Attempts:    fo.attempts,
-					Err:         fo.err.Error(),
-					Unreachable: transport.Retryable(fo.err),
-				})
-				failed = append(failed, len(out.errs)-1)
-				continue
-			}
-			out.lists = append(out.lists, fo.results)
-			out.perPeer[peer] = len(fo.results)
-			if string(peer) != p.name {
-				out.deliveries[peer] = fo.results
-			}
-			if c := byID[peer]; c != nil {
-				reached = append(reached, *c)
-			}
-		}
-		if len(failed) == 0 || opts.NoReroute || round >= maxRerouteRounds || dl.Expired() {
-			break
-		}
-		var remaining []core.Candidate
-		for i := range cands {
-			if !tried[cands[i].Peer] {
-				remaining = append(remaining, cands[i])
-			}
-		}
-		if len(remaining) == 0 {
-			break
-		}
-		rerouteSpan := span.Child("reroute")
-		rerouteSpan.SetInt("failed", int64(len(failed)))
-		rerouteSpan.SetInt("remaining", int64(len(remaining)))
-		ropts := core.Options{
-			MaxPeers:      len(failed),
-			Aggregation:   opts.Aggregation,
-			UseHistograms: opts.UseHistograms,
-			Parallelism:   opts.Parallelism,
-			Span:          rerouteSpan,
-			Metrics:       m,
-			Prior:         prior,
-		}
-		if opts.NoveltyOnly {
-			ropts.QualityWeight, ropts.NoveltyWeight = 0, 1
-		}
-		replan, err := core.Reroute(q, initiator, reached, remaining, ropts)
-		if err != nil || len(replan.Peers) == 0 {
-			rerouteSpan.End()
-			break
-		}
-		// Pair replacements with this round's failures in selection
-		// order for the error report.
-		for j, np := range replan.Peers {
-			if j < len(failed) {
-				out.errs[failed[j]].Replacement = np
-			}
-			out.rerouted = append(out.rerouted, np)
-		}
-		rerouteSpan.End()
-		batch = replan.Peers
-	}
-	out.budgetExpired = dl.Expired() && len(out.errs) > 0
-	// Deterministic error order (by peer, then cause): forwarding is
-	// concurrent and re-routing appends round by round, so without this
-	// sort golden tests and trace comparisons would flake on scheduling.
-	// Replacement pairing above uses indexes into errs, so the sort must
-	// stay after the last round.
-	sort.Slice(out.errs, func(i, j int) bool {
-		if out.errs[i].Peer != out.errs[j].Peer {
-			return out.errs[i].Peer < out.errs[j].Peer
-		}
-		return out.errs[i].Err < out.errs[j].Err
-	})
-	return out
-}
-
 // errCause classifies a forwarding error for trace annotations and
 // per-cause metrics. Breaker and timeout checks come first: both match
 // ErrUnreachable under errors.Is, and the specific cause is the useful
@@ -584,64 +409,6 @@ func errCause(err error) string {
 	default:
 		return "other"
 	}
-}
-
-// forwardOutcome is one peer's answer (or failure) to a forwarded query.
-type forwardOutcome struct {
-	results  []ir.Result
-	attempts int
-	err      error
-}
-
-// forward sends the query to the given peers concurrently, each under
-// the search's retry policy — with per-attempt timeouts capped by the
-// remaining deadline budget, and through the peer's circuit-breaker set
-// when one is armed — and reports per-peer outcomes. It never swallows
-// a failure — callers decide whether to re-route or surface it.
-func (p *Peer) forward(terms []string, peers []core.PeerID, opts SearchOptions, dl *core.Deadline, span *telemetry.Span) []forwardOutcome {
-	req := queryRequest{Terms: terms, K: opts.k(), Conjunctive: opts.Conjunctive}
-	out := make([]forwardOutcome, len(peers))
-	caller := p.caller()
-	policy := opts.Retry
-	policy.Timeout = dl.Cap(policy.Timeout)
-	// Per-peer call spans are created here, sequentially, before any
-	// goroutine launches: span IDs are assigned in creation order, so the
-	// trace stays deterministic no matter how the fan-out is scheduled.
-	spans := make([]*telemetry.Span, len(peers))
-	for i, peer := range peers {
-		spans[i] = span.Child("call")
-		spans[i].Setf("peer", "%s", peer)
-	}
-	var wg sync.WaitGroup
-	for i, peer := range peers {
-		if string(peer) == p.name {
-			out[i] = forwardOutcome{results: p.LocalSearch(terms, opts.k(), opts.Conjunctive), attempts: 1}
-			spans[i].Set("local", "true")
-			spans[i].SetInt("results", int64(len(out[i].results)))
-			spans[i].End()
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			var rs []ir.Result
-			attempts, err := transport.InvokeRetry(caller, addr, methodQuery, req, &rs, policy)
-			out[i] = forwardOutcome{results: rs, attempts: attempts, err: err}
-			if attempts > 1 {
-				p.cfg.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
-			}
-			s := spans[i]
-			s.SetInt("attempts", int64(attempts))
-			if err != nil {
-				s.Set("cause", errCause(err))
-			} else {
-				s.SetInt("results", int64(len(rs)))
-			}
-			s.End()
-		}(i, string(peer))
-	}
-	wg.Wait()
-	return out
 }
 
 // assembleCandidates turns the fetched PeerLists into routing candidates:

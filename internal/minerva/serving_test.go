@@ -75,13 +75,18 @@ func TestSearchCoalescingSharesExecution(t *testing.T) {
 	}
 
 	// Coalescing is not caching: a duplicate issued after the flight
-	// finished executes fresh.
-	if _, err := initiator.Search(terms, opts); err != nil {
+	// finished executes fresh — and is the sequential reference the
+	// burst must be indistinguishable from.
+	seq, err := initiator.Search(terms, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot().Counters["search.coalesced"]
 	if after != coalesced {
 		t.Fatalf("sequential re-run coalesced (counter %d -> %d)", coalesced, after)
+	}
+	if !reflect.DeepEqual(seq.Results, results[0].Results) || !reflect.DeepEqual(seq.Plan.Peers, results[0].Plan.Peers) {
+		t.Fatal("coalesced burst diverged from the sequential search")
 	}
 }
 

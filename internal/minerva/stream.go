@@ -3,6 +3,7 @@ package minerva
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,38 +17,46 @@ import (
 	"iqn/internal/transport"
 )
 
-// This file is the initiator side of the incremental top-k protocol
-// (SearchOptions.TopKStreaming): instead of pulling every selected
-// peer's full local top-K in one response, the initiator pulls
-// score-descending chunks (MethodQueryChunk) round by round and feeds
-// them to a topk.Coordinator, which stops each peer the moment its
-// score upper bound — seeded from the directory's published MaxScore
-// statistics the search already fetched for routing, refined to the
-// last score of every received chunk — drops strictly below θ, the
-// k-th best merged score. The entries the threshold proves irrelevant
-// never cross the wire, and the merged top-k is exactly the pull
-// path's (ir.Merge at the same depth) — the protocol trades round
-// trips for bytes, never results.
+// This file is query forwarding: the one way a routed query crosses the
+// network. The initiator pulls each planned peer's score-descending
+// local result list in chunks (MethodQuery) round by round and feeds
+// them to a topk.Coordinator, which stops a peer the moment its score
+// upper bound drops strictly below θ, the k-th best merged score. The
+// merged list is exactly ir.Merge over the peers' full lists at depth
+// MergeK — the protocol trades round trips for bytes, never results.
 //
-// The pull loop is round-based on purpose: within a round every active
-// stream is pulled concurrently (like execute's forward fan-out), but
-// chunks are ingested and stop decisions taken in stable stream order
-// after the round completes. Chunk counts, early stops, and the span
-// tree are therefore deterministic functions of the query's inputs and
-// fault schedule — never of goroutine scheduling — which is what lets
-// sim's differential twin runs compare traces byte for byte.
+// SearchOptions.TopKStreaming picks the two parameters that decide how
+// much is traded. Off (pull), the chunk size is K and bounds start at
+// +Inf: the first chunk is a peer's whole list, so every planned peer
+// is asked exactly once. On, chunks are ChunkSize entries and bounds
+// are seeded from the directory's published MaxScore statistics the
+// search already fetched for routing, so entries the threshold proves
+// irrelevant never cross the wire.
 //
-// Failure semantics mirror the pull path's: a stream lost mid-flight
-// (peer death, exhausted retries) is removed wholesale — its entries
-// are dropped from the merge, so a failed peer contributes nothing,
-// exactly as an unanswered peer.query contributes nothing — and
-// re-routing may bring in replacement streams. Removing entries can
-// lower θ and legitimately re-open streams stopped under the old
-// threshold; the round loop re-checks Stopped every round, so the
-// final result is exact over the surviving peers. A peer that swapped
-// its index mid-stream answers with a stale-cursor error; the stream
-// restarts from offset 0 against the new generation (bounded times)
-// rather than mixing two snapshots' orderings.
+// The loop is round-based on purpose: within a round every active
+// stream is pulled concurrently, but chunks are ingested and stop
+// decisions taken in stable stream order after the round completes.
+// Chunk counts, early stops, and the span tree are therefore
+// deterministic functions of the query's inputs and fault schedule —
+// never of goroutine scheduling — which is what lets sim's differential
+// twin runs compare traces byte for byte.
+//
+// A stream lost mid-flight (peer death, exhausted retries) is removed
+// wholesale — its entries are dropped from the merge, so a failed peer
+// contributes nothing — and re-routing may bring in replacement
+// streams. Removing entries can lower θ and legitimately re-open
+// streams stopped under the old threshold; the round loop re-checks
+// Stopped every round, so the final result is exact over the surviving
+// peers. A peer that swapped its index mid-stream answers with a
+// stale-cursor error; the stream restarts from offset 0 against the new
+// generation (bounded times) rather than mixing two snapshots'
+// orderings.
+
+// maxRerouteRounds caps re-routing: each round replaces the peers lost
+// in the previous one, so pathological networks (every replacement also
+// dead) terminate after replacing at most this many waves instead of
+// draining the whole candidate set.
+const maxRerouteRounds = 4
 
 // maxStreamRestarts bounds consecutive stale-cursor restarts with no
 // successful chunk in between: a peer re-indexing faster than the
@@ -70,7 +79,7 @@ type peerStream struct {
 	// failed marks the stream dead (entries dropped, error reported).
 	failed bool
 	// reached records that at least one chunk arrived (the stream's
-	// candidate seeds Reroute like an answered peer in pull mode).
+	// candidate then seeds Reroute's reference synopsis).
 	reached bool
 	// entries counts pulled entries (the per-peer result count).
 	entries int
@@ -121,13 +130,42 @@ func streamSeedBounds(terms []string, lists map[string]directory.PeerList) map[c
 	return bounds
 }
 
-// executeStreaming runs the plan under the incremental top-k protocol
-// and returns the execution outcome plus the merged top-k (already at
-// the streaming merge depth — the caller does not run ir.Merge).
-func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]directory.PeerList, initiator *core.Candidate, cands []core.Candidate, opts SearchOptions, prior func(core.PeerID) float64, dl *core.Deadline, span *telemetry.Span) (execOutcome, []ir.Result) {
+// execOutcome is the result of executing a plan with failure handling.
+type execOutcome struct {
+	perPeer       map[core.PeerID]int
+	errs          []PerPeerError
+	rerouted      []core.PeerID
+	budgetExpired bool
+	// deliveries maps each answering remote peer to the entries that
+	// crossed the wire from it — the raw material of adaptive
+	// contribution accounting. Failed streams and unanswered peers are
+	// absent: a transport failure says nothing about a peer's honesty or
+	// usefulness.
+	deliveries map[core.PeerID][]ir.Result
+}
+
+// execute forwards the query to the planned peers and returns the
+// execution outcome plus the merged result list at depth MergeK. Peers
+// are pulled under the search's retry policy; when peers are lost
+// anyway, Select-Best-Peer is re-run against the reference synopsis of
+// the peers that answered (core.Reroute) to pick replacements. Every
+// lost peer is reported in the outcome's errs — the search degrades
+// loudly, never silently.
+//
+// The deadline budget governs every stage: per-attempt timeouts are
+// capped by what remains, re-routing only runs while budget remains,
+// and a round that would start after expiry is not forwarded at all —
+// its peers are reported as lost and the search returns the partial
+// results it already has.
+func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.PeerList, initiator *core.Candidate, cands []core.Candidate, opts SearchOptions, prior func(core.PeerID) float64, dl *core.Deadline, span *telemetry.Span) (execOutcome, []ir.Result) {
 	m := p.cfg.Metrics
-	coord := topk.NewCoordinator(opts.streamK())
-	bounds := streamSeedBounds(q.Terms, lists)
+	coord := topk.NewCoordinator(opts.MergeK)
+	chunkSize := opts.k()
+	var bounds map[core.PeerID]float64 // nil: every stream starts unbounded
+	if opts.TopKStreaming {
+		chunkSize = opts.chunkSize(p.cfg)
+		bounds = streamSeedBounds(q.Terms, lists)
+	}
 	out := execOutcome{
 		perPeer:    make(map[core.PeerID]int, len(plan.Peers)),
 		deliveries: make(map[core.PeerID][]ir.Result, len(plan.Peers)),
@@ -137,47 +175,51 @@ func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]d
 		byID[cands[i].Peer] = &cands[i]
 	}
 	tried := make(map[core.PeerID]bool, len(plan.Peers))
-	var reached []core.Candidate
+	var reached []core.Candidate // candidates that answered, for Reroute seeding
 	var streams []*peerStream
-	addStream := func(peer core.PeerID) {
-		tried[peer] = true
+	addSource := func(peer core.PeerID) {
 		b, ok := bounds[peer]
 		if !ok {
 			b = math.Inf(1)
 		}
 		coord.AddSource(string(peer), b)
+	}
+	addStream := func(peer core.PeerID) {
+		tried[peer] = true
+		addSource(peer)
 		streams = append(streams, &peerStream{peer: peer})
 	}
-	// Local lists never cross the wire: they are offered to the
-	// coordinator complete, like the pull path appending LocalSearch to
-	// the merge input.
-	offerLocal := func(id string) int {
+	for _, peer := range plan.Peers {
+		addStream(peer)
+	}
+	// The initiator's own list never crosses the wire: it is offered
+	// complete before the first pull, which gives the coordinator a
+	// strong θ up front — seeded bounds can then cut weak peers off with
+	// zero chunks pulled.
+	if !opts.DisableSelf {
 		self := p.LocalSearch(q.Terms, opts.k(), opts.Conjunctive)
 		entries := make([]topk.DocScore, len(self))
 		for i, r := range self {
 			entries[i] = topk.DocScore{Doc: r.DocID, Score: r.Score}
 		}
-		coord.Offer(id, entries, true)
-		return len(entries)
+		coord.Offer("self:"+p.name, entries, true)
 	}
-	selfPlanned := false
-	for _, peer := range plan.Peers {
-		if string(peer) == p.name {
-			out.perPeer[peer] = offerLocal(string(peer))
-			selfPlanned = true
-			continue
-		}
-		addStream(peer)
+	var failed []int // indexes into out.errs of the current round's failures
+	fail := func(ps *peerStream, errText string, unreachable bool) {
+		ps.failed = true
+		coord.RemoveSource(string(ps.peer))
+		out.perPeer[ps.peer] = 0
+		out.errs = append(out.errs, PerPeerError{
+			Peer:        ps.peer,
+			Attempts:    ps.attempts,
+			Err:         errText,
+			Unreachable: unreachable,
+		})
+		failed = append(failed, len(out.errs)-1)
 	}
-	// Offering the initiator's own results before the first pull gives
-	// the coordinator a strong θ up front — the seeded bounds can then
-	// cut weak peers off with zero chunks pulled.
-	if !opts.DisableSelf && !selfPlanned {
-		offerLocal("self:" + p.name)
-	}
-	chunkSize := opts.chunkSize(p.cfg)
 	rerouteRounds := 0
 	for round := 0; ; round++ {
+		failed = failed[:0]
 		var batch []*peerStream
 		for _, ps := range streams {
 			if ps.failed || coord.Stopped(string(ps.peer)) {
@@ -188,42 +230,21 @@ func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]d
 		if len(batch) == 0 {
 			break
 		}
-		pullSpan := span.Child("pull")
-		pullSpan.SetInt("round", int64(round))
-		pullSpan.SetInt("peers", int64(len(batch)))
+		fwdSpan := span.Child("forward")
+		fwdSpan.SetInt("round", int64(round))
+		fwdSpan.SetInt("peers", int64(len(batch)))
 		if dl.Expired() {
-			pullSpan.Set("budget_expired", "true")
-			pullSpan.End()
+			fwdSpan.Set("budget_expired", "true")
+			fwdSpan.End()
 			for _, ps := range batch {
-				ps.failed = true
-				coord.RemoveSource(string(ps.peer))
-				out.perPeer[ps.peer] = 0
-				out.errs = append(out.errs, PerPeerError{
-					Peer:        ps.peer,
-					Attempts:    ps.attempts,
-					Err:         "minerva: deadline budget exhausted mid-stream",
-					Unreachable: true,
-				})
+				fail(ps, "minerva: deadline budget exhausted", true)
 			}
 			break
 		}
-		pullStart := time.Now()
-		outcomes := p.pullRound(batch, q, opts, chunkSize, dl, pullSpan)
-		pullSpan.SetDuration("spent", time.Since(pullStart))
-		pullSpan.End()
-		var failed []int // indexes into out.errs from this round
-		fail := func(ps *peerStream, errText string, unreachable bool) {
-			ps.failed = true
-			coord.RemoveSource(string(ps.peer))
-			out.perPeer[ps.peer] = 0
-			out.errs = append(out.errs, PerPeerError{
-				Peer:        ps.peer,
-				Attempts:    ps.attempts,
-				Err:         errText,
-				Unreachable: unreachable,
-			})
-			failed = append(failed, len(out.errs)-1)
-		}
+		fwdStart := time.Now()
+		outcomes := p.forward(batch, q, opts, chunkSize, dl, fwdSpan)
+		fwdSpan.SetDuration("spent", time.Since(fwdStart))
+		fwdSpan.End()
 		for i, co := range outcomes {
 			ps := batch[i]
 			ps.attempts += co.attempts
@@ -234,11 +255,7 @@ func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]d
 					ps.restarts++
 					ps.offset, ps.gen = 0, 0
 					ps.delivered = nil
-					b, ok := bounds[ps.peer]
-					if !ok {
-						b = math.Inf(1)
-					}
-					coord.AddSource(string(ps.peer), b)
+					addSource(ps.peer)
 					m.Counter("topk.stream_restarts").Inc()
 					continue
 				}
@@ -262,21 +279,17 @@ func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]d
 			// every restart drained fresh entries.
 			ps.restarts = 0
 			m.Counter("topk.chunks").Inc()
-			if n := len(chunk.Entries); n > 0 {
-				entries := make([]topk.DocScore, n)
-				for j, e := range chunk.Entries {
-					entries[j] = topk.DocScore{Doc: e.Doc, Score: e.Score}
-				}
-				coord.Offer(string(ps.peer), entries, chunk.Done)
-				for _, e := range chunk.Entries {
-					ps.delivered = append(ps.delivered, ir.Result{DocID: e.Doc, Score: e.Score})
-				}
-				ps.offset += n
-				ps.entries += n
-				m.Counter("topk.stream_entries").Add(int64(n))
-			} else {
-				coord.Offer(string(ps.peer), nil, true)
+			n := len(chunk.Entries)
+			entries := make([]topk.DocScore, n)
+			ps.delivered = slices.Grow(ps.delivered, n)
+			for j, e := range chunk.Entries {
+				entries[j] = topk.DocScore{Doc: e.Doc, Score: e.Score}
+				ps.delivered = append(ps.delivered, ir.Result{DocID: e.Doc, Score: e.Score})
 			}
+			coord.Offer(string(ps.peer), entries, chunk.Done)
+			ps.offset += n
+			ps.entries += n
+			m.Counter("topk.stream_entries").Add(int64(n))
 			if !ps.reached {
 				ps.reached = true
 				if c := byID[ps.peer]; c != nil {
@@ -338,9 +351,11 @@ func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]d
 		}
 	}
 	out.budgetExpired = dl.Expired() && len(out.errs) > 0
-	// Same deterministic error order as execute — and the same caveat:
-	// Replacement pairing indexes into errs, so the sort must stay after
-	// the last round.
+	// Deterministic error order (by peer, then cause): forwarding is
+	// concurrent and re-routing appends round by round, so without this
+	// sort golden tests and trace comparisons would flake on scheduling.
+	// Replacement pairing above uses indexes into errs, so the sort must
+	// stay after the last round.
 	sort.Slice(out.errs, func(i, j int) bool {
 		if out.errs[i].Peer != out.errs[j].Peer {
 			return out.errs[i].Peer < out.errs[j].Peer
@@ -359,17 +374,20 @@ func (p *Peer) executeStreaming(q core.Query, plan core.Plan, lists map[string]d
 	return out, merged
 }
 
-// pullRound pulls one chunk from every stream of the batch
-// concurrently, each under the search's retry policy capped by the
-// remaining deadline budget, and reports per-stream outcomes in batch
-// order. Spans are created sequentially before any goroutine launches,
-// exactly like forward, so the trace stays deterministic under any
-// scheduling.
-func (p *Peer) pullRound(batch []*peerStream, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
+// forward fans one round out: it pulls one chunk from every stream of
+// the batch concurrently, each under the search's retry policy — with
+// per-attempt timeouts capped by the remaining deadline budget, and
+// through the peer's circuit-breaker set when one is armed — and
+// reports per-stream outcomes in batch order. It never swallows a
+// failure; execute decides whether to re-route or surface it.
+func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
 	caller := p.caller()
 	policy := opts.Retry
 	policy.Timeout = dl.Cap(policy.Timeout)
 	out := make([]chunkOutcome, len(batch))
+	// Per-stream call spans are created here, sequentially, before any
+	// goroutine launches: span IDs are assigned in creation order, so the
+	// trace stays deterministic no matter how the fan-out is scheduled.
 	spans := make([]*telemetry.Span, len(batch))
 	for i, ps := range batch {
 		spans[i] = span.Child("call")
@@ -391,9 +409,8 @@ func (p *Peer) pullRound(batch []*peerStream, q core.Query, opts SearchOptions, 
 				Gen:         ps.gen,
 			}
 			// The response is the raw chunk frame (transport.EncodeChunk),
-			// not a gob message — the savings the protocol exists for —
-			// so the call runs through the policy directly instead of
-			// InvokeRetry's gob decode.
+			// not a gob message, so the call runs through the policy
+			// directly instead of InvokeRetry's gob decode.
 			payload, err := transport.Marshal(req)
 			if err != nil {
 				out[i] = chunkOutcome{err: err}
@@ -404,7 +421,7 @@ func (p *Peer) pullRound(batch []*peerStream, q core.Query, opts SearchOptions, 
 			var raw []byte
 			attempts, err := policy.Do(string(ps.peer), func() error {
 				var cerr error
-				raw, cerr = transport.CallTimeout(caller, string(ps.peer), methodQueryChunk, payload, policy.Timeout)
+				raw, cerr = transport.CallTimeout(caller, string(ps.peer), MethodQuery, payload, policy.Timeout)
 				return cerr
 			})
 			if attempts > 1 {

@@ -2,6 +2,7 @@ package minerva
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,15 +13,15 @@ import (
 	"iqn/internal/transport"
 )
 
-// pullChunk issues one raw chunk RPC against a peer, the way the
-// streaming client does.
+// pullChunk issues one raw query call against a peer, the way the
+// initiator does.
 func pullChunk(t *testing.T, net transport.Network, addr string, req chunkRequest) (transport.ResultChunk, error) {
 	t.Helper()
 	payload, err := transport.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := net.Call(addr, MethodQueryChunk, payload)
+	raw, err := net.Call(addr, MethodQuery, payload)
 	if err != nil {
 		return transport.ResultChunk{}, err
 	}
@@ -211,6 +212,15 @@ type hookNetwork struct {
 	calls  map[string]int
 }
 
+// arm installs the callback and restarts the per-link call counts, so
+// "the victim's 2nd call" counts from the search under test, not from
+// the reference searches before it.
+func (h *hookNetwork) arm(before func(addr, method string, calls int) error) {
+	h.mu.Lock()
+	h.before, h.calls = before, nil
+	h.mu.Unlock()
+}
+
 func (h *hookNetwork) Call(addr, method string, req []byte) ([]byte, error) {
 	h.mu.Lock()
 	key := addr + "\x00" + method
@@ -274,15 +284,15 @@ func TestStreamingStaleCursorRestart(t *testing.T) {
 	}
 	victim := string(pull.Plan.Peers[0])
 	restarted := false
-	hook.before = func(addr, method string, calls int) error {
+	hook.arm(func(addr, method string, calls int) error {
 		// Between the victim's first and second chunk, swap its index:
 		// the stream's pinned generation goes stale.
-		if method == MethodQueryChunk && addr == victim && calls == 2 && !restarted {
+		if method == MethodQuery && addr == victim && calls == 2 && !restarted {
 			restarted = true
 			net.Peer(victim).IndexCollection(docsOf[victim])
 		}
 		return nil
-	}
+	})
 	opts.TopKStreaming, opts.ChunkSize = true, 2
 	stream, err := initiator.Search(q.Terms, opts)
 	if err != nil {
@@ -357,13 +367,13 @@ func TestStreamingRestartCounterResetsOnProgress(t *testing.T) {
 	// offset 0 and succeed, resetting the counter with the fix in
 	// place). Three swaps exceed the old lifetime cap of 2.
 	swaps := 0
-	hook.before = func(addr, method string, calls int) error {
-		if method == MethodQueryChunk && addr == victim && calls%2 == 0 && calls <= 6 {
+	hook.arm(func(addr, method string, calls int) error {
+		if method == MethodQuery && addr == victim && calls%2 == 0 && calls <= 6 {
 			swaps++
 			net.Peer(victim).IndexCollection(docsOf[victim])
 		}
 		return nil
-	}
+	})
 	opts.TopKStreaming, opts.ChunkSize = true, 1
 	before := reg.Counter("topk.stream_restarts").Value()
 	stream, err := initiator.Search(q.Terms, opts)
@@ -391,7 +401,7 @@ func TestStreamingRestartCounterResetsOnProgress(t *testing.T) {
 
 // TestStreamingMidStreamDeath kills a streamed peer after its first
 // chunk: the stream's partial entries must be dropped wholesale (the
-// dead peer contributes nothing, like an unanswered peer.query), the
+// dead peer contributes nothing, like a peer that never answered), the
 // loss must be reported in Errors, and the merged results must be
 // exact over the survivors.
 func TestStreamingMidStreamDeath(t *testing.T) {
@@ -410,12 +420,12 @@ func TestStreamingMidStreamDeath(t *testing.T) {
 		t.Fatalf("plan too small: %v", pull.Plan.Peers)
 	}
 	victim := string(pull.Plan.Peers[0])
-	hook.before = func(addr, method string, calls int) error {
-		if method == MethodQueryChunk && addr == victim && calls >= 2 {
+	hook.arm(func(addr, method string, calls int) error {
+		if method == MethodQuery && addr == victim && calls >= 2 {
 			return fmt.Errorf("%w: %s cut mid-stream", transport.ErrUnreachable, addr)
 		}
 		return nil
-	}
+	})
 	opts.TopKStreaming, opts.ChunkSize = true, 2
 	stream, err := initiator.Search(q.Terms, opts)
 	if err != nil {
@@ -473,5 +483,142 @@ func TestStreamingCoalesceKeySeparates(t *testing.T) {
 	}
 	if coalesceKey(terms, stream) == coalesceKey(terms, chunked) {
 		t.Fatal("different chunk sizes share a coalesce key")
+	}
+}
+
+// TestPullMatchesMergeOracle keeps the pull-everything algorithm alive
+// as a test oracle: for seeded random queries, a pull search's Results
+// must equal ir.Merge over LocalSearch of every planned peer plus the
+// initiator, entry for entry, at the keep-everything depth and at K.
+func TestPullMatchesMergeOracle(t *testing.T) {
+	net, corpus, _ := buildTestNetwork(t, Config{SynopsisSeed: 7})
+	const k = 20
+	for i, q := range dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: 12, Seed: 99}) {
+		initiator := net.Peers[i%len(net.Peers)]
+		for _, mergeK := range []int{0, k} {
+			res, err := initiator.Search(q.Terms, SearchOptions{K: k, MaxPeers: 4, MergeK: mergeK})
+			if err != nil {
+				t.Fatalf("query %v: %v", q.Terms, err)
+			}
+			if len(res.Errors) != 0 {
+				t.Fatalf("query %v lost peers: %+v", q.Terms, res.Errors)
+			}
+			lists := [][]ir.Result{initiator.LocalSearch(q.Terms, k, false)}
+			for _, peer := range res.Plan.Peers {
+				lists = append(lists, net.Peer(string(peer)).LocalSearch(q.Terms, k, false))
+			}
+			if want := ir.Merge(lists, mergeK); !reflect.DeepEqual(res.Results, want) {
+				t.Fatalf("query %v MergeK=%d: search returned %d results, oracle %d:\n got  %v\n want %v",
+					q.Terms, mergeK, len(res.Results), len(want), res.Results, want)
+			}
+		}
+	}
+}
+
+// TestChunkSizeInvariantUnderFaults runs each fault script at chunk =
+// 16 and at chunk = K (pull) and asserts the two searches are
+// indistinguishable from outside: identical Results, Errors (text,
+// attempts, replacements), Rerouted and BudgetExpired. Faults are
+// scripted by call count per link, so they hit the same point of the
+// search at either chunk size.
+func TestChunkSizeInvariantUnderFaults(t *testing.T) {
+	cases := []struct {
+		name string
+		// fault returns the hook for one search, given the victim (a
+		// planned peer a fault-free chunk = 16 search pulls more than one
+		// chunk from) and a way to re-index it in place.
+		fault func(victim string, reindex func()) func(addr, method string, calls int) error
+		check func(t *testing.T, res *SearchResult)
+		// wantReindex requires the script's re-index to have fired.
+		wantReindex bool
+	}{
+		{
+			name: "peer death with reroute",
+			fault: func(victim string, _ func()) func(string, string, int) error {
+				return func(addr, method string, _ int) error {
+					if method == MethodQuery && addr == victim {
+						return fmt.Errorf("%w: %s is down", transport.ErrUnreachable, addr)
+					}
+					return nil
+				}
+			},
+			check: func(t *testing.T, res *SearchResult) {
+				if len(res.Errors) != 1 || res.Errors[0].Replacement == "" || len(res.Rerouted) != 1 {
+					t.Fatalf("victim not lost and replaced: errors %+v, rerouted %v", res.Errors, res.Rerouted)
+				}
+			},
+		},
+		{
+			name:        "stale-cursor restart",
+			wantReindex: true,
+			fault: func(victim string, reindex func()) func(string, string, int) error {
+				return func(addr, method string, calls int) error {
+					if method == MethodQuery && addr == victim && calls == 2 {
+						reindex()
+					}
+					return nil
+				}
+			},
+			check: func(t *testing.T, res *SearchResult) {
+				if len(res.Errors) != 0 {
+					t.Fatalf("restart surfaced as peer loss: %+v", res.Errors)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net, hook, docsOf, queries := streamHarness(t)
+			initiator := net.Peers[0]
+			q := queries[0]
+			const k = 50
+			modes := []SearchOptions{
+				{K: k, MaxPeers: 3, MergeK: k, TopKStreaming: true, ChunkSize: 16},
+				{K: k, MaxPeers: 3, MergeK: k},
+			}
+			clean, err := initiator.Search(q.Terms, modes[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var victim string
+			for _, peer := range clean.Plan.Peers {
+				if clean.PerPeer[peer] > 16 {
+					victim = string(peer)
+					break
+				}
+			}
+			if victim == "" {
+				t.Fatalf("no planned peer streams a second chunk: %v", clean.PerPeer)
+			}
+			reindexes := 0
+			reindex := func() {
+				reindexes++
+				net.Peer(victim).IndexCollection(docsOf[victim])
+			}
+			var runs []*SearchResult
+			for _, opts := range modes {
+				hook.arm(tc.fault(victim, reindex))
+				res, err := initiator.Search(q.Terms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.check(t, res)
+				runs = append(runs, res)
+			}
+			if tc.wantReindex && reindexes == 0 {
+				t.Fatal("victim was never pulled a second time; the restart was not exercised")
+			}
+			stream, pull := runs[0], runs[1]
+			if !reflect.DeepEqual(stream.Results, pull.Results) {
+				t.Fatalf("results differ:\n chunk=16 %v\n chunk=K  %v", stream.Results, pull.Results)
+			}
+			if !reflect.DeepEqual(stream.Errors, pull.Errors) {
+				t.Fatalf("errors differ:\n chunk=16 %+v\n chunk=K  %+v", stream.Errors, pull.Errors)
+			}
+			if !reflect.DeepEqual(stream.Rerouted, pull.Rerouted) || stream.BudgetExpired != pull.BudgetExpired {
+				t.Fatalf("rerouted %v/%v, budget expired %v/%v",
+					stream.Rerouted, pull.Rerouted, stream.BudgetExpired, pull.BudgetExpired)
+			}
+		})
 	}
 }

@@ -59,8 +59,9 @@ const (
 	// SlowLink delays every call on the From→To link by Delay.
 	SlowLink
 	// CrashOnQuery arms a crash-on-Nth-call rule on the peer's incoming
-	// query RPC: the peer dies the moment the Nth forwarded query
-	// reaches it — a mid-query crash, not a between-queries one.
+	// query RPC (minerva.MethodQuery, one call per chunk): the peer dies
+	// the moment the Nth call reaches it — a mid-query crash, not a
+	// between-queries one.
 	CrashOnQuery
 	// StaleEntry publishes a ghost peer's posts into the directory: a
 	// copy of the source peer's publications under an address nobody
@@ -159,7 +160,7 @@ type Event struct {
 	// Delay is the injected latency for SlowLink and SlowPeer.
 	Delay time.Duration
 	// Nth is CrashOnQuery's trigger count (default 1: the very next
-	// forwarded query).
+	// forwarded query call).
 	Nth int
 	// Limit and Queue are Saturate's admission bounds: at most Limit
 	// in-flight requests with Queue more waiting; the rest are rejected
@@ -241,19 +242,19 @@ type Scenario struct {
 	// same fault schedule), and Report.Metrics holds the run's aggregate
 	// counter/histogram snapshot.
 	Telemetry bool
-	// TopKStreaming runs every query under the incremental top-k
-	// protocol (minerva.SearchOptions.TopKStreaming): peers stream
-	// score-descending result chunks and the initiator's threshold
-	// coordinator stops them early instead of pulling full top-K lists.
+	// TopKStreaming forwards every query in small chunks
+	// (minerva.SearchOptions.TopKStreaming): peers stream score-descending
+	// result chunks and the initiator's threshold coordinator stops them
+	// early instead of pulling each full top-K list as one chunk.
 	TopKStreaming bool
 	// ChunkSize is the streaming protocol's entries-per-chunk (0: the
 	// peer default).
 	ChunkSize int
 	// MergeK truncates each query's merged result list (minerva.
-	// SearchOptions.MergeK). Zero keeps the pull path's keep-everything
-	// default — except under TopKParity, which normalizes MergeK to K
-	// for both twins (streaming never materializes the full union, so
-	// the twins must merge at one explicit depth to be comparable).
+	// SearchOptions.MergeK). Zero keeps every returned document — except
+	// under TopKParity, which normalizes MergeK to K for both twins (at
+	// depth zero there is no k-th score, so the streaming twin would
+	// never stop a peer early and the comparison would prove nothing).
 	MergeK int
 	// InitialPeers, when > 0, boots only the first InitialPeers
 	// collections; the rest exist as named-but-unbooted slots that Join
@@ -298,9 +299,7 @@ type Scenario struct {
 	// different by design, so trace identity is asserted between the
 	// streaming replays, not across the protocol twins.) Any divergence
 	// is an invariant violation. Meaningful for fault-free or
-	// deterministic-fault scenarios, like CacheParity; note that
-	// CrashOnQuery rules arm on the pull RPC (peer.query), which the
-	// streaming run never issues, so such scripts legitimately diverge.
+	// deterministic-fault scenarios, like CacheParity.
 	TopKParity bool
 	// Events is the fault script.
 	Events []Event
@@ -462,9 +461,8 @@ func Run(sc Scenario) (*Report, error) {
 		if !sc.TopKStreaming {
 			return nil, fmt.Errorf("sim: scenario %q sets TopKParity without TopKStreaming", sc.Name)
 		}
-		// Both twins must merge at one explicit depth: the pull path's
-		// MergeK=0 keeps every returned document, which streaming (the
-		// point of which is not transferring everything) cannot match.
+		// Both twins merge at an explicit depth, so the streaming twin
+		// has a k-th score to stop peers against.
 		if sc.MergeK <= 0 {
 			sc.MergeK = sc.K
 		}
@@ -932,11 +930,10 @@ func topKParityViolations(stream, pull, replay *Report) []string {
 	return v
 }
 
-// equalLostPeers compares the peers two error reports name (error text
-// and attempt counts legitimately differ across the protocols — the
-// same dead peer fails a peer.query in one and a peer.query_chunk in
-// the other). Both reports are sorted by peer, so positional comparison
-// is set comparison.
+// equalLostPeers compares the peers two error reports name (attempt
+// counts legitimately differ across chunk sizes — a peer that dies
+// mid-stream has answered earlier chunks). Both reports are sorted by
+// peer, so positional comparison is set comparison.
 func equalLostPeers(a, b []minerva.PerPeerError) bool {
 	if len(a) != len(b) {
 		return false

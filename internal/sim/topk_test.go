@@ -83,6 +83,38 @@ func TestTopKParityUnderKill(t *testing.T) {
 	}
 }
 
+// TestTopKParityCrashOnQuery crashes a peer on its next incoming query
+// call. The rule is scoped to the one forwarding RPC, so it fires on
+// the same query at either chunk size: both twins must lose the same
+// peer and still merge identical docs.
+func TestTopKParityCrashOnQuery(t *testing.T) {
+	rep, err := Run(Scenario{
+		Name:          "topk-parity-crash-on-query",
+		Seed:          7,
+		Queries:       8,
+		Telemetry:     true,
+		TopKStreaming: true,
+		ChunkSize:     3,
+		TopKParity:    true,
+		Events: []Event{
+			{Before: 2, Kind: CrashOnQuery, Peer: 3, Nth: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("topk parity violated under crash-on-query:\n%s", strings.Join(rep.Violations, "\n"))
+	}
+	lost := 0
+	for _, out := range rep.Outcomes {
+		lost += len(out.Errors)
+	}
+	if lost == 0 {
+		t.Fatal("crash-on-query cost the streaming run no peer — the rule never fired")
+	}
+}
+
 // TestTopKParityRequiresStreaming pins the configuration guard.
 func TestTopKParityRequiresStreaming(t *testing.T) {
 	_, err := Run(Scenario{Name: "bad", Seed: 1, TopKParity: true})

@@ -67,13 +67,11 @@ type Coordinator struct {
 	kth float64
 }
 
-// NewCoordinator returns a coordinator for a merged top-k of depth k
-// (k ≤ 0 is rejected by returning a depth-1 coordinator — callers
-// always want at least one result).
+// NewCoordinator returns a coordinator for a merged top-k of depth k.
+// k ≤ 0 keeps every merged document: θ is then never defined, so no
+// source is ever stopped by the threshold and every stream runs to
+// completion.
 func NewCoordinator(k int) *Coordinator {
-	if k < 1 {
-		k = 1
-	}
 	return &Coordinator{
 		k:       k,
 		sources: map[string]*source{},
@@ -81,9 +79,6 @@ func NewCoordinator(k int) *Coordinator {
 		kth:     math.NaN(),
 	}
 }
-
-// K returns the coordinator's merge depth.
-func (c *Coordinator) K() int { return c.k }
 
 // AddSource registers a stream with a seeded score upper bound — the
 // sum of the per-term maximum scores the directory publishes for the
@@ -154,9 +149,9 @@ func (c *Coordinator) rebuild() {
 
 // Threshold returns θ — the k-th best merged score — and whether at
 // least k distinct documents have been merged (θ is undefined before
-// that, and no source may be stopped).
+// that and at unbounded depth, and no source may be stopped).
 func (c *Coordinator) Threshold() (float64, bool) {
-	if len(c.merged) < c.k {
+	if c.k <= 0 || len(c.merged) < c.k {
 		return 0, false
 	}
 	if !math.IsNaN(c.kth) {
@@ -197,7 +192,7 @@ func (c *Coordinator) EarlyStopped(id string) bool {
 
 // Results returns the merged top-k, descending by score with ascending
 // document ID breaking ties — exactly ir.Merge's order — truncated
-// to k.
+// to k (everything at unbounded depth).
 func (c *Coordinator) Results() []DocScore {
 	out := make([]DocScore, 0, len(c.merged))
 	for d, s := range c.merged {
@@ -209,7 +204,7 @@ func (c *Coordinator) Results() []DocScore {
 		}
 		return out[i].Doc < out[j].Doc
 	})
-	if len(out) > c.k {
+	if c.k > 0 && len(out) > c.k {
 		out = out[:c.k]
 	}
 	return out

@@ -30,7 +30,7 @@ func bruteTopK(lists map[string][]DocScore, k int) []DocScore {
 		}
 		return out[i].Doc < out[j].Doc
 	})
-	if len(out) > k {
+	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out
@@ -122,16 +122,17 @@ func seedBounds(lists map[string][]DocScore) func(string) float64 {
 
 // TestThresholdExactness is the exactness property: across randomized
 // sorted lists — duplicate docs, duplicate scores, k beyond the
-// universe — the early-terminating coordinator returns exactly the
-// brute-force top-k, scores and keys, for every chunk size and with
-// both infinite and directory-seeded bounds.
+// universe, and the unbounded depth k = 0 — the early-terminating
+// coordinator returns exactly the brute-force top-k, scores and keys,
+// for every chunk size and with both infinite and directory-seeded
+// bounds.
 func TestThresholdExactness(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sources := 1 + rng.Intn(6)
 		universe := 1 + rng.Intn(60)
 		lists := randomSortedLists(rng, sources, universe, 30)
-		for _, k := range []int{1, 3, 10, universe + 50} {
+		for _, k := range []int{0, 1, 3, 10, universe + 50} {
 			want := bruteTopK(lists, k)
 			for _, chunk := range []int{1, 4, 17} {
 				for _, boundName := range []string{"inf", "seeded"} {

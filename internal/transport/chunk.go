@@ -6,9 +6,8 @@ import (
 	"math"
 )
 
-// This file is the wire codec for incremental top-k result chunks: the
-// payload format of the chunked search RPC (minerva's peer.query_chunk).
-// A peer streams its score-sorted local result list to the query
+// This file is the wire codec for result chunks: the response payload
+// of the query-forwarding RPC (minerva.MethodQuery). A peer streams its score-sorted local result list to the query
 // initiator one chunk at a time, and the initiator's threshold
 // coordinator stops pulling the moment the peer provably cannot crack
 // the merged top-k — so the dominant cost of the protocol is exactly

@@ -38,17 +38,6 @@ func conformanceHarnesses() []harness {
 				return tr, freeAddr, tr.CloseIdle
 			},
 		},
-		{
-			// The legacy one-in-flight protocol must stay fully
-			// conformant: it is the "bare" baseline the QPS benchmark
-			// compares against, and old clients speak it on the wire.
-			name: "tcp-bare",
-			build: func(t *testing.T) (Network, func(t *testing.T) string, func()) {
-				tr := NewTCP()
-				tr.NoPipeline = true
-				return tr, freeAddr, tr.CloseIdle
-			},
-		},
 	}
 }
 

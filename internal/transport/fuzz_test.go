@@ -4,55 +4,51 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
-// FuzzTCPFrame fuzzes the wire-format decoders (readRequest and
-// readResponse over the same chunk framing) with arbitrary byte streams:
-// truncated frames, length prefixes larger than the stream or the frame
-// limit, and garbage gob payloads must all return errors — never panic,
-// and never allocate anywhere near the claimed length of a lying prefix.
+// FuzzTCPFrame fuzzes the wire-format decoders (readRequestFrame and
+// readResponseFrame over the same chunk framing) with arbitrary byte
+// streams: truncated frames, length prefixes larger than the stream or
+// the frame limit, and garbage gob payloads must all return errors —
+// never panic, and never allocate anywhere near the claimed length of a
+// lying prefix.
 func FuzzTCPFrame(f *testing.F) {
 	// Well-formed request frame.
-	var good bytes.Buffer
-	w := bufio.NewWriter(&good)
-	if err := writeRequest(w, "echo", []byte("payload")); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
+	var good muxFrame
+	good.encodeRequest(7, "echo", []byte("payload"))
+	f.Add(good.buf)
 	// Well-formed ok and error responses.
-	var okResp bytes.Buffer
-	w = bufio.NewWriter(&okResp)
-	if err := writeResponse(w, []byte("result"), nil); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(okResp.Bytes())
-	// Truncated frame: header promises more than the stream holds.
-	var truncated bytes.Buffer
+	var okResp, errResp muxFrame
+	okResp.encodeResponse(7, []byte("result"), nil)
+	f.Add(okResp.buf)
+	errResp.encodeResponse(1<<40, nil, errors.New("boom"))
+	f.Add(errResp.buf)
+	// The payload chunk of a request with id 1 and an empty method, and
+	// the body chunk of an ok response with id 1, start at the same
+	// offset, so one seed puts a bad length prefix in front of both
+	// decoders' readChunk.
 	hdr := make([]byte, binary.MaxVarintLen64)
-	n := binary.PutUvarint(hdr, 1000)
-	truncated.Write(hdr[:n])
-	truncated.WriteString("short")
-	f.Add(truncated.Bytes())
+	prefixed := func(n uint64, data string) []byte {
+		frame := []byte{1, 0}
+		frame = append(frame, hdr[:binary.PutUvarint(hdr, n)]...)
+		return append(frame, data...)
+	}
+	// Truncated frame: header promises more than the stream holds.
+	f.Add(prefixed(1000, "short"))
 	// Oversized prefix: larger than maxFrame.
-	var oversized bytes.Buffer
-	n = binary.PutUvarint(hdr, maxFrame+1)
-	oversized.Write(hdr[:n])
-	f.Add(oversized.Bytes())
+	f.Add(prefixed(maxFrame+1, ""))
 	// Lying prefix just under the limit with almost no data: must error
 	// from truncation without committing a maxFrame-sized allocation.
-	var lying bytes.Buffer
-	n = binary.PutUvarint(hdr, maxFrame-1)
-	lying.Write(hdr[:n])
-	lying.WriteString("x")
-	f.Add(lying.Bytes())
+	f.Add(prefixed(maxFrame-1, "x"))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Request path: either both chunks decode within bounds, or an
 		// error — never a panic.
-		method, payload, err := readRequest(bufio.NewReader(bytes.NewReader(data)))
+		_, method, payload, err := readRequestFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err == nil {
 			if len(method) > maxFrame || len(payload) > maxFrame {
 				t.Fatalf("decoded chunk exceeds frame limit: method=%d payload=%d", len(method), len(payload))
@@ -64,13 +60,13 @@ func FuzzTCPFrame(f *testing.F) {
 			}
 		}
 		// Response path over the same bytes.
-		body, remoteMsg, err := readResponse(bufio.NewReader(bytes.NewReader(data)))
+		_, _, body, err := readResponseFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err == nil {
-			if len(body) > maxFrame || len(remoteMsg) > maxFrame {
-				t.Fatalf("decoded response exceeds frame limit: body=%d msg=%d", len(body), len(remoteMsg))
+			if len(body) > maxFrame {
+				t.Fatalf("decoded response exceeds frame limit: body=%d", len(body))
 			}
-			if len(body)+len(remoteMsg) > len(data) {
-				t.Fatalf("decoded %d bytes from a %d-byte stream", len(body)+len(remoteMsg), len(data))
+			if len(body) > len(data) {
+				t.Fatalf("decoded %d bytes from a %d-byte stream", len(body), len(data))
 			}
 		}
 		// Payloads that survived framing still hit gob: arbitrary bytes
@@ -223,13 +219,8 @@ func TestReadChunkLargeValid(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeChunk(w, payload); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got, err := readChunk(bufio.NewReader(&buf))
+	frame := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+	got, err := readChunk(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,11 @@ func Retryable(err error) bool {
 }
 
 // DeadlineCaller is implemented by callers that can bound a call
-// natively (TCP arms the connection deadline; wrappers like Faulty and
-// Breakers forward it). When available, CallTimeout delegates here
-// instead of abandoning the call on a goroutine, so a timed-out call
-// can never linger against a pooled connection or re-send its request
-// after the caller has given up.
+// natively (TCP abandons the call's request slot at the deadline;
+// wrappers like Faulty and Breakers forward it). When available,
+// CallTimeout delegates here instead of abandoning the call on a
+// goroutine, so a timed-out call can never re-send its request after
+// the caller has given up.
 type DeadlineCaller interface {
 	// CallDeadline is Call bounded by d; on expiry it returns an error
 	// matching ErrTimeout (and therefore ErrUnreachable). d ≤ 0 means no

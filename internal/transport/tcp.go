@@ -13,67 +13,24 @@ import (
 )
 
 // TCP is the real-network implementation: every peer serves its Mux on a
-// TCP listener, and calls are framed request/response exchanges. Two wire
-// protocols share the listener:
-//
-// Protocol v1 (legacy, the bare baseline): one in-flight request per
-// pooled connection. The wire format per frame is
-//
-//	uvarint methodLen | method | uvarint payloadLen | payload
-//
-// for requests and
-//
-//	status byte (0 ok, 1 remote error, 2 overloaded) | uvarint len | payload-or-error
-//
-// for responses. Connections are pooled per destination address (idle cap
-// MaxIdlePerHost), each with a persistent bufio reader/writer pair.
-//
-// Protocol v2 (default, multiplexed): the client opens one connection per
-// destination, announces itself with a 4-byte preamble, and pipelines
-// request-ID-tagged frames through a shared reader/writer goroutine pair
-// (see tcpmux.go). The server detects the preamble and dispatches
-// concurrently on the same connection. NoPipeline forces outgoing calls
-// onto v1 — the knob the QPS benchmarks compare against; servers always
-// speak both.
+// TCP listener, and a client pipelines every call to a destination over
+// one shared connection as request-ID-tagged frames (see tcpmux.go for
+// the framing and the connection loops).
 type TCP struct {
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// CallTimeout bounds a full request/response exchange (default 30s).
 	CallTimeout time.Duration
-	// MaxIdlePerHost caps the idle v1 connections pooled per destination
-	// (default 4). Excess connections are closed on return.
-	MaxIdlePerHost int
-	// NoPipeline forces outgoing calls onto the legacy one-in-flight
-	// protocol — the unpipelined baseline. Incoming traffic is
-	// unaffected: the server always auto-detects the client's protocol.
-	NoPipeline bool
 
 	mu    sync.Mutex
-	idle  map[string][]*pooledConn
 	muxes map[string]*muxEntry
 }
-
-// pooledConn is one idle-pooled v1 connection with its persistent buffered
-// reader/writer, so pooled exchanges reuse the buffers instead of
-// allocating a fresh pair per call.
-type pooledConn struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
-func newPooledConn(conn net.Conn) *pooledConn {
-	return &pooledConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-}
-
-func (pc *pooledConn) Close() error { return pc.conn.Close() }
 
 // NewTCP returns a TCP network with default timeouts.
 func NewTCP() *TCP {
 	return &TCP{
 		DialTimeout: 5 * time.Second,
 		CallTimeout: 30 * time.Second,
-		idle:        make(map[string][]*pooledConn),
 		muxes:       make(map[string]*muxEntry),
 	}
 }
@@ -87,13 +44,6 @@ func (t *TCP) callTimeout() time.Duration {
 		return 30 * time.Second
 	}
 	return t.CallTimeout
-}
-
-func (t *TCP) maxIdle() int {
-	if t.MaxIdlePerHost <= 0 {
-		return 4
-	}
-	return t.MaxIdlePerHost
 }
 
 // acceptBackoffCap bounds the retry backoff of a persistently failing
@@ -183,33 +133,17 @@ func (t *TCP) Register(addr string, mux *Mux) (func(), error) {
 	return stop, nil
 }
 
-// serveConn answers framed requests on one connection until EOF or error.
-// The first bytes select the protocol: a v2 preamble hands the connection
-// to the multiplexed server loop; anything else is a legacy v1 stream.
+// serveConn serves one accepted connection. A client announces the
+// framing with the preamble directly after dial; a connection that
+// opens with anything else is closed without dispatching a byte of it.
 func (t *TCP) serveConn(conn net.Conn, mux *Mux, done chan struct{}) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	if peek, err := r.Peek(len(muxPreamble)); err == nil && string(peek) == muxPreamble {
-		r.Discard(len(muxPreamble))
-		t.serveMuxConn(conn, r, mux, done)
+	if peek, err := r.Peek(len(muxPreamble)); err != nil || string(peek) != muxPreamble {
 		return
 	}
-	w := bufio.NewWriter(conn)
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		method, req, err := readRequest(r)
-		if err != nil {
-			return // EOF or framing error: drop the connection
-		}
-		resp, herr := mux.Dispatch(method, req)
-		if err := writeResponse(w, resp, herr); err != nil {
-			return
-		}
-	}
+	r.Discard(len(muxPreamble))
+	t.serveMuxConn(conn, r, mux, done)
 }
 
 // Call implements Caller.
@@ -217,167 +151,17 @@ func (t *TCP) Call(addr, method string, req []byte) ([]byte, error) {
 	return t.CallDeadline(addr, method, req, 0)
 }
 
-// CallDeadline implements DeadlineCaller: the whole exchange — pooled
-// or fresh dial included — must finish within d. d ≤ 0 bounds each
-// exchange only by the transport's CallTimeout default.
-//
-// On the default multiplexed path the call rides the destination's
-// shared connection: a timed-out call abandons only its own request slot
-// (the connection and its other in-flight calls stay healthy, and the
-// late response is discarded by ID). On the legacy path (NoPipeline) the
-// deadline is armed on the connection itself, so a timed-out call fails
-// in place instead of being abandoned to a goroutine: the connection is
-// closed, never pooled (its stream may still carry the late response),
-// and the stale-connection redial is skipped once the budget is spent
-// (an abandoned caller must not have its request silently re-sent).
-func (t *TCP) CallDeadline(addr, method string, req []byte, d time.Duration) ([]byte, error) {
-	if !t.NoPipeline {
-		return t.callMux(addr, method, req, d)
-	}
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	conn, fresh, err := t.getConn(addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, rerr, err := t.exchange(conn, method, req, deadline)
-	if err != nil && errors.Is(err, ErrOverloaded) {
-		// An overload reject is a complete, clean exchange: the
-		// connection is reusable and the error crosses as-is.
-		t.putConn(addr, conn)
-		return nil, err
-	}
-	if err != nil && !fresh && (deadline.IsZero() || time.Now().Before(deadline)) {
-		// A pooled connection may have gone stale; retry once on a fresh
-		// dial before reporting unreachable — but only while the caller
-		// is still waiting.
-		conn.Close()
-		if conn, err = t.dial(addr); err != nil {
-			return nil, err
-		}
-		resp, rerr, err = t.exchange(conn, method, req, deadline)
-		if err != nil && errors.Is(err, ErrOverloaded) {
-			t.putConn(addr, conn)
-			return nil, err
-		}
-	}
-	if err != nil {
-		conn.Close()
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("%w: %s %s after %v", ErrTimeout, addr, method, d)
-		}
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	t.putConn(addr, conn)
-	if rerr != nil {
-		return nil, rerr
-	}
-	return resp, nil
-}
-
-// exchange performs one framed request/response on an open connection,
-// bounded by the earlier of the caller's deadline (zero: none) and the
-// transport's CallTimeout default.
-func (t *TCP) exchange(pc *pooledConn, method string, req []byte, deadline time.Time) ([]byte, *RemoteError, error) {
-	limit := time.Now().Add(t.callTimeout())
-	if !deadline.IsZero() && deadline.Before(limit) {
-		limit = deadline
-	}
-	if err := pc.conn.SetDeadline(limit); err != nil {
-		return nil, nil, err
-	}
-	if err := writeRequest(pc.w, method, req); err != nil {
-		return nil, nil, err
-	}
-	resp, rmsg, err := readResponse(pc.r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rmsg != "" {
-		return nil, &RemoteError{Method: method, Msg: rmsg}, nil
-	}
-	return resp, nil, nil
-}
-
-func (t *TCP) getConn(addr string) (conn *pooledConn, fresh bool, err error) {
-	t.mu.Lock()
-	pool := t.idle[addr]
-	if n := len(pool); n > 0 {
-		conn = pool[n-1]
-		t.idle[addr] = pool[:n-1]
-	}
-	t.mu.Unlock()
-	if conn != nil {
-		return conn, false, nil
-	}
-	conn, err = t.dial(addr)
-	return conn, true, err
-}
-
-func (t *TCP) dial(addr string) (*pooledConn, error) {
-	timeout := t.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	return newPooledConn(conn), nil
-}
-
-func (t *TCP) putConn(addr string, conn *pooledConn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.idle[addr]) >= t.maxIdle() {
-		conn.Close()
-		return
-	}
-	t.idle[addr] = append(t.idle[addr], conn)
-}
-
-// CloseIdle drops all pooled v1 connections and every multiplexed
-// connection (for shutdown hygiene in tests). In-flight multiplexed
-// calls fail with a connection error and redial on their retry.
+// CloseIdle drops every client connection (for shutdown hygiene in
+// tests). In-flight calls fail with a connection error and redial on
+// their retry.
 func (t *TCP) CloseIdle() {
 	t.mu.Lock()
-	idle := t.idle
 	muxes := t.muxes
-	t.idle = make(map[string][]*pooledConn)
 	t.muxes = make(map[string]*muxEntry)
 	t.mu.Unlock()
-	for _, pool := range idle {
-		for _, c := range pool {
-			c.Close()
-		}
-	}
 	for _, e := range muxes {
 		e.close()
 	}
-}
-
-func writeRequest(w *bufio.Writer, method string, payload []byte) error {
-	if err := writeChunk(w, []byte(method)); err != nil {
-		return err
-	}
-	if err := writeChunk(w, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func readRequest(r *bufio.Reader) (string, []byte, error) {
-	method, err := readChunk(r)
-	if err != nil {
-		return "", nil, err
-	}
-	payload, err := readChunk(r)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(method), payload, nil
 }
 
 // responseStatus classifies a handler outcome for the wire.
@@ -394,22 +178,8 @@ func responseStatus(herr error) (status byte, body []byte) {
 	return 1, []byte(herr.Error())
 }
 
-func writeResponse(w *bufio.Writer, payload []byte, herr error) error {
-	status, body := responseStatus(herr)
-	if herr == nil {
-		body = payload
-	}
-	if err := w.WriteByte(status); err != nil {
-		return err
-	}
-	if err := writeChunk(w, body); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // decodeStatus converts a wire status + body into the caller-visible
-// (payload, remote-error-text, error) triple shared by both protocols.
+// (payload, remote-error-text, error) triple.
 func decodeStatus(status byte, body []byte) (payload []byte, remoteErr string, err error) {
 	switch status {
 	case 0:
@@ -421,28 +191,6 @@ func decodeStatus(status byte, body []byte) (payload []byte, remoteErr string, e
 	default:
 		return nil, "", errors.New("transport: bad response status")
 	}
-}
-
-func readResponse(r *bufio.Reader) (payload []byte, remoteErr string, err error) {
-	status, err := r.ReadByte()
-	if err != nil {
-		return nil, "", err
-	}
-	body, err := readChunk(r)
-	if err != nil {
-		return nil, "", err
-	}
-	return decodeStatus(status, body)
-}
-
-func writeChunk(w *bufio.Writer, b []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(b)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
 }
 
 func readChunk(r *bufio.Reader) ([]byte, error) {

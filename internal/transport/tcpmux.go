@@ -10,16 +10,11 @@ import (
 	"time"
 )
 
-// This file is the multiplexed half of the TCP transport (wire protocol
-// v2). The legacy protocol holds one in-flight request per pooled
-// connection, so concurrency is bought with connections (and dials); v2
-// pipelines every call to a destination over one shared connection:
+// This file is the TCP transport's framing and connection loops. Every
+// call to a destination is pipelined over one shared connection:
 //
 //   - A client connection announces itself with the 4-byte preamble
-//     "\xffIQ2" (0xff can never start a legacy frame: it would declare a
-//     method longer than maxFrame). The server peeks, consumes it, and
-//     switches the connection to the multiplexed loop; legacy clients are
-//     served unchanged on the same listener.
+//     "\xffIQ2"; the server closes a connection that opens otherwise.
 //   - Request frames carry a connection-local request ID:
 //     uvarint id | uvarint methodLen | method | uvarint payloadLen | payload.
 //   - Response frames echo the ID:
@@ -33,11 +28,11 @@ import (
 //   - Frame buffers and per-call slots are sync.Pool-recycled, so a
 //     steady-state call allocates only its response payload.
 
-// muxPreamble is the protocol-selection magic a v2 client sends once per
-// connection, directly after dial.
+// muxPreamble is the magic a client sends once per connection, directly
+// after dial.
 const muxPreamble = "\xffIQ2"
 
-// errMuxClosed reports a multiplexed connection torn down by CloseIdle.
+// errMuxClosed reports a connection torn down by CloseIdle.
 var errMuxClosed = errors.New("transport: connection closed")
 
 // muxFrame is one encoded wire frame, pooled so steady-state calls reuse
@@ -64,6 +59,23 @@ func (f *muxFrame) encodeRequest(id uint64, method string, payload []byte) {
 	f.buf = append(f.buf, payload...)
 }
 
+// readRequestFrame parses one request frame. Lengths are bounded by
+// maxFrame and buffers grow only as bytes arrive (readChunk), so a
+// truncated or lying frame errors without a large allocation.
+func readRequestFrame(r *bufio.Reader) (id uint64, method string, payload []byte, err error) {
+	if id, err = binary.ReadUvarint(r); err != nil {
+		return 0, "", nil, err
+	}
+	m, err := readChunk(r)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	if payload, err = readChunk(r); err != nil {
+		return 0, "", nil, err
+	}
+	return id, string(m), payload, nil
+}
+
 func (f *muxFrame) encodeResponse(id uint64, resp []byte, herr error) {
 	status, body := responseStatus(herr)
 	if herr == nil {
@@ -74,6 +86,21 @@ func (f *muxFrame) encodeResponse(id uint64, resp []byte, herr error) {
 	f.buf = append(f.buf, status)
 	f.appendUvarint(uint64(len(body)))
 	f.buf = append(f.buf, body...)
+}
+
+// readResponseFrame parses one response frame under the same bounds as
+// readRequestFrame.
+func readResponseFrame(r *bufio.Reader) (id uint64, status byte, body []byte, err error) {
+	if id, err = binary.ReadUvarint(r); err != nil {
+		return 0, 0, nil, err
+	}
+	if status, err = r.ReadByte(); err != nil {
+		return 0, 0, nil, err
+	}
+	if body, err = readChunk(r); err != nil {
+		return 0, 0, nil, err
+	}
+	return id, status, body, nil
 }
 
 // muxCall is one caller's parking slot. The delivery channel is buffered
@@ -111,8 +138,8 @@ func (e *muxEntry) close() {
 	}
 }
 
-// muxConn is one multiplexed client connection: a shared reader/writer
-// goroutine pair and the pending-call table keyed by request ID.
+// muxConn is one client connection: a shared reader/writer goroutine
+// pair and the pending-call table keyed by request ID.
 type muxConn struct {
 	conn    net.Conn
 	writeCh chan *muxFrame
@@ -124,8 +151,8 @@ type muxConn struct {
 	err     error
 }
 
-// getMux returns the destination's shared multiplexed connection,
-// dialing it if absent (concurrent first callers coalesce onto one dial).
+// getMux returns the destination's shared connection, dialing it if
+// absent (concurrent first callers coalesce onto one dial).
 func (t *TCP) getMux(addr string) (*muxConn, error) {
 	t.mu.Lock()
 	e := t.muxes[addr]
@@ -197,12 +224,15 @@ func (t *TCP) dialMux(addr string) (*muxConn, error) {
 	return mc, nil
 }
 
-// callMux is CallDeadline's multiplexed path: enqueue the request on the
-// destination's shared connection and park until the tagged response,
-// a connection failure, or the deadline. A connection-level failure is
-// retried once on a fresh dial while budget remains, mirroring the
-// legacy stale-pooled-connection redial.
-func (t *TCP) callMux(addr, method string, req []byte, d time.Duration) ([]byte, error) {
+// CallDeadline implements DeadlineCaller: the whole exchange — fresh
+// dial included — must finish within d (d ≤ 0: the transport's
+// CallTimeout). The request is enqueued on the destination's shared
+// connection and the caller parks until the tagged response, a
+// connection failure, or the deadline. A timed-out call abandons only
+// its own request slot; a connection-level failure is retried once on a
+// fresh dial while budget remains, since the shared connection may have
+// died long ago, idle.
+func (t *TCP) CallDeadline(addr, method string, req []byte, d time.Duration) ([]byte, error) {
 	timeout := t.callTimeout()
 	if d > 0 && d < timeout {
 		timeout = d
@@ -309,17 +339,7 @@ func (mc *muxConn) finish(id uint64, method string, call *muxCall, deadline time
 func (mc *muxConn) readLoop() {
 	r := bufio.NewReader(mc.conn)
 	for {
-		id, err := binary.ReadUvarint(r)
-		if err != nil {
-			mc.fail(err)
-			return
-		}
-		status, err := r.ReadByte()
-		if err != nil {
-			mc.fail(err)
-			return
-		}
-		body, err := readChunk(r)
+		id, status, body, err := readResponseFrame(r)
 		if err != nil {
 			mc.fail(err)
 			return
@@ -386,7 +406,7 @@ func (mc *muxConn) fail(err error) {
 	mc.conn.Close()
 }
 
-// serveMuxConn is the server side of protocol v2: one reader goroutine
+// serveMuxConn is the server side of a connection: one reader goroutine
 // parses request frames and dispatches each on its own goroutine
 // (concurrency is bounded by the Mux's admission control when armed, not
 // by the connection), and one writer goroutine serializes the response
@@ -437,15 +457,7 @@ func (t *TCP) serveMuxConn(conn net.Conn, r *bufio.Reader, mux *Mux, done chan s
 			kill()
 		default:
 		}
-		id, err := binary.ReadUvarint(r)
-		if err != nil {
-			break
-		}
-		methodB, err := readChunk(r)
-		if err != nil {
-			break
-		}
-		payload, err := readChunk(r)
+		id, method, payload, err := readRequestFrame(r)
 		if err != nil {
 			break
 		}
@@ -460,7 +472,7 @@ func (t *TCP) serveMuxConn(conn net.Conn, r *bufio.Reader, mux *Mux, done chan s
 			case <-connDead:
 				putFrame(f)
 			}
-		}(id, string(methodB), payload)
+		}(id, method, payload)
 	}
 	wg.Wait()
 	close(replies)

@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,13 +64,9 @@ func TestTCPMuxSharedConnection(t *testing.T) {
 	}
 	tr.mu.Lock()
 	conns := len(tr.muxes)
-	idle := len(tr.idle[addr])
 	tr.mu.Unlock()
 	if conns != 1 {
-		t.Fatalf("16 concurrent calls used %d multiplexed connections, want 1", conns)
-	}
-	if idle != 0 {
-		t.Fatalf("pipelined calls leaked %d legacy pooled connections", idle)
+		t.Fatalf("16 concurrent calls used %d connections, want 1", conns)
 	}
 }
 
@@ -164,94 +162,94 @@ func TestTCPMuxReconnectsAfterServerRestart(t *testing.T) {
 }
 
 // TestTCPMuxOverloadStatus: admission-control rejects keep their
-// retryable ErrOverloaded identity across the multiplexed wire, and the
-// shared connection remains usable (a reject is a clean exchange).
+// retryable ErrOverloaded identity across the wire, and the shared
+// connection remains usable (a reject is a clean exchange).
 func TestTCPMuxOverloadStatus(t *testing.T) {
-	for _, mode := range []struct {
-		name       string
-		noPipeline bool
-	}{{"pipelined", false}, {"bare", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			tr := NewTCP()
-			tr.NoPipeline = mode.noPipeline
-			defer tr.CloseIdle()
-			m := NewMux()
-			block := make(chan struct{})
-			started := make(chan struct{}, 1)
-			m.Handle("slow", func([]byte) ([]byte, error) {
-				started <- struct{}{}
-				<-block
-				return []byte("late"), nil
-			})
-			m.Handle("fast", func([]byte) ([]byte, error) { return []byte("ok"), nil })
-			m.SetLimit(1, 0)
-			addr := freeAddr(t)
-			stop, err := tr.Register(addr, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stop()
-			slowDone := make(chan error, 1)
-			go func() {
-				_, err := tr.Call(addr, "slow", nil)
-				slowDone <- err
-			}()
-			<-started
-			_, err = tr.Call(addr, "fast", nil)
-			if !errors.Is(err, ErrOverloaded) {
-				t.Fatalf("overloaded call = %v", err)
-			}
-			var re *RemoteError
-			if errors.As(err, &re) {
-				t.Fatal("overload crossed as RemoteError")
-			}
-			close(block)
-			if err := <-slowDone; err != nil {
-				t.Fatalf("slow call = %v", err)
-			}
-			resp, err := tr.Call(addr, "fast", nil)
-			if err != nil || string(resp) != "ok" {
-				t.Fatalf("post-reject call = %q, %v", resp, err)
-			}
+	t.Run("pipelined", func(t *testing.T) {
+		tr := NewTCP()
+		defer tr.CloseIdle()
+		m := NewMux()
+		block := make(chan struct{})
+		started := make(chan struct{}, 1)
+		m.Handle("slow", func([]byte) ([]byte, error) {
+			started <- struct{}{}
+			<-block
+			return []byte("late"), nil
 		})
-	}
+		m.Handle("fast", func([]byte) ([]byte, error) { return []byte("ok"), nil })
+		m.SetLimit(1, 0)
+		addr := freeAddr(t)
+		stop, err := tr.Register(addr, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		slowDone := make(chan error, 1)
+		go func() {
+			_, err := tr.Call(addr, "slow", nil)
+			slowDone <- err
+		}()
+		<-started
+		_, err = tr.Call(addr, "fast", nil)
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("overloaded call = %v", err)
+		}
+		var re *RemoteError
+		if errors.As(err, &re) {
+			t.Fatal("overload crossed as RemoteError")
+		}
+		close(block)
+		if err := <-slowDone; err != nil {
+			t.Fatalf("slow call = %v", err)
+		}
+		resp, err := tr.Call(addr, "fast", nil)
+		if err != nil || string(resp) != "ok" {
+			t.Fatalf("post-reject call = %q, %v", resp, err)
+		}
+	})
 }
 
-// TestTCPBareUsesLegacyPool: NoPipeline keeps the one-in-flight pooled
-// protocol (the QPS baseline) — no multiplexed connections are created,
-// and the idle pool honors MaxIdlePerHost.
-func TestTCPBareUsesLegacyPool(t *testing.T) {
+// TestTCPClosesConnectionWithoutPreamble: a client that skips the
+// preamble — here one that sends a well-formed request frame straight
+// after dial — gets its connection closed, and no handler runs.
+func TestTCPClosesConnectionWithoutPreamble(t *testing.T) {
 	tr := NewTCP()
-	tr.NoPipeline = true
-	tr.MaxIdlePerHost = 2
 	defer tr.CloseIdle()
+	m := NewMux()
+	var dispatched atomic.Int64
+	m.Handle("echo", func(req []byte) ([]byte, error) {
+		dispatched.Add(1)
+		return req, nil
+	})
 	addr := freeAddr(t)
-	stop, err := tr.Register(addr, echoMux())
+	stop, err := tr.Register(addr, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			msg := fmt.Sprintf("b%d", i)
-			resp, err := tr.Call(addr, "echo", []byte(msg))
-			if err != nil || string(resp) != "echo:"+msg {
-				t.Errorf("bare call = %q, %v", resp, err)
-			}
-		}(i)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	tr.mu.Lock()
-	muxConns := len(tr.muxes)
-	idle := len(tr.idle[addr])
-	tr.mu.Unlock()
-	if muxConns != 0 {
-		t.Fatalf("bare mode created %d multiplexed connections", muxConns)
+	defer conn.Close()
+	var f muxFrame
+	f.encodeRequest(1, "echo", []byte("no preamble"))
+	if _, err := conn.Write(f.buf); err != nil {
+		t.Fatal(err)
 	}
-	if idle > 2 {
-		t.Fatalf("idle pool holds %d connections, MaxIdlePerHost is 2", idle)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// EOF, or a reset if the close raced bytes still in flight; a
+	// response or a read timeout means the connection was served.
+	if n, err := conn.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes, err %v; want the connection closed", n, err)
+	}
+	// The close happens after the server gave up on the connection, so
+	// a handler dispatched from it would have been counted by now.
+	if n := dispatched.Load(); n != 0 {
+		t.Fatalf("%d handlers dispatched from a connection without the preamble", n)
+	}
+	// The listener still serves clients that do speak the framing.
+	if resp, err := tr.Call(addr, "echo", []byte("ok")); err != nil || string(resp) != "ok" {
+		t.Fatalf("framed call after the rejected connection = %q, %v", resp, err)
 	}
 }
