@@ -1,19 +1,14 @@
-// Command iqnbench regenerates the paper's figures and the ablation
-// experiments as text tables (and optionally CSV).
-//
-// Usage:
+// Command iqnbench regenerates the paper's figures, the ablations and
+// the systems experiments as text tables (and optionally CSV, SVG and
+// JSON). The experiments are the entries of eval.Experiments:
 //
 //	iqnbench -exp fig2left                        # Figure 2, left panel
 //	iqnbench -exp fig2right -runs 50              # Figure 2, right panel
 //	iqnbench -exp fig3left  -docs 60000           # Figure 3, (6 choose 3)
 //	iqnbench -exp fig3right -docs 60000           # Figure 3, sliding window
 //	iqnbench -exp aggregation|histogram|budget|hetero|prior
-//	iqnbench -exp route                           # Fast-IQN lazy vs exhaustive routing cost
-//	iqnbench -exp overload                        # tail latency bare vs overload-hardened
-//	iqnbench -exp cache                           # directory read cache on a Zipfian repeated-term workload
-//	iqnbench -exp topk                            # bytes on the wire, pull-everything vs threshold streaming
+//	iqnbench -exp cost|load|chaos|churn|overload  # systems experiments
 //	iqnbench -exp adaptive                        # query-log prior vs cold IQN, inflated-publisher defense
-//	iqnbench -exp build -docs 1000000             # out-of-core index build: throughput, peak RSS, parity, resume
 //	iqnbench -exp all                             # everything, default sizes
 //
 // The defaults are laptop-scale (20k documents); raise -docs for runs
@@ -22,599 +17,144 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"reflect"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
-	"iqn/internal/core"
 	"iqn/internal/eval"
-	"iqn/internal/synopsis"
 )
 
 // benchOutput is the machine-readable form of a bench run (-json): the
-// run's parameters plus one entry per executed experiment. Committed
-// artifacts (BENCH_route.json) use this shape, so downstream tooling
-// and regression diffs parse one schema for every experiment.
+// run's parameters plus one record per executed experiment. Committed
+// artifacts (BENCH_adaptive.json, BENCH_churn.json) use this shape.
 type benchOutput struct {
-	Seed        int64             `json:"seed"`
-	Docs        int               `json:"docs"`
-	Runs        int               `json:"runs"`
-	Queries     int               `json:"queries"`
-	K           int               `json:"k"`
-	Experiments []benchExperiment `json:"experiments"`
-}
-
-type benchExperiment struct {
-	Name      string `json:"name"`
-	ElapsedMs int64  `json:"elapsedMs"`
-	// Exactly one of the following is set, matching the experiment kind.
-	Series   []benchSeries     `json:"series,omitempty"`
-	Route    []routePoint      `json:"route,omitempty"`
-	Overload []overloadPoint   `json:"overload,omitempty"`
-	Cost     []costPoint       `json:"cost,omitempty"`
-	Load     []loadPoint       `json:"load,omitempty"`
-	Chaos    []eval.ChaosPoint `json:"chaos,omitempty"`
-	Churn    *eval.ChurnResult `json:"churn,omitempty"`
-	// ChurnSweep is set alongside Churn: the sustained live join/leave
-	// sweep over (ring size × churn rate), with the churn-free twin's
-	// recall per cell as the static baseline.
-	ChurnSweep []eval.ChurnSweepCell `json:"churnSweep,omitempty"`
-	Cache      []cachePoint          `json:"cache,omitempty"`
-	TopK       []topkPoint           `json:"topk,omitempty"`
-	// Build is set only for the build experiment: out-of-core indexing
-	// throughput, peak RSS vs budget, and the parity/resume gates.
-	Build *eval.BuildResult `json:"build,omitempty"`
-	// Adaptive is set only for the adaptive experiment: the query-log
-	// prior's cold-vs-warm recall sweep, the inflated-publisher attack
-	// recovery, and the replay parity gate.
-	Adaptive *eval.AdaptiveResult `json:"adaptive,omitempty"`
-	// RPCReductionPct is set only for the cache experiment: the
-	// directory read-RPC reduction of cached over cold, in percent.
-	RPCReductionPct float64 `json:"rpcReductionPct,omitempty"`
-	// BytesReductionPct and ParityOK are set only for the topk
-	// experiment: the worst sweep cell's transport.bytes_in reduction
-	// of streaming over pull, and whether every draw's merged results
-	// were byte-identical under both protocols.
-	BytesReductionPct float64 `json:"bytesReductionPct,omitempty"`
-	ParityOK          bool    `json:"parityOK,omitempty"`
-}
-
-// benchSeries is a recall/error curve: one named series of (x, y)
-// points, mirroring eval.Series with JSON tags.
-type benchSeries struct {
-	Name   string       `json:"name"`
-	Points []benchPoint `json:"points"`
-}
-
-type benchPoint struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-// routePoint is one row of the Fast-IQN routing-cost comparison.
-type routePoint struct {
-	Candidates   int     `json:"candidates"`
-	LazyNs       int64   `json:"lazyNs"`
-	ExhaustiveNs int64   `json:"exhaustiveNs"`
-	Speedup      float64 `json:"speedup"`
-	PlansEqual   bool    `json:"plansEqual"`
-}
-
-// overloadPoint mirrors eval.OverloadPoint with latencies in
-// milliseconds — p50/p95/p99 tail latency, recall, and the degradation
-// accounting per load level and mode.
-type overloadPoint struct {
-	Mode          string  `json:"mode"`
-	Concurrency   int     `json:"concurrency"`
-	P50Ms         float64 `json:"p50Ms"`
-	P95Ms         float64 `json:"p95Ms"`
-	P99Ms         float64 `json:"p99Ms"`
-	Recall        float64 `json:"recall"`
-	Reported      int     `json:"reported"`
-	Rejected      int     `json:"rejected"`
-	BudgetExpired int     `json:"budgetExpired"`
-}
-
-// costPoint mirrors eval.CostPoint: per-query messages and bytes per
-// method/synopsis combination.
-type costPoint struct {
-	Series       string  `json:"series"`
-	PublishBytes int64   `json:"publishBytes"`
-	QueryBytes   int64   `json:"queryBytes"`
-	QueryRPCs    int64   `json:"queryRPCs"`
-	Recall       float64 `json:"recall"`
-}
-
-// cachePoint mirrors eval.CachePoint: directory read traffic and cache
-// effectiveness for one mode of the repeated-term workload.
-type cachePoint struct {
-	Mode            string  `json:"mode"`
-	DirReadRPCs     int64   `json:"dirReadRPCs"`
-	RPCsPerQuery    float64 `json:"rpcsPerQuery"`
-	CacheHits       int64   `json:"cacheHits"`
-	CacheMisses     int64   `json:"cacheMisses"`
-	SynopsisDecodes int64   `json:"synopsisDecodes"`
-	SynopsisReuse   int64   `json:"synopsisReuse"`
-	MeanMs          float64 `json:"meanMs"`
-	P95Ms           float64 `json:"p95Ms"`
-	Recall          float64 `json:"recall"`
-}
-
-// topkPoint mirrors eval.TopKPoint: one (k, peers, chunk) sweep cell of
-// the pull-vs-streaming bandwidth comparison.
-type topkPoint struct {
-	K                 int     `json:"k"`
-	MaxPeers          int     `json:"maxPeers"`
-	ChunkSize         int     `json:"chunkSize"`
-	PullBytesIn       int64   `json:"pullBytesIn"`
-	StreamBytesIn     int64   `json:"streamBytesIn"`
-	BytesReductionPct float64 `json:"bytesReductionPct"`
-	PullBytesOut      int64   `json:"pullBytesOut"`
-	StreamBytesOut    int64   `json:"streamBytesOut"`
-	PullEntries       int64   `json:"pullEntries"`
-	StreamEntries     int64   `json:"streamEntries"`
-	Chunks            int64   `json:"chunks"`
-	EarlyStops        int64   `json:"earlyStops"`
-	PullRecall        float64 `json:"pullRecall"`
-	StreamRecall      float64 `json:"streamRecall"`
-	ParityOK          bool    `json:"parityOK"`
-}
-
-// loadPoint mirrors eval.LoadPoint: how evenly forwarded queries spread
-// over peers.
-type loadPoint struct {
-	Series    string  `json:"series"`
-	Total     int64   `json:"total"`
-	Max       int64   `json:"max"`
-	P90       int64   `json:"p90"`
-	Imbalance float64 `json:"imbalance"`
-	Recall    float64 `json:"recall"`
-}
-
-func toBenchSeries(series []eval.Series) []benchSeries {
-	out := make([]benchSeries, 0, len(series))
-	for _, s := range series {
-		bs := benchSeries{Name: s.Name, Points: make([]benchPoint, 0, len(s.Points))}
-		for _, p := range s.Points {
-			bs.Points = append(bs.Points, benchPoint{X: p.X, Y: p.Y})
-		}
-		out = append(out, bs)
-	}
-	return out
+	Seed        int64         `json:"seed"`
+	Docs        int           `json:"docs"`
+	Runs        int           `json:"runs"`
+	Queries     int           `json:"queries"`
+	K           int           `json:"k"`
+	Experiments []eval.Record `json:"experiments"`
 }
 
 func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment: fig2left|fig2right|fig3left|fig3right|aggregation|histogram|budget|hetero|prior|cost|churn|chaos|load|route|overload|cache|topk|build|adaptive|all")
-		docs    = flag.Int("docs", 20000, "corpus size for fig3-style experiments")
-		vocab   = flag.Int("vocab", 0, "vocabulary size (0: docs/10)")
-		runs    = flag.Int("runs", 50, "runs per point for fig2-style experiments")
-		sizeRt  = flag.Int("fixedsize", 10000, "fixed collection size for fig2right (paper text: 10000, chart label: 5000)")
-		numQ    = flag.Int("queries", 10, "query workload size")
-		k       = flag.Int("k", 50, "result-list depth")
-		seed    = flag.Int64("seed", 2006, "master seed")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		sll     = flag.Bool("sll", false, "add a super-LogLog series to fig2 experiments")
-		svgDir  = flag.String("svgdir", "", "also write each experiment's chart as an SVG file into this directory")
-		peers   = flag.String("peers", "", "comma-separated peer counts (default 1..10)")
-		jsonOut = flag.String("json", "", "also write machine-readable results for the selected experiments to this JSON file")
-		memMB   = flag.Int64("membudget", 128, "build experiment: spill-buffer budget in MiB")
-	)
-	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	output := benchOutput{Seed: *seed, Docs: *docs, Runs: *runs, Queries: *numQ, K: *k, Experiments: []benchExperiment{}}
-	record := func(name string, fill func(*benchExperiment)) {
-		if *jsonOut == "" {
-			return
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code (2: bad usage, 1: an experiment or its gate failed).
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "iqnbench: "+format+"\n", a...)
+		return code
+	}
+	var names []string
+	for _, e := range eval.Experiments {
+		names = append(names, e.Name)
+	}
+	fs := flag.NewFlagSet("iqnbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp     = fs.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+		docs    = fs.Int("docs", 20000, "corpus size for fig3-style experiments")
+		vocab   = fs.Int("vocab", 0, "vocabulary size (0: docs/10)")
+		runs    = fs.Int("runs", 50, "runs per point for fig2-style experiments")
+		sizeRt  = fs.Int("fixedsize", 10000, "fixed collection size for fig2right (paper text: 10000, chart label: 5000)")
+		numQ    = fs.Int("queries", 10, "query workload size")
+		k       = fs.Int("k", 50, "result-list depth")
+		seed    = fs.Int64("seed", 2006, "master seed")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		sll     = fs.Bool("sll", false, "add a super-LogLog series to fig2 experiments")
+		svgDir  = fs.String("svgdir", "", "also write each experiment's chart as an SVG file into this directory")
+		peers   = fs.String("peers", "", "comma-separated peer counts (default 1..10)")
+		jsonOut = fs.String("json", "", "also write machine-readable results for the selected experiments to this JSON file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		e := benchExperiment{Name: name}
-		fill(&e)
-		output.Experiments = append(output.Experiments, e)
+		return 2
 	}
 
-	peerCounts := []int(nil)
+	selected := eval.Experiments
+	if *exp != "all" {
+		e, ok := eval.Find(*exp)
+		if !ok {
+			return fail(2, "unknown experiment %q (registered: %s, all)", *exp, strings.Join(names, ", "))
+		}
+		selected = []eval.Experiment{e}
+	}
+
+	// The workload sizes reach an experiment only when set on the command
+	// line: an experiment whose canonical workload differs from the flag
+	// defaults (adaptive) keeps it under a bare `-exp all`.
+	p := eval.Params{Seed: *seed, Runs: *runs, FixedSize: *sizeRt, SuperLogLog: *sll}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "docs":
+			p.Docs = *docs
+		case "vocab":
+			p.Vocab = *vocab
+		case "queries":
+			p.Queries = *numQ
+		case "k":
+			p.K = *k
+		}
+	})
 	if *peers != "" {
 		for _, s := range strings.Split(*peers, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: bad -peers entry %q\n", s)
-				os.Exit(2)
+			n, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil {
+				return fail(2, "bad -peers entry %q", s)
 			}
-			peerCounts = append(peerCounts, n)
+			p.PeerCounts = append(p.PeerCounts, n)
 		}
 	}
 
-	f2 := eval.Fig2Config{Runs: *runs, Seed: *seed, FixedSize: *sizeRt, IncludeSuperLogLog: *sll}
-	f3 := func(strategy eval.Strategy) eval.Fig3Config {
-		return eval.Fig3Config{
-			CorpusDocs: *docs,
-			VocabSize:  *vocab,
-			Strategy:   strategy,
-			Queries:    *numQ,
-			K:          *k,
-			Seed:       *seed,
-			PeerCounts: peerCounts,
-		}
-	}
-	left := eval.Strategy{F: 6, S: 3}
-	right := eval.Strategy{Fragments: 100, R: 10, Offset: 2}
-
-	expName := "exp"
-	emit := func(title, xlabel, xfmt string, series []eval.Series, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iqnbench: %s: %v\n", title, err)
-			os.Exit(1)
-		}
-		record(expName, func(e *benchExperiment) { e.Series = toBenchSeries(series) })
-		if *svgDir != "" {
-			ylabel := "relative recall"
-			if strings.HasPrefix(xlabel, "docs") || xlabel == "overlap" {
-				ylabel = "relative error"
-			}
-			svg := eval.SVG(series, eval.SVGOptions{Title: title, XLabel: xlabel, YLabel: ylabel})
-			path := *svgDir + "/" + expName + ".svg"
-			if werr := os.WriteFile(path, []byte(svg), 0o644); werr != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: write %s: %v\n", path, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "[wrote %s]\n", path)
-			}
-		}
-		if *csv {
-			fmt.Printf("# %s\n%s\n", title, eval.CSV(xlabel, series))
-			return
-		}
-		fmt.Println(eval.Table(title, xlabel, series, xfmt, "%.3f"))
-	}
-
-	run := func(name string) {
+	output := benchOutput{Seed: *seed, Docs: *docs, Runs: *runs, Queries: *numQ, K: *k, Experiments: []eval.Record{}}
+	for _, e := range selected {
 		start := time.Now()
-		expName = name
-		switch name {
-		case "fig2left":
-			emit("Figure 2 (left): relative error of resemblance estimation vs collection size (33% overlap)",
-				"docs", "%.0f", eval.Fig2Left(f2), nil)
-		case "fig2right":
-			emit(fmt.Sprintf("Figure 2 (right): relative error vs mutual overlap (collection size %d)", *sizeRt),
-				"overlap", "%.3f", eval.Fig2Right(f2), nil)
-		case "fig3left":
-			s, err := eval.Fig3(f3(left))
-			emit("Figure 3 (left): recall vs queried peers, (6 choose 3) = 20 peers",
-				"peers", "%.0f", s, err)
-		case "fig3right":
-			s, err := eval.Fig3(f3(right))
-			emit("Figure 3 (right): recall vs queried peers, sliding window = 50 peers",
-				"peers", "%.0f", s, err)
-		case "aggregation":
-			s, err := eval.AblationAggregation(f3(right))
-			emit("Ablation: per-peer vs per-term aggregation (Section 6)",
-				"peers", "%.0f", s, err)
-		case "histogram":
-			s, err := eval.AblationHistogram(f3(right))
-			emit("Ablation: plain vs score-histogram IQN (Section 7.1)",
-				"peers", "%.0f", s, err)
-		case "budget":
-			s, err := eval.AblationBudget(f3(right), 0)
-			emit("Ablation: uniform vs adaptive synopsis budgets (Section 7.2)",
-				"peers", "%.0f", s, err)
-		case "hetero":
-			emit("Ablation: heterogeneous MIPs lengths (Section 3.4)",
-				"docs", "%.0f", eval.Fig2Hetero(f2), nil)
-		case "prior":
-			s, err := eval.AblationPrior(f3(right))
-			emit("Ablation: IQN vs prior SIGIR'05 method",
-				"peers", "%.0f", s, err)
-		case "cost":
-			points, err := eval.Cost(eval.CostConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				Queries: *numQ, K: *k, Seed: *seed, MaxPeers: 5,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: cost: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) {
-				for _, p := range points {
-					e.Cost = append(e.Cost, costPoint{
-						Series: p.Series, PublishBytes: p.PublishBytes,
-						QueryBytes: p.QueryBytes, QueryRPCs: p.QueryRPCs, Recall: p.Recall,
-					})
-				}
-			})
-			fmt.Println(eval.CostTable(points, 5))
-		case "load":
-			points, err := eval.Load(eval.LoadConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				Queries: 50, K: *k, Seed: *seed, MaxPeers: 5,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: load: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) {
-				for _, p := range points {
-					e.Load = append(e.Load, loadPoint{
-						Series: p.Series, Total: p.Total, Max: p.Max,
-						P90: p.P90, Imbalance: p.Imbalance, Recall: p.Recall,
-					})
-				}
-			})
-			fmt.Println(eval.LoadTable(points))
-		case "route":
-			table, points := routeTable(*runs, *seed)
-			record(name, func(e *benchExperiment) { e.Route = points })
-			fmt.Print(table)
-		case "churn":
-			res, err := eval.Churn(eval.ChurnConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				Queries: *numQ, K: *k, Seed: *seed, MaxPeers: 5,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: churn: %v\n", err)
-				os.Exit(1)
-			}
-			sweep, err := eval.ChurnSweep(eval.ChurnSweepConfig{
-				Queries: *numQ, K: *k, MaxPeers: 5, Seed: *seed,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: churn sweep: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) { e.Churn = res; e.ChurnSweep = sweep })
-			fmt.Printf("# Churn: %d peers killed mid-workload\n", res.Killed)
-			fmt.Printf("recall before      %0.3f\n", res.Before)
-			fmt.Printf("recall degraded    %0.3f (stale posts still name dead peers)\n", res.Degraded)
-			fmt.Printf("recall healed      %0.3f (after republish + prune of %d posts)\n", res.Healed, res.Pruned)
-			fmt.Println("# Churn sweep: sustained graceful join/leave, recall vs the churn-free twin")
-			fmt.Print(eval.ChurnSweepTable(sweep))
-		case "overload":
-			points, err := eval.Overload(eval.OverloadConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				Queries: 40, K: *k, Seed: *seed, MaxPeers: 5,
-				Concurrencies: []int{2, 8, 16}, AdmissionLimit: 2, AdmissionQueue: 1,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: overload: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) {
-				for _, p := range points {
-					e.Overload = append(e.Overload, overloadPoint{
-						Mode: p.Mode, Concurrency: p.Concurrency,
-						P50Ms:  float64(p.P50) / float64(time.Millisecond),
-						P95Ms:  float64(p.P95) / float64(time.Millisecond),
-						P99Ms:  float64(p.P99) / float64(time.Millisecond),
-						Recall: p.Recall, Reported: p.Reported,
-						Rejected: p.Rejected, BudgetExpired: p.BudgetExpired,
-					})
-				}
-			})
-			fmt.Println("# Overload: tail latency and recall, bare vs hardened (budgets + hedging + breakers + admission control)")
-			fmt.Print(eval.OverloadTable(points))
-		case "cache":
-			res, err := eval.Cache(eval.CacheConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				QueryPool: *numQ, K: *k, Seed: *seed, MaxPeers: 5,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: cache: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) {
-				for _, p := range res.Points {
-					e.Cache = append(e.Cache, cachePoint{
-						Mode: p.Mode, DirReadRPCs: p.DirReadRPCs, RPCsPerQuery: p.RPCsPerQuery,
-						CacheHits: p.CacheHits, CacheMisses: p.CacheMisses,
-						SynopsisDecodes: p.SynopsisDecodes, SynopsisReuse: p.SynopsisReuse,
-						MeanMs: p.MeanMs, P95Ms: p.P95Ms, Recall: p.Recall,
-					})
-				}
-				e.RPCReductionPct = res.ReductionPct
-			})
-			fmt.Print(eval.CacheTable(res))
-		case "topk":
-			res, err := eval.TopK(eval.TopKConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				QueryPool: *numQ, Seed: *seed, PeerCounts: peerCounts,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: topk: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) {
-				for _, p := range res.Points {
-					e.TopK = append(e.TopK, topkPoint{
-						K: p.K, MaxPeers: p.MaxPeers, ChunkSize: p.ChunkSize,
-						PullBytesIn: p.PullBytesIn, StreamBytesIn: p.StreamBytesIn,
-						BytesReductionPct: p.BytesReductionPct,
-						PullBytesOut:      p.PullBytesOut, StreamBytesOut: p.StreamBytesOut,
-						PullEntries: p.PullEntries, StreamEntries: p.StreamEntries,
-						Chunks: p.Chunks, EarlyStops: p.EarlyStops,
-						PullRecall: p.PullRecall, StreamRecall: p.StreamRecall,
-						ParityOK: p.ParityOK,
-					})
-				}
-				e.BytesReductionPct = res.MinReductionPct
-				e.ParityOK = res.ParityOK
-			})
-			fmt.Print(eval.TopKTable(res))
-		case "build":
-			res, err := eval.Build(eval.BuildConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Seed: *seed,
-				MemBudgetMB: *memMB, SynopsisBits: 2048,
-				Queries: *numQ, ParityCheck: true, ResumeCheck: true,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: build: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) { e.Build = res })
-			fmt.Print(eval.BuildTable(res))
-			if !res.ParityOK || !res.ResumeOK {
-				fmt.Fprintf(os.Stderr, "iqnbench: build: parity/resume gate failed (parity=%v resume=%v)\n",
-					res.ParityOK, res.ResumeOK)
-				os.Exit(1)
-			}
-		case "adaptive":
-			// The adaptive gates are calibrated against the experiment's
-			// canonical workload (eval.AdaptiveConfig defaults), so the
-			// shared flags only apply when explicitly set — a bare
-			// `-exp all` keeps the canonical regime instead of inheriting
-			// fig3's 20k-doc default.
-			acfg := eval.AdaptiveConfig{Seed: *seed}
-			if explicit["docs"] {
-				acfg.CorpusDocs = *docs
-			}
-			if explicit["vocab"] {
-				acfg.VocabSize = *vocab
-			}
-			if explicit["queries"] {
-				acfg.QueryPool = *numQ
-			}
-			if explicit["k"] {
-				acfg.K = *k
-			}
-			res, err := eval.Adaptive(acfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: adaptive: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) { e.Adaptive = res })
-			fmt.Print(eval.AdaptiveTable(res))
-			// Parity must hold at any scale; the recall gates are only
-			// meaningful on the workload they were calibrated for.
-			canonical := !explicit["docs"] && !explicit["vocab"] && !explicit["queries"] && !explicit["k"] && *seed == 2006
-			if !res.ParityOK || (canonical && (res.PeersSaved < 1 || res.RecoveredFrac < 0.9)) {
-				fmt.Fprintf(os.Stderr, "iqnbench: adaptive: gate failed (peersSaved=%d recoveredFrac=%.3f parity=%v)\n",
-					res.PeersSaved, res.RecoveredFrac, res.ParityOK)
-				os.Exit(1)
-			}
-		case "chaos":
-			points, err := eval.Chaos(eval.ChaosConfig{
-				CorpusDocs: *docs, VocabSize: *vocab, Strategy: right,
-				Queries: *numQ, K: *k, Seed: *seed, MaxPeers: 5,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqnbench: chaos: %v\n", err)
-				os.Exit(1)
-			}
-			record(name, func(e *benchExperiment) { e.Chaos = points })
-			fmt.Println("# Chaos: recall vs peer-failure rate, with and without failure re-routing")
-			fmt.Print(eval.ChaosTable(points))
-		default:
-			fmt.Fprintf(os.Stderr, "iqnbench: unknown experiment %q\n", name)
-			os.Exit(2)
+		res, err := e.Run(p)
+		if err != nil {
+			return fail(1, "%v", err)
 		}
 		elapsed := time.Since(start)
-		if n := len(output.Experiments); n > 0 && output.Experiments[n-1].Name == name {
-			output.Experiments[n-1].ElapsedMs = elapsed.Milliseconds()
+		output.Experiments = append(output.Experiments, eval.Record{Name: e.Name, ElapsedMs: elapsed.Milliseconds(), Result: res})
+		curves, isCurves := res.(*eval.Curves)
+		if isCurves && *svgDir != "" {
+			path := filepath.Join(*svgDir, e.Name+".svg")
+			if err := os.WriteFile(path, []byte(curves.SVG()), 0o644); err != nil {
+				fmt.Fprintf(stderr, "iqnbench: write %s: %v\n", path, err)
+			} else {
+				fmt.Fprintf(stderr, "[wrote %s]\n", path)
+			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, elapsed.Round(time.Millisecond))
-	}
-
-	if *exp == "all" {
-		for _, name := range []string{"fig2left", "fig2right", "fig3left", "fig3right",
-			"aggregation", "histogram", "budget", "hetero", "prior", "cost", "churn", "chaos", "load", "route", "overload", "cache", "topk", "build", "adaptive"} {
-			run(name)
+		if isCurves && *csv {
+			fmt.Fprint(stdout, curves.CSV())
+		} else {
+			fmt.Fprint(stdout, res.Table())
 		}
-	} else {
-		run(*exp)
+		if gated, ok := res.(interface{ Gate() error }); ok {
+			if err := gated.Gate(); err != nil {
+				return fail(1, "%s: %v", e.Name, err)
+			}
+		}
+		fmt.Fprintf(stderr, "[%s done in %v]\n", e.Name, elapsed.Round(time.Millisecond))
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(output, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iqnbench: marshal results: %v\n", err)
-			os.Exit(1)
+			return fail(1, "marshal results: %v", err)
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "iqnbench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
+		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
+			return fail(1, "write %s: %v", *jsonOut, err)
 		}
-		fmt.Fprintf(os.Stderr, "[wrote %s]\n", *jsonOut)
+		fmt.Fprintf(stderr, "[wrote %s]\n", *jsonOut)
 	}
-}
-
-// routeCandidates builds a synthetic routing candidate set: two-term
-// MIPs synopses at the paper's 2048-bit budget, posting lists that
-// overlap across peers, qualities drawn from a small set so tie-breaks
-// are exercised.
-func routeCandidates(n int, seed int64) (core.Query, []core.Candidate) {
-	rng := rand.New(rand.NewSource(seed))
-	cfg := synopsis.Config{Kind: synopsis.KindMIPs, Bits: 2048, Seed: uint64(seed)}
-	terms := []string{"a", "b"}
-	cands := make([]core.Candidate, 0, n)
-	for p := 0; p < n; p++ {
-		c := core.Candidate{
-			Peer:              core.PeerID(fmt.Sprintf("p%06d", p)),
-			Quality:           0.4 + float64(rng.Intn(7))*0.05,
-			TermSynopses:      map[string]synopsis.Set{},
-			TermCardinalities: map[string]float64{},
-		}
-		for ti, t := range terms {
-			ids := make([]uint64, 200)
-			for i := range ids {
-				ids[i] = uint64(ti*1000000 + p*40 + i)
-			}
-			c.TermSynopses[t] = cfg.FromIDs(ids)
-			c.TermCardinalities[t] = 200
-		}
-		cands = append(cands, c)
-	}
-	return core.Query{Terms: terms}, cands
-}
-
-// routeTable times the Fast-IQN lazy engine (core.Route) against the
-// exhaustive reference (core.SelectExhaustive) on growing candidate
-// sets, verifying on every run that the two plans are identical. It
-// returns both the human-readable table and the machine-readable rows.
-func routeTable(runs int, seed int64) (string, []routePoint) {
-	if runs < 1 {
-		runs = 1
-	}
-	var b strings.Builder
-	var points []routePoint
-	fmt.Fprintf(&b, "# Fast-IQN: lazy-greedy vs exhaustive Select-Best-Peer (MaxPeers=10, %d runs)\n", runs)
-	fmt.Fprintf(&b, "%10s %14s %14s %9s %6s\n", "candidates", "lazy", "exhaustive", "speedup", "plans")
-	opts := core.Options{MaxPeers: 10}
-	for _, n := range []int{100, 1000, 10000} {
-		q, cands := routeCandidates(n, seed)
-		equal := true
-		time_ := func(route func(core.Query, *core.Candidate, []core.Candidate, core.Options) (core.Plan, error)) (time.Duration, core.Plan) {
-			var last core.Plan
-			start := time.Now()
-			for r := 0; r < runs; r++ {
-				plan, err := route(q, nil, cands, opts)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "iqnbench: route: %v\n", err)
-					os.Exit(1)
-				}
-				last = plan
-			}
-			return time.Since(start) / time.Duration(runs), last
-		}
-		lazyD, lazyPlan := time_(core.Route)
-		exD, exPlan := time_(core.SelectExhaustive)
-		if !reflect.DeepEqual(lazyPlan, exPlan) {
-			equal = false
-		}
-		verdict := "equal"
-		if !equal {
-			verdict = "DIFFER"
-		}
-		fmt.Fprintf(&b, "%10d %14s %14s %8.1fx %6s\n", n, lazyD, exD, float64(exD)/float64(lazyD), verdict)
-		points = append(points, routePoint{
-			Candidates:   n,
-			LazyNs:       lazyD.Nanoseconds(),
-			ExhaustiveNs: exD.Nanoseconds(),
-			Speedup:      float64(exD) / float64(lazyD),
-			PlansEqual:   equal,
-		})
-	}
-	return b.String(), points
+	return 0
 }

@@ -37,7 +37,7 @@ type readCache struct {
 }
 
 // cacheEntry is one cached term. pl is read-only once stored: it is
-// handed to callers directly, who must not mutate it (FetchAll callers
+// handed to callers directly, who must not mutate it (Fetch callers
 // already treat PeerLists as immutable).
 type cacheEntry struct {
 	pl       PeerList

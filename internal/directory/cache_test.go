@@ -66,7 +66,7 @@ func TestFetchTotalFailureErrorIsWellFormed(t *testing.T) {
 
 // TestFetchUsesRobustMachinery locks in the second Fetch bugfix: a
 // single-term Fetch must ride the same quorum/read-repair path as
-// FetchAll instead of issuing bare dir.get calls.
+// batched read instead of issuing bare dir.get calls.
 func TestFetchUsesRobustMachinery(t *testing.T) {
 	_, services, clients, _ := testRing(t, 5, 3)
 	reg := telemetry.NewRegistry()
@@ -99,7 +99,7 @@ func TestFetchUsesRobustMachinery(t *testing.T) {
 		t.Fatal("Fetch did not use the quorum read path")
 	}
 	if got := counter(reg, "directory.fetches"); got != 1 {
-		t.Fatalf("directory.fetches = %d, want 1 (Fetch shares FetchAll telemetry)", got)
+		t.Fatalf("directory.fetches = %d, want 1 (Fetch shares the batched read's telemetry)", got)
 	}
 }
 

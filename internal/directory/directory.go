@@ -365,26 +365,18 @@ func (c *Client) Publish(posts []Post) error {
 }
 
 // Fetch retrieves the PeerList for one term. It rides the same
-// machinery as FetchAll — hedged and quorum-read-repaired reads,
-// replica fail-over, budget accounting, telemetry, and the read cache —
-// so single-term and batched reads have identical robustness semantics.
-// On total failure the error unwraps to the last replica failure
-// (transport.ErrUnreachable when no replica could even be resolved).
+// machinery as a batched read (FetchAllReportOpts) — hedged and
+// quorum-read-repaired reads, replica fail-over, budget accounting,
+// telemetry, and the read cache — so single-term and batched reads have
+// identical robustness semantics. On total failure the error unwraps to
+// the last replica failure (transport.ErrUnreachable when no replica
+// could even be resolved).
 func (c *Client) Fetch(term string) (PeerList, error) {
-	out, _, err := c.FetchAllReport([]string{term}, 0)
+	out, _, err := c.FetchAllReportOpts([]string{term}, 0, FetchOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return out[term], nil
-}
-
-// FetchAll retrieves the PeerLists of several terms, batching terms that
-// share a responsible node into one RPC. Reads are hedged across the
-// replica set when HedgeDelay is set and quorum-read-repaired when
-// ReadQuorum ≥ 2; FetchAllReport exposes the per-replica account.
-func (c *Client) FetchAll(terms []string) (map[string]PeerList, error) {
-	out, _, err := c.FetchAllReport(terms, 0)
-	return out, err
 }
 
 // PruneBelow asks every reachable directory node to drop posts older

@@ -140,7 +140,7 @@ func TestFetchAllBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.ResetStats()
-	got, err := clients[5].FetchAll(terms)
+	got, _, err := clients[5].FetchAllReportOpts(terms, 0, FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +195,13 @@ func TestReplicationSurvivesOwnerFailure(t *testing.T) {
 	if len(pl) != 1 || pl[0].ListLength != 42 {
 		t.Fatalf("replica data = %+v", pl)
 	}
-	// FetchAll takes the replica path too.
-	all, err := reader.FetchAll([]string{"resilient"})
+	// A batched read takes the replica path too.
+	all, _, err := reader.FetchAllReportOpts([]string{"resilient"}, 0, FetchOptions{})
 	if err != nil {
-		t.Fatalf("FetchAll after owner failure: %v", err)
+		t.Fatalf("batched fetch after owner failure: %v", err)
 	}
 	if len(all["resilient"]) != 1 {
-		t.Fatalf("FetchAll replica data = %+v", all)
+		t.Fatalf("batched fetch replica data = %+v", all)
 	}
 }
 
@@ -369,11 +369,11 @@ func TestHandoffOnJoin(t *testing.T) {
 	if len(pl) != 0 {
 		t.Fatalf("pre-handoff fetch returned %d posts, want 0 (the gap handoff closes)", len(pl))
 	}
-	n, err := lateSvc.AcquireOwnedRange()
+	acquired, err := lateSvc.AcquireRangeFrom(late.Predecessor().ID, late.SuccessorList())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	if acquired.Acquired == 0 {
 		t.Fatal("handoff acquired nothing")
 	}
 	pl, err = lateClient.Fetch(ownedTerm)

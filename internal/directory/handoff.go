@@ -157,48 +157,6 @@ type AcquireReport struct {
 	Errors []ReplicaError
 }
 
-// AcquireOwnedRange pulls the posts this node now owns — the interval
-// (predecessor, self] — from its successor-list replicas and stores the
-// merged result locally. Call it after joining once the predecessor is
-// known. Returns the number of posts acquired. A node whose successor
-// is itself (single-node ring) or whose predecessor is unknown acquires
-// nothing. The pull is best-effort per replica: one dead successor no
-// longer aborts the acquisition — the error is non-nil only when every
-// replica failed (see AcquireOwnedRangeReport for the account).
-func (s *Service) AcquireOwnedRange() (int, error) {
-	rep, err := s.AcquireOwnedRangeReport()
-	return rep.Acquired, err
-}
-
-// AcquireOwnedRangeReport is AcquireOwnedRange with the per-replica
-// error report.
-func (s *Service) AcquireOwnedRangeReport() (AcquireReport, error) {
-	pred := s.node.Predecessor()
-	if pred.IsZero() {
-		return AcquireReport{}, nil
-	}
-	return s.AcquireRangeFrom(pred.ID, s.handoffSources())
-}
-
-// handoffSources returns the replica nodes a range pull should ask: the
-// successor followed by the rest of the successor list, self excluded.
-func (s *Service) handoffSources() []chord.NodeRef {
-	self := s.node.Self()
-	var out []chord.NodeRef
-	seen := map[string]struct{}{self.Addr: {}}
-	for _, r := range s.node.SuccessorList() {
-		if r.IsZero() {
-			continue
-		}
-		if _, dup := seen[r.Addr]; dup {
-			continue
-		}
-		seen[r.Addr] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}
-
 // AcquireRangeFrom pulls the interval (from, self] from each source in
 // turn, merges the copies per term (highest epoch wins), and stores the
 // result. Sources are best-effort: each failure is recorded in the

@@ -141,7 +141,7 @@ func TestAcquireOwnedRangeBestEffort(t *testing.T) {
 	// succeed with a per-replica error naming the corpse.
 	succ := nodes[3].Successor()
 	nodes[findService(nodes, succ.Addr)].Close()
-	rep, err := services[3].AcquireOwnedRangeReport()
+	rep, err := services[3].AcquireRangeFrom(nodes[3].Predecessor().ID, nodes[3].SuccessorList())
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}

@@ -60,7 +60,7 @@ type PublishReport struct {
 	Errors []ReplicaError
 }
 
-// FetchReport details one FetchAll call: which replica served each term
+// FetchReport details one FetchAllReportOpts call: which replica served each term
 // group, which replicas failed along the way, and how many divergent
 // replicas were patched by read-repair.
 type FetchReport struct {
@@ -362,20 +362,15 @@ func (c *Client) PublishReport(posts []Post) (PublishReport, error) {
 	return rep, nil
 }
 
-// FetchAllReport is FetchAll with overload hardening and a full
-// account: term groups are read with hedged replica calls (HedgeDelay),
+// FetchAllReportOpts retrieves the PeerLists of several terms with a
+// full account, batching terms that share a responsible node into one
+// RPC: term groups are read with hedged replica calls (HedgeDelay),
 // quorum reads with read-repair when ReadQuorum ≥ 2, per-attempt
 // timeouts capped by budget (≤ 0: uncapped), and every failed replica
 // reported. With the read cache enabled, cached terms are served
 // locally (no Winners entry — no replica was asked) and concurrent
-// fetches of the same term coalesce onto one RPC. The returned map is
-// complete on nil error.
-func (c *Client) FetchAllReport(terms []string, budget time.Duration) (map[string]PeerList, FetchReport, error) {
-	return c.FetchAllReportOpts(terms, budget, FetchOptions{})
-}
-
-// FetchAllReportOpts is FetchAllReport with per-call options (Fresh
-// bypasses the read cache and refreshes it).
+// fetches of the same term coalesce onto one RPC; opt.Fresh bypasses the
+// cache and refreshes it. The returned map is complete on nil error.
 func (c *Client) FetchAllReportOpts(terms []string, budget time.Duration, opt FetchOptions) (map[string]PeerList, FetchReport, error) {
 	start := time.Now()
 	out, rep, err := c.fetchAllCached(terms, budget, opt)

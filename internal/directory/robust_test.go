@@ -117,7 +117,7 @@ func TestFetchAllReportWinnersAndFallback(t *testing.T) {
 	}
 	// Healthy fetch: the owner wins, no errors.
 	reader := clients[0]
-	lists, rep, err := reader.FetchAllReport([]string{"gamma"}, 0)
+	lists, rep, err := reader.FetchAllReportOpts([]string{"gamma"}, 0, FetchOptions{})
 	if err != nil || len(lists["gamma"]) != 1 {
 		t.Fatalf("healthy fetch = %+v, %v", lists, err)
 	}
@@ -133,7 +133,7 @@ func TestFetchAllReportWinnersAndFallback(t *testing.T) {
 		reader = clients[1]
 	}
 	net.SetPartitioned(owner, true)
-	lists, rep, err = reader.FetchAllReport([]string{"gamma"}, 0)
+	lists, rep, err = reader.FetchAllReportOpts([]string{"gamma"}, 0, FetchOptions{})
 	if err != nil || len(lists["gamma"]) != 1 {
 		t.Fatalf("failed-over fetch = %+v, %v", lists, err)
 	}
@@ -169,7 +169,7 @@ func TestHedgedFetchOutrunsSlowOwner(t *testing.T) {
 	f.AddRule(transport.Rule{To: owner, Method: methodGetBatch, DelayProb: 1, Delay: 400 * time.Millisecond})
 	c.HedgeDelay = 25 * time.Millisecond
 	start := time.Now()
-	lists, rep, err := c.FetchAllReport([]string{"delta"}, 0)
+	lists, rep, err := c.FetchAllReportOpts([]string{"delta"}, 0, FetchOptions{})
 	elapsed := time.Since(start)
 	if err != nil || len(lists["delta"]) != 1 {
 		t.Fatalf("hedged fetch = %+v, %v", lists, err)
@@ -272,7 +272,7 @@ func TestQuorumReadRepairsDivergentReplica(t *testing.T) {
 	stale.ReplaceTerm("epsilon", PeerList{full[0]})
 	c := clients[0]
 	c.ReadQuorum = 3
-	lists, rep, err := c.FetchAllReport([]string{"epsilon"}, 0)
+	lists, rep, err := c.FetchAllReportOpts([]string{"epsilon"}, 0, FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestQuorumReadRepairsDivergentReplica(t *testing.T) {
 		}
 	}
 	// A second quorum read finds nothing to repair.
-	_, rep, err = c.FetchAllReport([]string{"epsilon"}, 0)
+	_, rep, err = c.FetchAllReportOpts([]string{"epsilon"}, 0, FetchOptions{})
 	if err != nil || rep.Repaired != 0 {
 		t.Fatalf("second read repaired %d, %v", rep.Repaired, err)
 	}
@@ -366,7 +366,7 @@ func TestOverloadedDirectoryFetchDegradesLoudly(t *testing.T) {
 	if reader.node.Self().Addr == owner {
 		reader = clients[1]
 	}
-	lists, rep, err := reader.FetchAllReport([]string{"eta"}, 0)
+	lists, rep, err := reader.FetchAllReportOpts([]string{"eta"}, 0, FetchOptions{})
 	if err != nil || len(lists["eta"]) != 1 {
 		t.Fatalf("fetch against saturated owner = %+v, %v", lists, err)
 	}
@@ -446,7 +446,7 @@ func TestQuorumReadRespectsPruneFloor(t *testing.T) {
 	}
 	reader := clients[1]
 	reader.ReadQuorum = 3
-	lists, rep, err := reader.FetchAllReport([]string{"omega"}, 0)
+	lists, rep, err := reader.FetchAllReportOpts([]string{"omega"}, 0, FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

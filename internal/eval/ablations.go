@@ -2,7 +2,6 @@ package eval
 
 import (
 	"iqn/internal/core"
-	"iqn/internal/dataset"
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
 )
@@ -41,23 +40,17 @@ func AblationHistogram(cfg Fig3Config) ([]Series, error) {
 // (abl-budget). The total budget is sized so both variants spend the
 // same bits: 1024 per term that a peer actually indexes. Pass
 // termsPerPeer ≤ 0 to measure the average term count from the
-// experiment's own corpus and strategy (an extra corpus generation, but
-// the only way the comparison is apples-to-apples).
+// experiment's own collections — the only way the comparison is
+// apples-to-apples.
 func AblationBudget(cfg Fig3Config, termsPerPeer int) ([]Series, error) {
+	cfg.fillDefaults()
+	tb, err := newTestbed(cfg)
+	if err != nil {
+		return nil, err
+	}
 	if termsPerPeer <= 0 {
-		probe := cfg
-		probe.fillDefaults()
-		corpus := dataset.Generate(dataset.CorpusConfig{
-			NumDocs:   probe.CorpusDocs,
-			VocabSize: probe.VocabSize,
-			Seed:      probe.Seed,
-		})
-		cols, err := probe.Strategy.assign(corpus)
-		if err != nil {
-			return nil, err
-		}
 		total := 0
-		for _, col := range cols {
+		for _, col := range tb.cols {
 			terms := map[string]struct{}{}
 			for _, d := range col.Docs {
 				for _, t := range d.Terms {
@@ -66,17 +59,16 @@ func AblationBudget(cfg Fig3Config, termsPerPeer int) ([]Series, error) {
 			}
 			total += len(terms)
 		}
-		termsPerPeer = total / len(cols)
+		termsPerPeer = total / len(tb.cols)
 	}
 	total := 1024 * termsPerPeer
-	cfg.Series = []SeriesSpec{
+	return tb.curves([]SeriesSpec{
 		{Name: "uniform 1024", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs, Bits: 1024},
 		{Name: "adaptive list-length", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs,
 			TotalBudgetBits: total, BudgetPolicy: core.BenefitListLength},
 		{Name: "adaptive quantile", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs,
 			TotalBudgetBits: total, BudgetPolicy: core.BenefitQuantileMass},
-	}
-	return Fig3(cfg)
+	}, cfg.PeerCounts)
 }
 
 // AblationPrior appends the SIGIR'05 baseline to the default Figure 3

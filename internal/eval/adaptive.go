@@ -3,9 +3,9 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"iqn/internal/adapt"
-	"iqn/internal/dataset"
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
 	"iqn/internal/telemetry"
@@ -48,8 +48,14 @@ type AdaptiveSweepPoint struct {
 	PriorHits int64 `json:"priorHits"`
 }
 
-// AdaptiveResult is the experiment outcome.
+// AdaptiveResult is the experiment outcome; in JSON the report sits
+// under one "adaptive" key.
 type AdaptiveResult struct {
+	*AdaptiveReport `json:"adaptive"`
+}
+
+// AdaptiveReport holds the measured numbers.
+type AdaptiveReport struct {
 	// Sweep holds the cold and warm recall per MaxPeers budget.
 	Sweep []AdaptiveSweepPoint `json:"sweep"`
 	// PeersSaved is the best budget saving the warm prior achieved: the
@@ -80,319 +86,271 @@ type AdaptiveResult struct {
 	// Draws and DistinctQueries describe the Zipfian workload.
 	Draws           int `json:"draws"`
 	DistinctQueries int `json:"distinctQueries"`
+	// canonical records that the run used the workload the recall gates
+	// were calibrated for.
+	canonical bool
 }
 
-// AdaptiveConfig parameterizes the experiment.
-type AdaptiveConfig struct {
-	// CorpusDocs, VocabSize, Strategy, Seed as in Fig3Config.
-	CorpusDocs, VocabSize int
-	Strategy              Strategy
-	Seed                  int64
-	// QueryPool is the number of distinct queries (default 8).
-	QueryPool int
-	// Draws is the workload length: Zipfian draws from the pool (default
-	// 8× the pool). The first half warms the store; the second half is
-	// measured.
-	Draws int
-	// ZipfS is the Zipf exponent shaping repetition (default 1.3).
-	ZipfS float64
-	// K is the result-list depth (default 50).
-	K int
-	// PeerSweep is the MaxPeers budgets of the efficiency sweep
-	// (default 2..8).
-	PeerSweep []int
-	// WarmupMaxPeers is the routing budget of the warm modes' warm-up
-	// window (default: the largest PeerSweep budget plus two). The log only
+// The adaptive experiment's canonical regime; its gates are calibrated
+// against it.
+const (
+	// adaptiveDocs, adaptiveQueries and the vocabulary divisor are the
+	// workload defaults, smaller than the figures'.
+	adaptiveDocs       = 4000
+	adaptiveVocabRatio = 4
+	adaptiveQueries    = 8
+	// adaptiveDrawsPerQuery sizes the Zipfian draw sequence (exponent
+	// adaptiveZipfS): the first half warms the store, the second half
+	// is measured.
+	adaptiveDrawsPerQuery = 16
+	adaptiveZipfS         = 1.3
+	// adaptiveWarmupPeers is the routing budget of the warm modes'
+	// warm-up window: the largest swept budget plus two. The log only
 	// observes peers that were actually queried, so warming up at the
 	// measured budget would merely reinforce cold routing's own picks;
 	// a generous warm-up budget explores enough peers to learn who the
 	// true contributors are, and the measured window then reaches them
 	// with fewer slots — the prior's whole value proposition.
-	WarmupMaxPeers int
-	// AttackMaxPeers is the routing budget of the adversarial phase
-	// (default 6).
-	AttackMaxPeers int
-	// InflateFactor scales the inflated publishers' ListLength/MaxScore
-	// claims (default 50).
-	InflateFactor float64
-	// InflatedPeers is how many publishers the attack inflates
-	// (default: AttackMaxPeers−1 — most of the routing budget, while
-	// leaving an honest majority to recover with; the initiator, peer
-	// 0, is never inflated).
-	InflatedPeers int
-	// SynopsisBits is the per-term synopsis budget (default 64 — the
-	// bandwidth-frugal regime the prior exists for: estimation noise at
-	// small budgets is exactly the headroom observed contributions
-	// recover, and what makes fabricated synopses a credible attack).
-	SynopsisBits int
+	adaptiveWarmupPeers = 10
+	// The adversarial phase: routing budget, how many publishers inflate
+	// (most of the budget, leaving an honest majority to recover with;
+	// the initiator, peer 0, never inflates) and by what factor.
+	adaptiveAttackPeers   = 6
+	adaptiveInflated      = adaptiveAttackPeers - 1
+	adaptiveInflateFactor = 50
+	// adaptiveSynopsisBits is the bandwidth-frugal regime the prior
+	// exists for: estimation noise at small budgets is exactly the
+	// headroom observed contributions recover, and what makes fabricated
+	// synopses a credible attack.
+	adaptiveSynopsisBits = 64
+)
+
+var (
+	adaptiveStrategy = Strategy{Fragments: 80, R: 4, Offset: 2}
+	// adaptivePeerSweep is the MaxPeers budgets of the efficiency sweep.
+	adaptivePeerSweep = []int{2, 3, 4, 5, 6, 7, 8}
+	// adaptiveStore is a stronger-than-default contribution boost: the
+	// warm modes route repetitions, where observed contribution is
+	// strictly better evidence than a noisy small-budget synopsis
+	// estimate.
+	adaptiveStore = &adapt.Config{PriorWeight: 12}
+)
+
+// adaptiveRun is one pass over the shared draw sequence on a fresh
+// network.
+type adaptiveRun struct {
+	// store arms the adaptive layer; nil runs the cold baseline.
+	store *adapt.Config
+	// warmupPeers and maxPeers are the routing budgets of the warm-up
+	// and measured halves.
+	warmupPeers, maxPeers int
+	// inflated is how many publishers (peers 1..inflated) scale their
+	// directory claims before any query runs.
+	inflated int
 }
 
-func (c *AdaptiveConfig) fillDefaults() {
-	if c.CorpusDocs <= 0 {
-		c.CorpusDocs = 4000
-	}
-	if c.VocabSize <= 0 {
-		c.VocabSize = c.CorpusDocs / 4
-	}
-	if c.Strategy.F == 0 && c.Strategy.Fragments == 0 {
-		c.Strategy = Strategy{Fragments: 80, R: 4, Offset: 2}
-	}
-	if c.QueryPool <= 0 {
-		c.QueryPool = 8
-	}
-	if c.Draws <= 0 {
-		c.Draws = 16 * c.QueryPool
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.3
-	}
-	if c.K <= 0 {
-		c.K = 50
-	}
-	if len(c.PeerSweep) == 0 {
-		c.PeerSweep = []int{2, 3, 4, 5, 6, 7, 8}
-	}
-	if c.WarmupMaxPeers <= 0 {
-		for _, m := range c.PeerSweep {
-			if m > c.WarmupMaxPeers {
-				c.WarmupMaxPeers = m
-			}
-		}
-		c.WarmupMaxPeers += 2
-	}
-	if c.AttackMaxPeers <= 0 {
-		c.AttackMaxPeers = 6
-	}
-	if c.InflateFactor <= 1 {
-		c.InflateFactor = 50
-	}
-	if c.InflatedPeers <= 0 {
-		c.InflatedPeers = c.AttackMaxPeers - 1
-	}
-	if c.SynopsisBits <= 0 {
-		c.SynopsisBits = 64
-	}
+// adaptiveOutcome is what a pass measured over the second-half window.
+type adaptiveOutcome struct {
+	recall    float64
+	docs      [][]uint64 // per measured draw, the merged doc IDs: the replay parity artifact
+	priorHits int64
+	flagged   int // peers the initiator's detector holds flagged at the end
 }
 
-// adaptiveRun replays the shared draw sequence against a fresh network
-// and measures the second-half window: micro-averaged recall, per-draw
-// merged docIDs (the replay parity artifact), prior hits, and how many
-// peers the initiator's detector holds flagged at the end. A nil store
-// config runs the cold baseline; inflate lists peer indexes whose
-// directory claims are scaled by factor before any query runs.
-func adaptiveRun(cfg AdaptiveConfig, corpus *dataset.Corpus, cols []dataset.Collection,
-	pool []dataset.Query, draws []int, store *adapt.Config, warmupPeers, maxPeers int,
-	inflate []int, factor float64) (recall float64, docs [][]uint64, priorHits int64, flagged int, err error) {
-
+func (tb *testbed) adaptivePass(draws []int, run adaptiveRun) (out adaptiveOutcome, err error) {
 	registry := telemetry.NewRegistry()
-	net, err := minerva.BuildNetwork(transport.NewInMem(), corpus, cols, minerva.Config{
-		SynopsisSeed: uint64(cfg.Seed) + 99,
-		SynopsisBits: cfg.SynopsisBits,
-		Adaptive:     store,
+	net, err := tb.deploy(transport.NewInMem(), minerva.Config{
+		SynopsisBits: adaptiveSynopsisBits,
+		Adaptive:     run.store,
 		Metrics:      registry,
 	})
 	if err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("eval: adaptive deploy: %w", err)
+		return out, fmt.Errorf("eval: adaptive deploy: %w", err)
 	}
 	defer net.Close()
 	// Attackers republish the full inflated-synopsis package: claimed
-	// list lengths and MaxScore scaled by factor (boosting CORI quality
-	// and the claimed score ceiling) plus a fabricated synopsis over doc
-	// IDs nobody holds, so novelty estimation sees them as covering
-	// documents no honest peer overlaps — the strongest possible claim
-	// to a routing slot. Their indexes are unchanged: what they deliver
-	// is what they honestly hold.
-	scfg := synopsis.Config{Kind: synopsis.KindMIPs, Bits: cfg.SynopsisBits, Seed: uint64(cfg.Seed) + 99}
-	for _, pi := range inflate {
+	// list lengths and MaxScore scaled by the factor (boosting CORI
+	// quality and the claimed score ceiling) plus a fabricated synopsis
+	// over doc IDs nobody holds, so novelty estimation sees them as
+	// covering documents no honest peer overlaps — the strongest possible
+	// claim to a routing slot. Their indexes are unchanged: what they
+	// deliver is what they honestly hold.
+	scfg := synopsis.Config{Kind: synopsis.KindMIPs, Bits: adaptiveSynopsisBits, Seed: uint64(tb.seed) + 99}
+	for pi := 1; pi <= run.inflated; pi++ {
 		p := net.Peers[pi%len(net.Peers)]
 		posts, err := p.BuildPosts()
 		if err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("eval: adaptive inflate %s: %w", p.Name(), err)
+			return out, fmt.Errorf("eval: adaptive inflate %s: %w", p.Name(), err)
 		}
 		for i := range posts {
-			claimed := int(float64(posts[i].ListLength) * factor)
+			claimed := int(float64(posts[i].ListLength) * adaptiveInflateFactor)
 			fake := make([]uint64, min(claimed, 4096))
 			for j := range fake {
 				fake[j] = 1<<40 + uint64(pi)<<24 + uint64(j)
 			}
 			data, err := scfg.FromIDs(fake).MarshalBinary()
 			if err != nil {
-				return 0, nil, 0, 0, fmt.Errorf("eval: adaptive fabricate synopsis: %w", err)
+				return out, fmt.Errorf("eval: adaptive fabricate synopsis: %w", err)
 			}
 			posts[i].Synopsis = data
 			posts[i].ListLength = claimed
-			posts[i].MaxScore *= factor
+			posts[i].MaxScore *= adaptiveInflateFactor
 			posts[i].Epoch = 1
 		}
 		if err := p.Directory().Publish(posts); err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("eval: adaptive publish inflated: %w", err)
+			return out, fmt.Errorf("eval: adaptive publish inflated: %w", err)
 		}
 	}
 	// A fixed initiator, so repeated draws feed one store — the entry-
-	// point locality a hot query stream has, same as the cache workload.
+	// point locality a hot query stream has.
 	initiator := net.Peers[0]
 	warmup := len(draws) / 2
-	var found, total int
+	var t tally
 	// Recall is scored over repeated draws only — queries whose first
 	// occurrence is in the measured window route identically in every
 	// mode (there is nothing logged to adapt to), so counting them
 	// would just dilute the comparison with noise shared by all modes.
 	// Both cold and warm runs are scored over the same draw subset.
-	seen := make(map[int]bool, len(pool))
+	seen := make(map[int]bool, len(tb.queries))
 	for di, qi := range draws {
 		if di == warmup {
 			registry.Reset()
 		}
-		m := maxPeers
+		m := run.maxPeers
 		if di < warmup {
-			m = warmupPeers
+			m = run.warmupPeers
 		}
 		repeat := seen[qi]
 		seen[qi] = true
-		q := pool[qi]
-		sr, err := initiator.Search(q.Terms, minerva.SearchOptions{K: cfg.K, MaxPeers: m})
+		q := tb.queries[qi]
+		sr, err := initiator.Search(q.Terms, minerva.SearchOptions{K: tb.k, MaxPeers: m})
 		if err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("eval: adaptive query %d: %w", q.ID, err)
+			return out, fmt.Errorf("eval: adaptive query %d: %w", q.ID, err)
 		}
 		if di < warmup || !repeat {
 			continue
 		}
 		ids := make([]uint64, len(sr.Results))
-		got := make(map[uint64]struct{}, len(sr.Results))
 		for i, r := range sr.Results {
 			ids[i] = r.DocID
-			got[r.DocID] = struct{}{}
 		}
-		docs = append(docs, ids)
-		for _, r := range net.ReferenceTopK(q.Terms, cfg.K, false) {
-			total++
-			if _, ok := got[r.DocID]; ok {
-				found++
-			}
-		}
+		out.docs = append(out.docs, ids)
+		t.add(sr.Results, net.ReferenceTopK(q.Terms, tb.k, false))
 	}
-	if total > 0 {
-		recall = float64(found) / float64(total)
-	}
-	priorHits = registry.Snapshot().Counters["adapt.prior_hits"]
+	out.recall = t.recall()
+	out.priorHits = registry.Snapshot().Counters["adapt.prior_hits"]
 	if s := initiator.Adaptive(); s != nil {
-		flagged = len(s.Flagged())
+		out.flagged = len(s.Flagged())
 	}
-	return recall, docs, priorHits, flagged, nil
+	return out, nil
 }
 
-// Adaptive runs the efficiency sweep, the adversarial phase, and the
-// replay parity check.
-func Adaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
+// adaptive runs the efficiency sweep, the adversarial phase, and the
+// replay parity check. Unset sizes take the canonical workload, not the
+// figures' defaults; the recall gates (Gate) only apply there.
+func adaptive(p Params) (*AdaptiveReport, error) {
+	cfg := Fig3Config{CorpusDocs: p.Docs, VocabSize: p.Vocab, Strategy: adaptiveStrategy,
+		Queries: p.Queries, K: p.K, Seed: p.Seed}
+	if cfg.CorpusDocs <= 0 {
+		cfg.CorpusDocs = adaptiveDocs
+	}
+	if cfg.VocabSize <= 0 {
+		cfg.VocabSize = cfg.CorpusDocs / adaptiveVocabRatio
+	}
+	if cfg.Queries <= 0 {
+		cfg.Queries = adaptiveQueries
+	}
 	cfg.fillDefaults()
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   cfg.CorpusDocs,
-		VocabSize: cfg.VocabSize,
-		Seed:      cfg.Seed,
-	})
-	cols, err := cfg.Strategy.assign(corpus)
+	tb, err := newTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
-	pool := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: cfg.QueryPool, Seed: cfg.Seed})
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("eval: adaptive workload has no queries")
-	}
-	// One shared Zipfian draw sequence, so every mode and budget replays
-	// the exact same workload.
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(pool)-1))
-	draws := make([]int, cfg.Draws)
+	// One shared Zipfian draw sequence over the query pool, so every mode
+	// and budget replays the exact same workload.
+	rng := rand.New(rand.NewSource(tb.seed + 7))
+	zipf := rand.NewZipf(rng, adaptiveZipfS, 1, uint64(len(tb.queries)-1))
+	draws := make([]int, adaptiveDrawsPerQuery*cfg.Queries)
 	distinct := map[int]struct{}{}
 	for i := range draws {
 		draws[i] = int(zipf.Uint64())
 		distinct[draws[i]] = struct{}{}
 	}
-	res := &AdaptiveResult{
-		Draws:           cfg.Draws,
+	res := &AdaptiveReport{
+		Draws:           len(draws),
 		DistinctQueries: len(distinct),
-		InflatedPeers:   cfg.InflatedPeers,
+		InflatedPeers:   adaptiveInflated,
+		canonical:       p.Docs == 0 && p.Vocab == 0 && p.Queries == 0 && p.K == 0 && p.Seed == 2006,
 	}
 
-	// A stronger-than-default contribution boost: the experiment's warm
-	// modes route repetitions, where observed contribution is strictly
-	// better evidence than a noisy small-budget synopsis estimate.
-	warmStore := &adapt.Config{PriorWeight: 12}
-	coldRecall := map[int]float64{}
-	warmRecall := map[int]float64{}
-	for _, m := range cfg.PeerSweep {
-		r, _, _, _, err := adaptiveRun(cfg, corpus, cols, pool, draws, nil, m, m, nil, 0)
-		if err != nil {
-			return nil, err
+	recall := map[string]map[int]float64{"cold": {}, "warm": {}}
+	for _, mode := range []string{"cold", "warm"} {
+		for _, m := range adaptivePeerSweep {
+			run := adaptiveRun{warmupPeers: m, maxPeers: m}
+			if mode == "warm" {
+				run = adaptiveRun{store: adaptiveStore, warmupPeers: adaptiveWarmupPeers, maxPeers: m}
+			}
+			out, err := tb.adaptivePass(draws, run)
+			if err != nil {
+				return nil, err
+			}
+			recall[mode][m] = out.recall
+			res.Sweep = append(res.Sweep, AdaptiveSweepPoint{Mode: mode, MaxPeers: m, Recall: out.recall, PriorHits: out.priorHits})
 		}
-		coldRecall[m] = r
-		res.Sweep = append(res.Sweep, AdaptiveSweepPoint{Mode: "cold", MaxPeers: m, Recall: r})
-	}
-	for _, m := range cfg.PeerSweep {
-		r, _, hits, _, err := adaptiveRun(cfg, corpus, cols, pool, draws, warmStore, cfg.WarmupMaxPeers, m, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		warmRecall[m] = r
-		res.Sweep = append(res.Sweep, AdaptiveSweepPoint{Mode: "warm", MaxPeers: m, Recall: r, PriorHits: hits})
 	}
 	// PeersSaved: for each cold operating point, the cheapest warm
 	// budget that matches its recall; keep the best saving.
-	for _, mc := range cfg.PeerSweep {
-		for _, mw := range cfg.PeerSweep {
-			if warmRecall[mw] >= coldRecall[mc]-1e-9 {
-				if saved := mc - mw; saved > res.PeersSaved {
-					res.PeersSaved = saved
-				}
-				break // PeerSweep ascends: first match is the cheapest
+	for _, mc := range adaptivePeerSweep {
+		for _, mw := range adaptivePeerSweep {
+			if recall["warm"][mw] >= recall["cold"][mc]-1e-9 {
+				res.PeersSaved = max(res.PeersSaved, mc-mw)
+				break // the sweep ascends: first match is the cheapest
 			}
 		}
 	}
 
-	inflate := make([]int, cfg.InflatedPeers)
-	for i := range inflate {
-		inflate[i] = i + 1 // never the initiator (peer 0)
-	}
-	honest, _, _, _, err := adaptiveRun(cfg, corpus, cols, pool, draws, nil, cfg.AttackMaxPeers, cfg.AttackMaxPeers, nil, 0)
+	undefended := adaptiveRun{warmupPeers: adaptiveAttackPeers, maxPeers: adaptiveAttackPeers}
+	honest, err := tb.adaptivePass(draws, undefended)
 	if err != nil {
 		return nil, err
 	}
-	attacked, _, _, _, err := adaptiveRun(cfg, corpus, cols, pool, draws, nil, cfg.AttackMaxPeers, cfg.AttackMaxPeers, inflate, cfg.InflateFactor)
+	undefended.inflated = adaptiveInflated
+	attacked, err := tb.adaptivePass(draws, undefended)
 	if err != nil {
 		return nil, err
 	}
-	defended, docs, _, flagged, err := adaptiveRun(cfg, corpus, cols, pool, draws, warmStore, cfg.WarmupMaxPeers, cfg.AttackMaxPeers, inflate, cfg.InflateFactor)
+	defense := adaptiveRun{store: adaptiveStore, warmupPeers: adaptiveWarmupPeers,
+		maxPeers: adaptiveAttackPeers, inflated: adaptiveInflated}
+	defended, err := tb.adaptivePass(draws, defense)
 	if err != nil {
 		return nil, err
 	}
-	res.HonestRecall, res.AttackedRecall, res.DefendedRecall = honest, attacked, defended
-	res.FlaggedPeers = flagged
-	if honest > 0 {
-		res.RecoveredFrac = defended / honest
+	res.HonestRecall, res.AttackedRecall, res.DefendedRecall = honest.recall, attacked.recall, defended.recall
+	res.FlaggedPeers = defended.flagged
+	if honest.recall > 0 {
+		res.RecoveredFrac = defended.recall / honest.recall
 	}
-
-	_, replayDocs, _, _, err := adaptiveRun(cfg, corpus, cols, pool, draws, warmStore, cfg.WarmupMaxPeers, cfg.AttackMaxPeers, inflate, cfg.InflateFactor)
+	replay, err := tb.adaptivePass(draws, defense)
 	if err != nil {
 		return nil, err
 	}
-	res.ParityOK = len(docs) == len(replayDocs)
-	for i := 0; res.ParityOK && i < len(docs); i++ {
-		if len(docs[i]) != len(replayDocs[i]) {
-			res.ParityOK = false
-			break
-		}
-		for j := range docs[i] {
-			if docs[i][j] != replayDocs[i][j] {
-				res.ParityOK = false
-				break
-			}
-		}
-	}
+	res.ParityOK = reflect.DeepEqual(defended.docs, replay.docs)
 	return res, nil
 }
 
-// AdaptiveTable renders the experiment as aligned text.
-func AdaptiveTable(res *AdaptiveResult) string {
+// Gate fails when the replay diverged — parity must hold at any scale —
+// or when, on the canonical workload the recall gates were calibrated
+// for, the prior saved no peer or the defense recovered under 90% of
+// honest recall.
+func (r *AdaptiveReport) Gate() error {
+	if !r.ParityOK || (r.canonical && (r.PeersSaved < 1 || r.RecoveredFrac < 0.9)) {
+		return fmt.Errorf("gate failed (peersSaved=%d recoveredFrac=%.3f parity=%v)",
+			r.PeersSaved, r.RecoveredFrac, r.ParityOK)
+	}
+	return nil
+}
+
+// Table renders the experiment as aligned text.
+func (res *AdaptiveReport) Table() string {
 	out := fmt.Sprintf("# Adaptive routing: %d Zipfian draws over %d distinct queries (second half measured)\n",
 		res.Draws, res.DistinctQueries)
 	out += fmt.Sprintf("%-6s %9s %8s %10s\n", "mode", "maxpeers", "recall", "priorhits")

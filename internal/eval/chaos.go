@@ -2,14 +2,11 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"iqn/internal/minerva"
 	"iqn/internal/transport"
-
-	"iqn/internal/dataset"
 )
 
 // This file measures graceful degradation under peer failures: a sweep
@@ -20,7 +17,11 @@ import (
 // recall curves is what re-routing buys; the per-peer error counts show
 // that degradation is loud (reported) rather than silent in both modes.
 
-// ChaosPoint is one failure rate's measurement.
+// chaosFailRates are the sweep points.
+var chaosFailRates = []float64{0, 0.1, 0.2, 0.3, 0.4}
+
+// ChaosPoint is one failure rate's measurement. It marshals under its Go
+// field names: BENCH consumers read these keys.
 type ChaosPoint struct {
 	// FailRate is the fraction of peers crashed before the workload.
 	FailRate float64
@@ -37,158 +38,78 @@ type ChaosPoint struct {
 	Replacements int
 }
 
-// ChaosConfig parameterizes the sweep.
-type ChaosConfig struct {
-	// CorpusDocs, VocabSize, Strategy, Queries, K, Seed as in Fig3Config.
-	CorpusDocs, VocabSize int
-	Strategy              Strategy
-	Queries               int
-	K                     int
-	Seed                  int64
-	// MaxPeers is the per-query routing budget (default 5).
-	MaxPeers int
-	// Replicas is the directory replication factor (default 3).
-	Replicas int
-	// FailRates are the sweep points (default 0, 0.1, 0.2, 0.3, 0.4).
-	FailRates []float64
-	// Retry is the per-forward retry policy (default: 3 attempts with a
-	// no-op sleeper, so dead-peer retries don't stretch wall time).
-	Retry transport.RetryPolicy
+// ChaosResult is the sweep, one point per failure rate.
+type ChaosResult struct {
+	Points []ChaosPoint `json:"chaos"`
 }
 
-// Chaos runs the sweep. Each rate builds a fresh network over a
-// fault-injecting transport, crashes the chosen fraction of peers, and
-// measures the same workload with and without re-routing.
-func Chaos(cfg ChaosConfig) ([]ChaosPoint, error) {
-	f3 := Fig3Config{
-		CorpusDocs: cfg.CorpusDocs,
-		VocabSize:  cfg.VocabSize,
-		Strategy:   cfg.Strategy,
-		Queries:    cfg.Queries,
-		K:          cfg.K,
-		Seed:       cfg.Seed,
-	}
-	f3.fillDefaults()
-	maxPeers := cfg.MaxPeers
-	if maxPeers <= 0 {
-		maxPeers = 5
-	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 3
-	}
-	rates := cfg.FailRates
-	if len(rates) == 0 {
-		rates = []float64{0, 0.1, 0.2, 0.3, 0.4}
-	}
-	retry := cfg.Retry
-	if retry.MaxAttempts == 0 {
-		retry = transport.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
-	}
-	retry.Seed = f3.Seed
+// noSleep keeps dead-peer retries and injected delays off the wall
+// clock.
+func noSleep(time.Duration) {}
 
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   f3.CorpusDocs,
-		VocabSize: f3.VocabSize,
-		Seed:      f3.Seed,
-	})
-	cols, err := f3.Strategy.assign(corpus)
-	if err != nil {
-		return nil, err
-	}
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: f3.Queries, Seed: f3.Seed})
-
-	points := make([]ChaosPoint, 0, len(rates))
-	for _, rate := range rates {
-		faulty := transport.NewFaulty(transport.NewInMem(), f3.Seed)
-		faulty.SetSleep(func(time.Duration) {})
-		net, err := minerva.BuildNetworkEndpoints(faulty, faulty.Endpoint, corpus, cols, minerva.Config{
-			SynopsisSeed: uint64(f3.Seed) + 99,
-			Replicas:     replicas,
-		})
+// chaos runs the sweep. Each rate builds a fresh network over a
+// fault-injecting transport, crashes the chosen fraction of peers —
+// their directory posts stay behind as stale entries routing must
+// recover from — and measures the workload with and without re-routing.
+func (tb *testbed) chaos() (*ChaosResult, error) {
+	res := &ChaosResult{}
+	for _, rate := range chaosFailRates {
+		faulty := transport.NewFaulty(transport.NewInMem(), tb.seed)
+		faulty.SetSleep(noSleep)
+		net, err := tb.deploy(faulty, minerva.Config{Replicas: systemsReplicas})
 		if err != nil {
 			return nil, fmt.Errorf("eval: chaos rate %0.2f: %w", rate, err)
 		}
-		point := ChaosPoint{FailRate: rate}
-		// Crash a deterministic fraction of peers; their directory posts
-		// stay behind as stale entries that routing must recover from.
-		rng := rand.New(rand.NewSource(f3.Seed + 1))
-		perm := rng.Perm(len(net.Peers))
-		point.Killed = int(rate * float64(len(net.Peers)))
-		for _, idx := range perm[:point.Killed] {
-			faulty.Crash(net.Peers[idx].Name())
-		}
-		var alive []*minerva.Peer
-		for _, p := range net.Peers {
-			if !faulty.Crashed(p.Name()) {
-				alive = append(alive, p)
-			}
-		}
-		if len(alive) == 0 {
-			net.Close()
-			return nil, fmt.Errorf("eval: chaos rate %0.2f killed every peer", rate)
-		}
-		// Heal the ring so lookups route around the corpses.
-		for round := 0; round < 2*len(alive); round++ {
-			for _, p := range alive {
-				p.Node().Stabilize()
-			}
-		}
-		for _, p := range alive {
-			p.Node().FixAllFingers()
-		}
-		measure := func(noReroute bool) (recall float64, lost, replaced int, err error) {
-			var found, total int
-			for qi, q := range queries {
-				initiator := alive[qi%len(alive)]
-				ref := net.ReferenceTopK(q.Terms, f3.K, false)
-				res, serr := initiator.Search(q.Terms, minerva.SearchOptions{
-					K:         f3.K,
-					MaxPeers:  maxPeers,
-					Retry:     retry,
-					NoReroute: noReroute,
-				})
-				if serr != nil {
-					return 0, 0, 0, fmt.Errorf("eval: chaos query %d: %w", q.ID, serr)
-				}
-				lost += len(res.Errors)
-				replaced += len(res.Rerouted)
-				got := map[uint64]struct{}{}
-				for _, r := range res.Results {
-					got[r.DocID] = struct{}{}
-				}
-				for _, r := range ref {
-					total++
-					if _, ok := got[r.DocID]; ok {
-						found++
-					}
-				}
-			}
-			if total == 0 {
-				return 0, lost, replaced, nil
-			}
-			return float64(found) / float64(total), lost, replaced, nil
-		}
-		if point.RecallNoReroute, point.LostNoReroute, _, err = measure(true); err != nil {
-			net.Close()
-			return nil, err
-		}
-		if point.RecallReroute, point.LostReroute, point.Replacements, err = measure(false); err != nil {
-			net.Close()
-			return nil, err
-		}
+		point, err := tb.chaosPoint(net, faulty, rate)
 		net.Close()
-		points = append(points, point)
+		if err != nil {
+			return nil, err
+		}
+		res.Points = append(res.Points, point)
 	}
-	return points, nil
+	return res, nil
 }
 
-// ChaosTable renders the sweep as an aligned text table.
-func ChaosTable(points []ChaosPoint) string {
+func (tb *testbed) chaosPoint(net *minerva.Network, faulty *transport.Faulty, rate float64) (ChaosPoint, error) {
+	point := ChaosPoint{FailRate: rate, Killed: int(rate * float64(len(net.Peers)))}
+	crashed, alive := tb.victims(net, point.Killed)
+	if len(alive) == 0 {
+		return point, fmt.Errorf("eval: chaos rate %0.2f killed every peer", rate)
+	}
+	for _, p := range crashed {
+		faulty.Crash(p.Name())
+	}
+	healRing(alive)
+	opts := minerva.SearchOptions{
+		MaxPeers: systemsMaxPeers,
+		Retry:    transport.RetryPolicy{MaxAttempts: 3, Sleep: noSleep, Seed: tb.seed},
+	}
+	measure := func(noReroute bool) (recall float64, lost, replaced int, err error) {
+		opts.NoReroute = noReroute
+		recall, err = tb.recall(net, alive, opts, func(res *minerva.SearchResult) {
+			lost += len(res.Errors)
+			replaced += len(res.Rerouted)
+		})
+		if err != nil {
+			err = fmt.Errorf("eval: chaos %w", err)
+		}
+		return recall, lost, replaced, err
+	}
+	var err error
+	if point.RecallNoReroute, point.LostNoReroute, _, err = measure(true); err != nil {
+		return point, err
+	}
+	point.RecallReroute, point.LostReroute, point.Replacements, err = measure(false)
+	return point, err
+}
+
+// Table renders the sweep as an aligned text table.
+func (r *ChaosResult) Table() string {
 	var b strings.Builder
+	b.WriteString("# Chaos: recall vs peer-failure rate, with and without failure re-routing\n")
 	fmt.Fprintf(&b, "%-10s %-7s %-16s %-16s %-14s %-14s %s\n",
 		"failrate", "killed", "recall(reroute)", "recall(report)", "lost(reroute)", "lost(report)", "replacements")
-	for _, p := range points {
+	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-10.2f %-7d %-16.3f %-16.3f %-14d %-14d %d\n",
 			p.FailRate, p.Killed, p.RecallReroute, p.RecallNoReroute, p.LostReroute, p.LostNoReroute, p.Replacements)
 	}

@@ -2,10 +2,8 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"iqn/internal/dataset"
 	"iqn/internal/minerva"
 	"iqn/internal/sim"
 	"iqn/internal/transport"
@@ -16,10 +14,15 @@ import (
 // failures and churn"). A fraction of peers is killed mid-workload; the
 // experiment reports recall before the failures, immediately after
 // (stale directory posts still name dead peers), and after one
-// maintenance round (republish + prune).
+// maintenance round (republish + prune). A second part sweeps sustained
+// graceful join/leave churn over ring sizes and rates.
 
-// ChurnResult is the outcome of one churn experiment.
-type ChurnResult struct {
+// churnKillFraction is the share of peers killed mid-workload.
+const churnKillFraction = 0.2
+
+// ChurnKill is the outcome of the kill-and-heal part. It marshals under
+// its Go field names: BENCH_churn.json consumers read these keys.
+type ChurnKill struct {
 	// Killed is the number of peers killed.
 	Killed int
 	// Before, Degraded and Healed are the micro-averaged recalls at the
@@ -29,120 +32,38 @@ type ChurnResult struct {
 	Pruned int
 }
 
-// ChurnConfig parameterizes the experiment.
-type ChurnConfig struct {
-	// CorpusDocs, VocabSize, Strategy, Queries, K, Seed as in Fig3Config.
-	CorpusDocs, VocabSize int
-	Strategy              Strategy
-	Queries               int
-	K                     int
-	Seed                  int64
-	// MaxPeers is the per-query routing budget (default 5).
-	MaxPeers int
-	// KillFraction is the fraction of peers to kill (default 0.2).
-	KillFraction float64
-	// Replicas is the directory replication factor (default 3 — churn
-	// without replication loses directory fractions by design).
-	Replicas int
+// ChurnResult is both parts of the churn experiment.
+type ChurnResult struct {
+	Kill  *ChurnKill       `json:"churn"`
+	Sweep []ChurnSweepCell `json:"churnSweep"`
 }
 
-// Churn runs the experiment.
-func Churn(cfg ChurnConfig) (*ChurnResult, error) {
-	f3 := Fig3Config{
-		CorpusDocs: cfg.CorpusDocs,
-		VocabSize:  cfg.VocabSize,
-		Strategy:   cfg.Strategy,
-		Queries:    cfg.Queries,
-		K:          cfg.K,
-		Seed:       cfg.Seed,
-	}
-	f3.fillDefaults()
-	maxPeers := cfg.MaxPeers
-	if maxPeers <= 0 {
-		maxPeers = 5
-	}
-	killFrac := cfg.KillFraction
-	if killFrac <= 0 {
-		killFrac = 0.2
-	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 3
-	}
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   f3.CorpusDocs,
-		VocabSize: f3.VocabSize,
-		Seed:      f3.Seed,
-	})
-	cols, err := f3.Strategy.assign(corpus)
-	if err != nil {
-		return nil, err
-	}
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: f3.Queries, Seed: f3.Seed})
+// churnKill measures recall before a crash wave, right after it, and
+// after one maintenance round.
+func (tb *testbed) churnKill() (*ChurnKill, error) {
 	inmem := transport.NewInMem()
-	net, err := minerva.BuildNetwork(inmem, corpus, cols, minerva.Config{
-		SynopsisSeed: uint64(f3.Seed) + 99,
-		Replicas:     replicas,
-	})
+	// Churn without replication loses directory fractions by design.
+	net, err := tb.deploy(inmem, minerva.Config{Replicas: systemsReplicas})
 	if err != nil {
 		return nil, err
 	}
 	defer net.Close()
-
 	measure := func(alive []*minerva.Peer) (float64, error) {
-		var found, total int
-		for qi, q := range queries {
-			initiator := alive[qi%len(alive)]
-			ref := net.ReferenceTopK(q.Terms, f3.K, false)
-			res, err := initiator.Search(q.Terms, minerva.SearchOptions{K: f3.K, MaxPeers: maxPeers})
-			if err != nil {
-				return 0, fmt.Errorf("eval: churn query %d: %w", q.ID, err)
-			}
-			got := map[uint64]struct{}{}
-			for _, r := range res.Results {
-				got[r.DocID] = struct{}{}
-			}
-			for _, r := range ref {
-				total++
-				if _, ok := got[r.DocID]; ok {
-					found++
-				}
-			}
+		recall, err := tb.recall(net, alive, minerva.SearchOptions{MaxPeers: systemsMaxPeers}, nil)
+		if err != nil {
+			return 0, fmt.Errorf("eval: churn %w", err)
 		}
-		if total == 0 {
-			return 0, nil
-		}
-		return float64(found) / float64(total), nil
+		return recall, nil
 	}
-
-	result := &ChurnResult{}
+	result := &ChurnKill{Killed: int(churnKillFraction * float64(len(net.Peers)))}
 	if result.Before, err = measure(net.Peers); err != nil {
 		return nil, err
 	}
-	// Kill a random fraction of peers.
-	rng := rand.New(rand.NewSource(f3.Seed + 1))
-	perm := rng.Perm(len(net.Peers))
-	result.Killed = int(killFrac * float64(len(net.Peers)))
-	dead := map[string]struct{}{}
-	for _, idx := range perm[:result.Killed] {
-		dead[net.Peers[idx].Name()] = struct{}{}
-		inmem.SetPartitioned(net.Peers[idx].Name(), true)
+	dead, alive := tb.victims(net, result.Killed)
+	for _, p := range dead {
+		inmem.SetPartitioned(p.Name(), true)
 	}
-	var alive []*minerva.Peer
-	for _, p := range net.Peers {
-		if _, isDead := dead[p.Name()]; !isDead {
-			alive = append(alive, p)
-		}
-	}
-	// Heal the ring so lookups route around the corpses.
-	for round := 0; round < 2*len(alive); round++ {
-		for _, p := range alive {
-			p.Node().Stabilize()
-		}
-	}
-	for _, p := range alive {
-		p.Node().FixAllFingers()
-	}
+	healRing(alive)
 	if result.Degraded, err = measure(alive); err != nil {
 		return nil, err
 	}
@@ -172,74 +93,49 @@ type ChurnSweepCell struct {
 	LostPosts      int     `json:"lostPosts"`
 }
 
-// ChurnSweepConfig parameterizes the sustained-churn sweep.
-type ChurnSweepConfig struct {
-	// RingSizes are the boot populations to sweep (default 16, 64).
-	RingSizes []int
-	// Rates are the per-round departure probabilities (default 0.05,
-	// 0.20).
-	Rates []float64
-	// Queries, K, MaxPeers, Replicas, Seed as elsewhere (defaults 6, 20,
-	// 3, 2, 2006).
-	Queries, K, MaxPeers, Replicas int
-	Seed                           int64
-}
+// The sustained-churn sweep's grid, and the directory replication it
+// runs at.
+var (
+	churnRingSizes = []int{16, 64}
+	churnRates     = []float64{0.05, 0.20}
+)
 
-// ChurnSweep measures IQN under sustained graceful churn: for every
+const churnSweepReplicas = 2
+
+// churnSweep measures IQN under sustained graceful churn: for every
 // (ring size, rate) cell it boots a ring, drives the query workload
 // while a seeded churn schedule joins and gracefully departs peers
 // between rounds, and reports recall, the churn-free twin's recall on
 // the identical workload (the static baseline), the worst convergence
 // lag of any single membership change, the handoff traffic, and the
 // lost-post count of the final directory sweep. The whole sweep is a
-// pure function of the config.
-func ChurnSweep(cfg ChurnSweepConfig) ([]ChurnSweepCell, error) {
-	if len(cfg.RingSizes) == 0 {
-		cfg.RingSizes = []int{16, 64}
-	}
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = []float64{0.05, 0.20}
-	}
-	if cfg.Queries <= 0 {
-		cfg.Queries = 6
-	}
-	if cfg.K <= 0 {
-		cfg.K = 20
-	}
-	if cfg.MaxPeers <= 0 {
-		cfg.MaxPeers = 3
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 2006
-	}
+// pure function of its arguments.
+func churnSweep(ringSizes []int, rates []float64, queries, k int, seed int64) ([]ChurnSweepCell, error) {
 	var cells []ChurnSweepCell
-	for _, peers := range cfg.RingSizes {
+	for _, peers := range ringSizes {
 		// A quarter of the ring again as join headroom keeps departures
 		// matched by arrivals deep into the run.
 		total := peers + peers/4
-		for _, rate := range cfg.Rates {
+		for _, rate := range rates {
 			events := sim.ChurnEvents(sim.ChurnConfig{
-				Seed:         cfg.Seed + int64(peers)*1000 + int64(rate*100),
-				Queries:      cfg.Queries,
+				Seed:         seed + int64(peers)*1000 + int64(rate*100),
+				Queries:      queries,
 				InitialPeers: peers,
 				TotalPeers:   total,
 				Rate:         rate,
 			})
 			sc := sim.Scenario{
 				Name:           fmt.Sprintf("churn-sweep-%dp-%02.0f%%", peers, rate*100),
-				Seed:           cfg.Seed,
+				Seed:           seed,
 				NumDocs:        40 * total,
 				VocabSize:      16 * total,
 				Fragments:      total,
 				Window:         2,
 				Offset:         1,
-				Queries:        cfg.Queries,
-				K:              cfg.K,
-				MaxPeers:       cfg.MaxPeers,
-				Replicas:       cfg.Replicas,
+				Queries:        queries,
+				K:              k,
+				MaxPeers:       systemsMaxPeers,
+				Replicas:       churnSweepReplicas,
 				InitialPeers:   peers,
 				CheckLostPosts: true,
 				Events:         events,
@@ -272,12 +168,17 @@ func ChurnSweep(cfg ChurnSweepConfig) ([]ChurnSweepCell, error) {
 	return cells, nil
 }
 
-// ChurnSweepTable renders the sweep as an aligned table.
-func ChurnSweepTable(cells []ChurnSweepCell) string {
+// Table renders both parts as text.
+func (r *ChurnResult) Table() string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "# Churn: %d peers killed mid-workload\n", r.Kill.Killed)
+	fmt.Fprintf(&b, "recall before      %0.3f\n", r.Kill.Before)
+	fmt.Fprintf(&b, "recall degraded    %0.3f (stale posts still name dead peers)\n", r.Kill.Degraded)
+	fmt.Fprintf(&b, "recall healed      %0.3f (after republish + prune of %d posts)\n", r.Kill.Healed, r.Kill.Pruned)
+	b.WriteString("# Churn sweep: sustained graceful join/leave, recall vs the churn-free twin\n")
 	fmt.Fprintf(&b, "%6s %6s %6s %7s %7s %8s %5s %9s %10s %5s\n",
 		"peers", "rate", "joins", "leaves", "recall", "static", "lag", "handoff", "bytes", "lost")
-	for _, c := range cells {
+	for _, c := range r.Sweep {
 		fmt.Fprintf(&b, "%6d %5.0f%% %6d %7d %7.3f %8.3f %5d %9d %10d %5d\n",
 			c.Peers, c.Rate*100, c.Joins, c.Leaves, c.Recall, c.StaticRecall,
 			c.ConvergenceLag, c.HandoffPosts, c.HandoffBytes, c.LostPosts)

@@ -2,9 +2,8 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 
-	"iqn/internal/dataset"
-	"iqn/internal/minerva"
 	"iqn/internal/transport"
 )
 
@@ -18,125 +17,64 @@ import (
 // CostPoint is one method's cost/benefit measurement.
 type CostPoint struct {
 	// Series names the method/synopsis combination.
-	Series string
+	Series string `json:"series"`
 	// PublishBytes is the one-time directory publication traffic.
-	PublishBytes int64
+	PublishBytes int64 `json:"publishBytes"`
 	// QueryBytes is the average per-query traffic (PeerList fetches,
 	// routing — which is local — and query forwarding).
-	QueryBytes int64
+	QueryBytes int64 `json:"queryBytes"`
 	// QueryRPCs is the average per-query RPC count.
-	QueryRPCs int64
+	QueryRPCs int64 `json:"queryRPCs"`
 	// Recall is the micro-averaged relative recall at MaxPeers.
-	Recall float64
+	Recall float64 `json:"recall"`
 }
 
-// CostConfig parameterizes the experiment.
-type CostConfig struct {
-	// CorpusDocs, VocabSize, Strategy, Queries, K, Seed as in Fig3Config.
-	CorpusDocs, VocabSize int
-	Strategy              Strategy
-	Queries               int
-	K                     int
-	Seed                  int64
-	// MaxPeers is the routing budget the comparison is made at
-	// (default 5).
-	MaxPeers int
-	// Series are the method/synopsis combinations (default: the Figure 3
-	// five).
-	Series []SeriesSpec
+// CostResult holds one point per series, measured at MaxPeers queried
+// peers.
+type CostResult struct {
+	MaxPeers int         `json:"-"`
+	Points   []CostPoint `json:"cost"`
 }
 
-// Cost runs the experiment and returns one point per series.
-func Cost(cfg CostConfig) ([]CostPoint, error) {
-	f3 := Fig3Config{
-		CorpusDocs: cfg.CorpusDocs,
-		VocabSize:  cfg.VocabSize,
-		Strategy:   cfg.Strategy,
-		Queries:    cfg.Queries,
-		K:          cfg.K,
-		Seed:       cfg.Seed,
-		Series:     cfg.Series,
-	}
-	f3.fillDefaults()
-	maxPeers := cfg.MaxPeers
-	if maxPeers <= 0 {
-		maxPeers = 5
-	}
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   f3.CorpusDocs,
-		VocabSize: f3.VocabSize,
-		Seed:      f3.Seed,
-	})
-	cols, err := f3.Strategy.assign(corpus)
-	if err != nil {
-		return nil, err
-	}
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: f3.Queries, Seed: f3.Seed})
-	var out []CostPoint
-	for _, spec := range f3.Series {
+// cost deploys a fresh network per series and meters its publication
+// and per-query traffic.
+func (tb *testbed) cost(specs []SeriesSpec, maxPeers int) (*CostResult, error) {
+	res := &CostResult{MaxPeers: maxPeers}
+	for _, spec := range specs {
 		inmem := transport.NewInMem()
-		net, err := minerva.BuildNetwork(inmem, corpus, cols, minerva.Config{
-			SynopsisKind:   spec.Kind,
-			SynopsisBits:   spec.Bits,
-			SynopsisSeed:   uint64(f3.Seed) + 99,
-			HistogramCells: spec.HistogramCells,
-		})
+		net, err := tb.deploy(inmem, spec.config())
 		if err != nil {
 			return nil, fmt.Errorf("eval: cost deploy %s: %w", spec.Name, err)
 		}
 		_, publishBytes := inmem.Stats()
 		inmem.ResetStats()
-		var found, total int
-		for qi, q := range queries {
-			initiator := net.Peers[qi%len(net.Peers)]
-			ref := net.ReferenceTopK(q.Terms, f3.K, spec.Conjunctive)
-			res, err := initiator.Search(q.Terms, minerva.SearchOptions{
-				K:             f3.K,
-				MaxPeers:      maxPeers,
-				Method:        spec.Method,
-				Aggregation:   spec.Aggregation,
-				Conjunctive:   spec.Conjunctive,
-				UseHistograms: spec.HistogramCells > 0,
-			})
-			if err != nil {
-				net.Close()
-				return nil, fmt.Errorf("eval: cost %s query %d: %w", spec.Name, q.ID, err)
-			}
-			got := map[uint64]struct{}{}
-			for _, r := range res.Results {
-				got[r.DocID] = struct{}{}
-			}
-			for _, r := range ref {
-				total++
-				if _, ok := got[r.DocID]; ok {
-					found++
-				}
-			}
-		}
+		recall, err := tb.recall(net, net.Peers, spec.options(maxPeers), nil)
 		rpcs, queryBytes := inmem.Stats()
-		recall := 0.0
-		if total > 0 {
-			recall = float64(found) / float64(total)
+		net.Close()
+		if err != nil {
+			return nil, fmt.Errorf("eval: cost %s %w", spec.Name, err)
 		}
-		out = append(out, CostPoint{
+		n := int64(len(tb.queries)) // newTestbed rejects an empty workload
+		res.Points = append(res.Points, CostPoint{
 			Series:       spec.Name,
 			PublishBytes: publishBytes,
-			QueryBytes:   queryBytes / int64(len(queries)),
-			QueryRPCs:    rpcs / int64(len(queries)),
+			QueryBytes:   queryBytes / n,
+			QueryRPCs:    rpcs / n,
 			Recall:       recall,
 		})
-		net.Close()
 	}
-	return out, nil
+	return res, nil
 }
 
-// CostTable renders cost points as an aligned text table.
-func CostTable(points []CostPoint, maxPeers int) string {
-	out := fmt.Sprintf("# Benefit/cost at %d queried peers\n", maxPeers)
-	out += fmt.Sprintf("%-16s %12s %12s %10s %8s\n", "series", "publish(B)", "query(B)", "rpc/query", "recall")
-	for _, p := range points {
-		out += fmt.Sprintf("%-16s %12d %12d %10d %8.3f\n",
+// Table renders the cost points as an aligned text table.
+func (r *CostResult) Table() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# Benefit/cost at %d queried peers\n", r.MaxPeers)
+	fmt.Fprintf(&b, "%-16s %12s %12s %10s %8s\n", "series", "publish(B)", "query(B)", "rpc/query", "recall")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%-16s %12d %12d %10d %8.3f\n",
 			p.Series, p.PublishBytes, p.QueryBytes, p.QueryRPCs, p.Recall)
 	}
-	return out
+	b.WriteByte('\n')
+	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
+	"iqn/internal/transport"
 )
 
 // Small, fast configurations for CI; the CLI runs the paper-scale ones.
@@ -26,6 +27,17 @@ func smallFig3() Fig3Config {
 		PeerCounts: []int{1, 2, 3, 5, 8, 10},
 		Seed:       7,
 	}
+}
+
+// smallTestbed builds the shared testbed at test scale.
+func smallTestbed(t *testing.T, cfg Fig3Config) *testbed {
+	t.Helper()
+	cfg.fillDefaults()
+	tb, err := newTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 func TestFig2LeftShape(t *testing.T) {
@@ -266,19 +278,36 @@ func TestTableAndCSV(t *testing.T) {
 	}
 }
 
-func TestReferenceOnly(t *testing.T) {
+// TestTestbedReferences checks the workload the testbed draws is
+// answerable: every query has a non-empty centralized reference on a
+// deployed network, and recall against it is a proper fraction.
+func TestTestbedReferences(t *testing.T) {
 	cfg := smallFig3()
-	sizes, err := ReferenceOnly(cfg)
+	tb := smallTestbed(t, cfg)
+	if len(tb.queries) != cfg.Queries {
+		t.Fatalf("%d queries, want %d", len(tb.queries), cfg.Queries)
+	}
+	net, err := tb.deploy(transport.NewInMem(), minerva.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sizes) != cfg.Queries {
-		t.Fatalf("%d query sizes", len(sizes))
-	}
-	for id, n := range sizes {
-		if n == 0 {
-			t.Fatalf("query %d has empty reference", id)
+	defer net.Close()
+	for _, q := range tb.queries {
+		if len(net.ReferenceTopK(q.Terms, tb.k, false)) == 0 {
+			t.Fatalf("query %d has empty reference", q.ID)
 		}
+	}
+	seen := 0
+	recall, err := tb.recall(net, net.Peers, minerva.SearchOptions{MaxPeers: 3}, func(*minerva.SearchResult) { seen++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recall <= 0 || recall > 1 || seen != len(tb.queries) {
+		t.Fatalf("recall %v over %d observed queries", recall, seen)
+	}
+	var empty tally
+	if empty.recall() != 0 {
+		t.Fatal("empty tally recall not 0")
 	}
 }
 
@@ -295,23 +324,22 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestCostExperiment(t *testing.T) {
-	cfg := CostConfig{
+	tb := smallTestbed(t, Fig3Config{
 		CorpusDocs: 2000,
 		VocabSize:  1500,
 		Strategy:   Strategy{Fragments: 20, R: 4, Offset: 2},
 		Queries:    3,
 		K:          20,
 		Seed:       9,
-		MaxPeers:   3,
-		Series: []SeriesSpec{
-			{Name: "CORI", Method: minerva.MethodCORI, Kind: synopsis.KindMIPs, Bits: 1024},
-			{Name: "IQN MIPs 64", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs, Bits: 2048},
-		},
-	}
-	points, err := Cost(cfg)
+	})
+	res, err := tb.cost([]SeriesSpec{
+		{Name: "CORI", Method: minerva.MethodCORI, Kind: synopsis.KindMIPs, Bits: 1024},
+		{Name: "IQN MIPs 64", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs, Bits: 2048},
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) != 2 {
 		t.Fatalf("%d points", len(points))
 	}
@@ -331,22 +359,21 @@ func TestCostExperiment(t *testing.T) {
 	if points[1].Recall <= points[0].Recall {
 		t.Fatalf("IQN recall %v not above CORI %v", points[1].Recall, points[0].Recall)
 	}
-	table := CostTable(points, 3)
-	if !strings.Contains(table, "IQN MIPs 64") || !strings.Contains(table, "recall") {
+	table := res.Table()
+	if !strings.Contains(table, "at 3 queried peers") || !strings.Contains(table, "IQN MIPs 64") || !strings.Contains(table, "recall") {
 		t.Fatalf("table:\n%s", table)
 	}
 }
 
 func TestChurnExperiment(t *testing.T) {
-	res, err := Churn(ChurnConfig{
+	res, err := smallTestbed(t, Fig3Config{
 		CorpusDocs: 2000,
 		VocabSize:  1500,
 		Strategy:   Strategy{Fragments: 20, R: 4, Offset: 2},
 		Queries:    3,
 		K:          20,
 		Seed:       5,
-		MaxPeers:   3,
-	})
+	}).churnKill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,12 +395,7 @@ func TestChurnExperiment(t *testing.T) {
 }
 
 func TestChurnSweep(t *testing.T) {
-	cells, err := ChurnSweep(ChurnSweepConfig{
-		RingSizes: []int{12},
-		Rates:     []float64{0.15},
-		Queries:   4,
-		Seed:      7,
-	})
+	cells, err := churnSweep([]int{12}, []float64{0.15}, 4, 20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +415,7 @@ func TestChurnSweep(t *testing.T) {
 	if c.StaticRecall <= 0 {
 		t.Errorf("static twin recall %v, want > 0", c.StaticRecall)
 	}
-	table := ChurnSweepTable(cells)
+	table := (&ChurnResult{Kill: &ChurnKill{}, Sweep: cells}).Table()
 	if !strings.Contains(table, "static") || !strings.Contains(table, "lost") {
 		t.Fatalf("table:\n%s", table)
 	}
@@ -402,18 +424,18 @@ func TestChurnSweep(t *testing.T) {
 }
 
 func TestLoadExperiment(t *testing.T) {
-	points, err := Load(LoadConfig{
+	res, err := smallTestbed(t, Fig3Config{
 		CorpusDocs: 2500,
 		VocabSize:  1800,
 		Strategy:   Strategy{Fragments: 30, R: 6, Offset: 2}, // 15 peers
 		Queries:    20,
 		K:          30,
 		Seed:       3,
-		MaxPeers:   3,
-	})
+	}).load(loadSeries, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) != 2 {
 		t.Fatalf("%d points", len(points))
 	}
@@ -435,7 +457,7 @@ func TestLoadExperiment(t *testing.T) {
 	}
 	t.Logf("load: CORI imbalance %.2f recall %.3f; IQN imbalance %.2f recall %.3f",
 		cori.Imbalance, cori.Recall, iqn.Imbalance, iqn.Recall)
-	table := LoadTable(points)
+	table := res.Table()
 	if !strings.Contains(table, "imbalance") {
 		t.Fatalf("table:\n%s", table)
 	}
@@ -476,33 +498,30 @@ func TestOverloadExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload experiment burns real wall time on injected delays")
 	}
-	slowDelay := 60 * time.Millisecond
-	points, err := Overload(OverloadConfig{
+	res, err := smallTestbed(t, Fig3Config{
 		CorpusDocs: 1500,
 		VocabSize:  300,
 		Strategy:   Strategy{Fragments: 20, R: 4, Offset: 2}, // 10 peers
 		Queries:    20,
 		K:          10,
 		Seed:       42,
-		MaxPeers:   5,
-		SlowPeers:  2,
-		SlowDelay:  slowDelay,
-		Budget:     12 * time.Millisecond,
-	})
+	}).overload([]int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) != 2 || points[0].Mode != "bare" || points[1].Mode != "hardened" {
 		t.Fatalf("want [bare hardened], got %+v", points)
 	}
 	bare, hardened := points[0], points[1]
 	// The bare tail absorbs the full injected delay; the hardened tail
 	// is clipped by the deadline budget.
-	if bare.P99 < slowDelay {
-		t.Fatalf("bare p99 %v never felt the %v straggler", bare.P99, slowDelay)
+	slowMs := float64(overloadSlowDelay) / float64(time.Millisecond)
+	if bare.P99Ms < slowMs {
+		t.Fatalf("bare p99 %vms never felt the %vms straggler", bare.P99Ms, slowMs)
 	}
-	if hardened.P99 >= bare.P99 {
-		t.Fatalf("hardening did not improve the tail: hardened p99 %v vs bare p99 %v", hardened.P99, bare.P99)
+	if hardened.P99Ms >= bare.P99Ms {
+		t.Fatalf("hardening did not improve the tail: hardened p99 %vms vs bare p99 %vms", hardened.P99Ms, bare.P99Ms)
 	}
 	// Degradation must be loud: the hardened run names what it lost.
 	if hardened.Reported == 0 {
@@ -511,7 +530,7 @@ func TestOverloadExperiment(t *testing.T) {
 	if hardened.Recall <= 0 {
 		t.Fatal("hardened run lost all recall")
 	}
-	table := OverloadTable(points)
+	table := res.Table()
 	for _, want := range []string{"mode", "bare", "hardened", "p99", "budget-expired"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -59,41 +60,30 @@ func (c *Fig2Config) fillDefaults() {
 	}
 }
 
-// fig2Kinds are the figure's series: name and synopsis family, all at the
-// shared bit budget. includeSLL appends the super-LogLog refinement.
-func fig2Kinds(bits int, includeSLL bool) []struct {
-	name string
-	kind synopsis.Kind
-} {
-	kinds := []struct {
-		name string
-		kind synopsis.Kind
-	}{
-		{name: "MIPs " + itoa(bits/32), kind: synopsis.KindMIPs},
-		{name: "HSs " + itoa(bits/64), kind: synopsis.KindHashSketch},
-		{name: "BF " + itoa(bits), kind: synopsis.KindBloom},
-	}
-	if includeSLL {
-		kinds = append(kinds, struct {
-			name string
-			kind synopsis.Kind
-		}{name: "SLL " + itoa(bits/5), kind: synopsis.KindSuperLogLog})
-	}
-	return kinds
+// variant is one Figure 2 series: the synopsis configurations of the
+// two collections being compared (equal except in the heterogeneous-
+// lengths ablation).
+type variant struct {
+	name        string
+	left, right synopsis.Config
 }
 
-func itoa(n int) string {
-	if n <= 0 {
-		return "0"
+// fig2Variants are the figure's series: the three synopsis families at
+// the shared bit budget, plus the super-LogLog refinement on request.
+func fig2Variants(cfg Fig2Config) []variant {
+	family := func(name string, kind synopsis.Kind) variant {
+		c := synopsis.Config{Kind: kind, Bits: cfg.Bits, Seed: 42}
+		return variant{name, c, c}
 	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
+	vs := []variant{
+		family(fmt.Sprintf("MIPs %d", cfg.Bits/32), synopsis.KindMIPs),
+		family(fmt.Sprintf("HSs %d", cfg.Bits/64), synopsis.KindHashSketch),
+		family(fmt.Sprintf("BF %d", cfg.Bits), synopsis.KindBloom),
 	}
-	return string(buf[i:])
+	if cfg.IncludeSuperLogLog {
+		vs = append(vs, family(fmt.Sprintf("SLL %d", cfg.Bits/5), synopsis.KindSuperLogLog))
+	}
+	return vs
 }
 
 // overlappingPair draws two n-element sets sharing exactly
@@ -122,22 +112,58 @@ func overlappingPair(rng *rand.Rand, n int, overlap float64) (a, b []uint64, tru
 	return a, b, trueR
 }
 
-// resemblanceError measures one run's relative estimation error for one
-// synopsis family.
-func resemblanceError(cfg synopsis.Config, a, b []uint64, trueR float64) float64 {
-	sa := cfg.FromIDs(a)
-	sb := cfg.FromIDs(b)
-	est, err := sa.Resemblance(sb)
-	if err != nil {
-		// Families at equal budgets are always mutually compatible; an
-		// error here is a programming bug worth surfacing loudly in
-		// experiment output.
-		panic(err)
+// pairSpec is one X position of a Figure 2 sweep: the set pairs drawn
+// there and the seed offset that makes the point independent of the
+// rest of the sweep.
+type pairSpec struct {
+	x       float64
+	seed    int64
+	size    int
+	overlap float64
+}
+
+// sweep averages, per point and variant, the relative error
+// |est − true| / true of the resemblance estimate over cfg.Runs random
+// set pairs.
+func sweep(cfg Fig2Config, variants []variant, points []pairSpec) []Series {
+	series := make([]Series, len(variants))
+	for i, v := range variants {
+		series[i].Name = v.name
 	}
-	if trueR == 0 {
-		return est // error relative to nothing: report the raw estimate
+	for _, pt := range points {
+		sums := make([]float64, len(variants))
+		rng := rand.New(rand.NewSource(cfg.Seed + pt.seed))
+		for run := 0; run < cfg.Runs; run++ {
+			a, b, trueR := overlappingPair(rng, pt.size, pt.overlap)
+			for i, v := range variants {
+				est, err := v.left.FromIDs(a).Resemblance(v.right.FromIDs(b))
+				if err != nil {
+					// Same-family synopses are always comparable; an error
+					// here is a programming bug worth surfacing loudly.
+					panic(err)
+				}
+				if trueR == 0 {
+					sums[i] += est // error relative to nothing: the raw estimate
+				} else {
+					sums[i] += math.Abs(est-trueR) / trueR
+				}
+			}
+		}
+		for i := range variants {
+			series[i].Points = append(series[i].Points, Point{X: pt.x, Y: sums[i] / float64(cfg.Runs)})
+		}
 	}
-	return math.Abs(est-trueR) / trueR
+	return series
+}
+
+// bySize sweeps the per-collection size at an expected mutual overlap
+// of 33%.
+func bySize(cfg Fig2Config, variants []variant) []Series {
+	points := make([]pairSpec, len(cfg.Sizes))
+	for i, n := range cfg.Sizes {
+		points[i] = pairSpec{x: float64(n), seed: int64(n), size: n, overlap: 1.0 / 3}
+	}
+	return sweep(cfg, variants, points)
 }
 
 // Fig2Left regenerates the left panel: relative error of resemblance
@@ -145,52 +171,18 @@ func resemblanceError(cfg synopsis.Config, a, b []uint64, trueR float64) float64
 // mutual overlap of 33%.
 func Fig2Left(cfg Fig2Config) []Series {
 	cfg.fillDefaults()
-	kinds := fig2Kinds(cfg.Bits, cfg.IncludeSuperLogLog)
-	series := make([]Series, len(kinds))
-	for i, k := range kinds {
-		series[i].Name = k.name
-	}
-	for _, n := range cfg.Sizes {
-		sums := make([]float64, len(kinds))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
-		for run := 0; run < cfg.Runs; run++ {
-			a, b, trueR := overlappingPair(rng, n, 1.0/3)
-			for i, k := range kinds {
-				scfg := synopsis.Config{Kind: k.kind, Bits: cfg.Bits, Seed: 42}
-				sums[i] += resemblanceError(scfg, a, b, trueR)
-			}
-		}
-		for i := range kinds {
-			series[i].Points = append(series[i].Points, Point{X: float64(n), Y: sums[i] / float64(cfg.Runs)})
-		}
-	}
-	return series
+	return bySize(cfg, fig2Variants(cfg))
 }
 
 // Fig2Right regenerates the right panel: relative error as a function of
 // the mutual overlap fraction, at a fixed collection size.
 func Fig2Right(cfg Fig2Config) []Series {
 	cfg.fillDefaults()
-	kinds := fig2Kinds(cfg.Bits, cfg.IncludeSuperLogLog)
-	series := make([]Series, len(kinds))
-	for i, k := range kinds {
-		series[i].Name = k.name
+	points := make([]pairSpec, len(cfg.Overlaps))
+	for i, o := range cfg.Overlaps {
+		points[i] = pairSpec{x: o, seed: int64(o * 1e6), size: cfg.FixedSize, overlap: o}
 	}
-	for _, overlap := range cfg.Overlaps {
-		sums := make([]float64, len(kinds))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(overlap*1e6)))
-		for run := 0; run < cfg.Runs; run++ {
-			a, b, trueR := overlappingPair(rng, cfg.FixedSize, overlap)
-			for i, k := range kinds {
-				scfg := synopsis.Config{Kind: k.kind, Bits: cfg.Bits, Seed: 42}
-				sums[i] += resemblanceError(scfg, a, b, trueR)
-			}
-		}
-		for i := range kinds {
-			series[i].Points = append(series[i].Points, Point{X: overlap, Y: sums[i] / float64(cfg.Runs)})
-		}
-	}
-	return series
+	return sweep(cfg, fig2Variants(cfg), points)
 }
 
 // Fig2Hetero is the heterogeneous-lengths ablation (abl-hetero in
@@ -199,37 +191,12 @@ func Fig2Right(cfg Fig2Config) []Series {
 // compared against uniform short and uniform long vectors.
 func Fig2Hetero(cfg Fig2Config) []Series {
 	cfg.fillDefaults()
-	type variant struct {
-		name                string
-		bitsLeft, bitsRight int
+	mips := func(bits int) synopsis.Config {
+		return synopsis.Config{Kind: synopsis.KindMIPs, Bits: bits, Seed: 42}
 	}
-	variants := []variant{
-		{"MIPs 32/32", 1024, 1024},
-		{"MIPs 128/32", 4096, 1024},
-		{"MIPs 128/128", 4096, 4096},
-	}
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i].Name = v.name
-	}
-	for _, n := range cfg.Sizes {
-		sums := make([]float64, len(variants))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
-		for run := 0; run < cfg.Runs; run++ {
-			a, b, trueR := overlappingPair(rng, n, 1.0/3)
-			for i, v := range variants {
-				left := synopsis.Config{Kind: synopsis.KindMIPs, Bits: v.bitsLeft, Seed: 42}.FromIDs(a)
-				right := synopsis.Config{Kind: synopsis.KindMIPs, Bits: v.bitsRight, Seed: 42}.FromIDs(b)
-				est, err := left.Resemblance(right)
-				if err != nil {
-					panic(err)
-				}
-				sums[i] += math.Abs(est-trueR) / trueR
-			}
-		}
-		for i := range variants {
-			series[i].Points = append(series[i].Points, Point{X: float64(n), Y: sums[i] / float64(cfg.Runs)})
-		}
-	}
-	return series
+	return bySize(cfg, []variant{
+		{"MIPs 32/32", mips(1024), mips(1024)},
+		{"MIPs 128/32", mips(4096), mips(1024)},
+		{"MIPs 128/128", mips(4096), mips(4096)},
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"iqn/internal/core"
-	"iqn/internal/dataset"
-	"iqn/internal/ir"
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
 	"iqn/internal/transport"
@@ -15,34 +13,6 @@ import (
 // function of the number of queried peers, comparing CORI (quality-only)
 // against IQN with MIPs and Bloom-filter synopses at two lengths, on the
 // paper's two collection-assignment strategies.
-
-// Strategy selects how the corpus is spread over peers (Section 8.1).
-type Strategy struct {
-	// F and S activate the (F choose S) fragment-combination strategy.
-	F, S int
-	// Fragments, R and Offset activate the sliding-window strategy.
-	Fragments, R, Offset int
-}
-
-// assign builds the per-peer collections.
-func (s Strategy) assign(c *dataset.Corpus) ([]dataset.Collection, error) {
-	switch {
-	case s.F > 0:
-		return dataset.AssignChooseS(c, s.F, s.S), nil
-	case s.Fragments > 0:
-		return dataset.AssignSlidingWindow(c, s.Fragments, s.R, s.Offset), nil
-	default:
-		return nil, fmt.Errorf("eval: empty strategy")
-	}
-}
-
-// String names the strategy.
-func (s Strategy) String() string {
-	if s.F > 0 {
-		return fmt.Sprintf("(%d choose %d)", s.F, s.S)
-	}
-	return fmt.Sprintf("sliding(%d,r=%d,off=%d)", s.Fragments, s.R, s.Offset)
-}
 
 // SeriesSpec describes one curve: a routing method over a synopsis
 // deployment.
@@ -84,8 +54,6 @@ type Fig3Config struct {
 	Seed int64
 	// Series are the curves; default: the paper's five.
 	Series []SeriesSpec
-	// Replicas is the directory replication factor.
-	Replicas int
 }
 
 func (c *Fig3Config) fillDefaults() {
@@ -129,121 +97,73 @@ func PriorSeries() SeriesSpec {
 	return SeriesSpec{Name: "Prior(SIGIR05)", Method: minerva.MethodPrior, Kind: synopsis.KindBloom, Bits: 2048}
 }
 
-// deployKey identifies a reusable network deployment: series differing
-// only in routing method share one network.
-type deployKey struct {
-	kind            synopsis.Kind
-	bits            int
-	histCells       int
-	totalBudgetBits int
-	policy          core.BenefitPolicy
+// config is the deployment the curve's peers publish under.
+func (s SeriesSpec) config() minerva.Config {
+	return minerva.Config{
+		SynopsisKind:    s.Kind,
+		SynopsisBits:    s.Bits,
+		HistogramCells:  s.HistogramCells,
+		TotalBudgetBits: s.TotalBudgetBits,
+		BudgetPolicy:    s.BudgetPolicy,
+	}
+}
+
+// options is how the curve's queries are routed at a given peer budget.
+// The initiator's local result is merged in for every method
+// identically: the paper measures what the network contributes on top.
+func (s SeriesSpec) options(maxPeers int) minerva.SearchOptions {
+	return minerva.SearchOptions{
+		MaxPeers:      maxPeers,
+		Method:        s.Method,
+		Aggregation:   s.Aggregation,
+		Conjunctive:   s.Conjunctive,
+		UseHistograms: s.HistogramCells > 0,
+	}
 }
 
 // Fig3 runs the experiment and returns one recall curve per series,
-// micro-averaged over the query workload (total reference results found
-// over total reference results, per peer count).
+// micro-averaged over the query workload.
 func Fig3(cfg Fig3Config) ([]Series, error) {
 	cfg.fillDefaults()
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   cfg.CorpusDocs,
-		VocabSize: cfg.VocabSize,
-		Seed:      cfg.Seed,
-	})
-	cols, err := cfg.Strategy.assign(corpus)
+	tb, err := newTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: cfg.Queries, Seed: cfg.Seed})
-	networks := map[deployKey]*minerva.Network{}
+	return tb.curves(cfg.Series, cfg.PeerCounts)
+}
+
+// curves measures recall at every peer count for every series.
+func (tb *testbed) curves(specs []SeriesSpec, peerCounts []int) ([]Series, error) {
+	networks := map[SeriesSpec]*minerva.Network{}
 	defer func() {
 		for _, n := range networks {
 			n.Close()
 		}
 	}()
-	getNetwork := func(spec SeriesSpec) (*minerva.Network, error) {
-		key := deployKey{spec.Kind, spec.Bits, spec.HistogramCells, spec.TotalBudgetBits, spec.BudgetPolicy}
-		if n, ok := networks[key]; ok {
-			return n, nil
-		}
-		n, err := minerva.BuildNetwork(transport.NewInMem(), corpus, cols, minerva.Config{
-			SynopsisKind:    spec.Kind,
-			SynopsisBits:    spec.Bits,
-			SynopsisSeed:    uint64(cfg.Seed) + 99,
-			Replicas:        cfg.Replicas,
-			HistogramCells:  spec.HistogramCells,
-			TotalBudgetBits: spec.TotalBudgetBits,
-			BudgetPolicy:    spec.BudgetPolicy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		networks[key] = n
-		return n, nil
-	}
-	out := make([]Series, len(cfg.Series))
-	for si, spec := range cfg.Series {
-		net, err := getNetwork(spec)
-		if err != nil {
-			return nil, fmt.Errorf("eval: deploy %s: %w", spec.Name, err)
+	out := make([]Series, len(specs))
+	for si, spec := range specs {
+		// Series that differ only in how they route share one network.
+		published := spec
+		published.Name, published.Method, published.Aggregation, published.Conjunctive = "", 0, 0, false
+		net := networks[published]
+		if net == nil {
+			var err error
+			if net, err = tb.deploy(transport.NewInMem(), spec.config()); err != nil {
+				return nil, fmt.Errorf("eval: deploy %s: %w", spec.Name, err)
+			}
+			networks[published] = net
 		}
 		out[si].Name = spec.Name
-		for _, peers := range cfg.PeerCounts {
+		for _, peers := range peerCounts {
 			if peers > len(net.Peers) {
 				continue
 			}
-			var found, total int
-			for qi, q := range queries {
-				initiator := net.Peers[qi%len(net.Peers)]
-				ref := net.ReferenceTopK(q.Terms, cfg.K, spec.Conjunctive)
-				res, err := initiator.Search(q.Terms, minerva.SearchOptions{
-					K:             cfg.K,
-					MaxPeers:      peers,
-					Method:        spec.Method,
-					Aggregation:   spec.Aggregation,
-					Conjunctive:   spec.Conjunctive,
-					UseHistograms: spec.HistogramCells > 0,
-					// The paper measures what the network contributes:
-					// the initiator's local result is merged in for every
-					// method identically, so keep it.
-				})
-				if err != nil {
-					return nil, fmt.Errorf("eval: %s query %d: %w", spec.Name, q.ID, err)
-				}
-				got := map[uint64]struct{}{}
-				for _, r := range res.Results {
-					got[r.DocID] = struct{}{}
-				}
-				for _, r := range ref {
-					total++
-					if _, ok := got[r.DocID]; ok {
-						found++
-					}
-				}
-			}
-			recall := 0.0
-			if total > 0 {
-				recall = float64(found) / float64(total)
+			recall, err := tb.recall(net, net.Peers, spec.options(peers), nil)
+			if err != nil {
+				return nil, fmt.Errorf("eval: %s %w", spec.Name, err)
 			}
 			out[si].Points = append(out[si].Points, Point{X: float64(peers), Y: recall})
 		}
-	}
-	return out, nil
-}
-
-// ReferenceOnly returns the per-query reference result sizes (diagnostic
-// helper for the CLI).
-func ReferenceOnly(cfg Fig3Config) (map[int]int, error) {
-	cfg.fillDefaults()
-	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: cfg.CorpusDocs, VocabSize: cfg.VocabSize, Seed: cfg.Seed})
-	ref := ir.NewIndex()
-	for _, d := range corpus.Docs {
-		ref.AddDocument(d.ID, d.Terms)
-	}
-	ref.Finalize()
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: cfg.Queries, Seed: cfg.Seed})
-	out := map[int]int{}
-	for _, q := range queries {
-		out[q.ID] = len(ref.Search(q.Terms, cfg.K, ir.Disjunctive))
 	}
 	return out, nil
 }

@@ -3,8 +3,8 @@ package eval
 import (
 	"fmt"
 	"sort"
+	"strings"
 
-	"iqn/internal/dataset"
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
 	"iqn/internal/transport"
@@ -18,141 +18,83 @@ import (
 // top peers; IQN's novelty term naturally spreads plans across
 // complementary peers. This experiment quantifies that spread.
 
+// loadQueries is the workload size: load needs volume, whatever the
+// recall experiments use.
+const loadQueries = 50
+
+// loadSeries are the two routers compared on equal synopses.
+var loadSeries = []SeriesSpec{
+	{Name: "CORI", Method: minerva.MethodCORI, Kind: synopsis.KindMIPs, Bits: 2048},
+	{Name: "IQN MIPs 64", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs, Bits: 2048},
+}
+
 // LoadPoint is one method's load-distribution measurement over a
 // workload.
 type LoadPoint struct {
 	// Series names the method.
-	Series string
+	Series string `json:"series"`
 	// Total is the total number of forwarded queries served.
-	Total int64
+	Total int64 `json:"total"`
 	// Max is the busiest peer's load.
-	Max int64
+	Max int64 `json:"max"`
 	// P90 is the 90th-percentile per-peer load.
-	P90 int64
+	P90 int64 `json:"p90"`
 	// Imbalance is Max divided by the ideal per-peer share
 	// (Total/#peers): 1.0 is a perfect spread.
-	Imbalance float64
+	Imbalance float64 `json:"imbalance"`
 	// Recall is the micro-averaged recall, so spread isn't bought with
 	// result quality.
-	Recall float64
+	Recall float64 `json:"recall"`
 }
 
-// LoadConfig parameterizes the experiment.
-type LoadConfig struct {
-	// CorpusDocs, VocabSize, Strategy, K, Seed as in Fig3Config.
-	CorpusDocs, VocabSize int
-	Strategy              Strategy
-	K                     int
-	Seed                  int64
-	// Queries is the workload size (default 50 — load needs volume).
-	Queries int
-	// MaxPeers is the per-query routing budget (default 5).
-	MaxPeers int
-	// Series are the methods to compare (default CORI vs IQN MIPs 64).
-	Series []SeriesSpec
+// LoadResult holds one point per routing method.
+type LoadResult struct {
+	Points []LoadPoint `json:"load"`
 }
 
-// Load runs the workload under each method on a fresh deployment and
-// reports the load distribution.
-func Load(cfg LoadConfig) ([]LoadPoint, error) {
-	f3 := Fig3Config{
-		CorpusDocs: cfg.CorpusDocs,
-		VocabSize:  cfg.VocabSize,
-		Strategy:   cfg.Strategy,
-		K:          cfg.K,
-		Seed:       cfg.Seed,
-		Series:     cfg.Series,
-	}
-	f3.fillDefaults()
-	queriesN := cfg.Queries
-	if queriesN <= 0 {
-		queriesN = 50
-	}
-	maxPeers := cfg.MaxPeers
-	if maxPeers <= 0 {
-		maxPeers = 5
-	}
-	if len(cfg.Series) == 0 {
-		f3.Series = []SeriesSpec{
-			{Name: "CORI", Method: minerva.MethodCORI, Kind: synopsis.KindMIPs, Bits: 2048},
-			{Name: "IQN MIPs 64", Method: minerva.MethodIQN, Kind: synopsis.KindMIPs, Bits: 2048},
-		}
-	}
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   f3.CorpusDocs,
-		VocabSize: f3.VocabSize,
-		Seed:      f3.Seed,
-	})
-	cols, err := f3.Strategy.assign(corpus)
-	if err != nil {
-		return nil, err
-	}
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: queriesN, Seed: f3.Seed})
-	var out []LoadPoint
-	for _, spec := range f3.Series {
-		net, err := minerva.BuildNetwork(transport.NewInMem(), corpus, cols, minerva.Config{
-			SynopsisKind: spec.Kind,
-			SynopsisBits: spec.Bits,
-			SynopsisSeed: uint64(f3.Seed) + 99,
-		})
+// load runs the workload under each method on a fresh deployment and
+// reports how the forwarded queries spread over peers.
+func (tb *testbed) load(specs []SeriesSpec, maxPeers int) (*LoadResult, error) {
+	res := &LoadResult{}
+	for _, spec := range specs {
+		net, err := tb.deploy(transport.NewInMem(), spec.config())
 		if err != nil {
 			return nil, fmt.Errorf("eval: load deploy %s: %w", spec.Name, err)
 		}
-		var found, total int
-		for qi, q := range queries {
-			initiator := net.Peers[qi%len(net.Peers)]
-			ref := net.ReferenceTopK(q.Terms, f3.K, false)
-			res, err := initiator.Search(q.Terms, minerva.SearchOptions{
-				K: f3.K, MaxPeers: maxPeers, Method: spec.Method,
-			})
-			if err != nil {
-				net.Close()
-				return nil, fmt.Errorf("eval: load %s query %d: %w", spec.Name, q.ID, err)
-			}
-			got := map[uint64]struct{}{}
-			for _, r := range res.Results {
-				got[r.DocID] = struct{}{}
-			}
-			for _, r := range ref {
-				total++
-				if _, ok := got[r.DocID]; ok {
-					found++
-				}
-			}
+		recall, err := tb.recall(net, net.Peers, spec.options(maxPeers), nil)
+		loads := make([]int64, len(net.Peers))
+		for i, p := range net.Peers {
+			loads[i] = p.QueriesServed()
 		}
-		loads := make([]int64, 0, len(net.Peers))
-		var sum int64
-		for _, p := range net.Peers {
-			l := p.QueriesServed()
-			loads = append(loads, l)
-			sum += l
+		net.Close()
+		if err != nil {
+			return nil, fmt.Errorf("eval: load %s %w", spec.Name, err)
 		}
 		sort.Slice(loads, func(i, j int) bool { return loads[i] < loads[j] })
-		point := LoadPoint{Series: spec.Name, Total: sum}
-		if len(loads) > 0 {
-			point.Max = loads[len(loads)-1]
-			point.P90 = loads[(len(loads)*9)/10]
-			ideal := float64(sum) / float64(len(loads))
-			if ideal > 0 {
-				point.Imbalance = float64(point.Max) / ideal
-			}
+		point := LoadPoint{Series: spec.Name, Recall: recall}
+		for _, l := range loads {
+			point.Total += l
 		}
-		if total > 0 {
-			point.Recall = float64(found) / float64(total)
+		point.Max = loads[len(loads)-1]
+		point.P90 = loads[(len(loads)*9)/10]
+		if point.Total > 0 {
+			ideal := float64(point.Total) / float64(len(loads))
+			point.Imbalance = float64(point.Max) / ideal
 		}
-		out = append(out, point)
-		net.Close()
+		res.Points = append(res.Points, point)
 	}
-	return out, nil
+	return res, nil
 }
 
-// LoadTable renders load points as an aligned text table.
-func LoadTable(points []LoadPoint) string {
-	out := "# Per-peer load distribution (forwarded queries served)\n"
-	out += fmt.Sprintf("%-14s %8s %8s %8s %10s %8s\n", "series", "total", "max", "p90", "imbalance", "recall")
-	for _, p := range points {
-		out += fmt.Sprintf("%-14s %8d %8d %8d %10.2f %8.3f\n",
+// Table renders the load points as an aligned text table.
+func (r *LoadResult) Table() string {
+	var b strings.Builder
+	b.WriteString("# Per-peer load distribution (forwarded queries served)\n")
+	fmt.Fprintf(&b, "%-14s %8s %8s %8s %10s %8s\n", "series", "total", "max", "p90", "imbalance", "recall")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%-14s %8d %8d %8d %10.2f %8.3f\n",
 			p.Series, p.Total, p.Max, p.P90, p.Imbalance, p.Recall)
 	}
-	return out
+	b.WriteByte('\n')
+	return b.String()
 }

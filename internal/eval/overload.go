@@ -2,13 +2,11 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"iqn/internal/dataset"
 	"iqn/internal/directory"
 	"iqn/internal/ir"
 	"iqn/internal/minerva"
@@ -26,160 +24,88 @@ import (
 // distributions is what the overload layer buys; the reported-error and
 // budget-expiry counts show the degradation is loud, not silent.
 
+// The overload regime: how many peers straggle and by how much, the
+// hardened mode's deadline budget, hedge delay and admission limits,
+// and the load levels swept. Concurrency is what makes admission
+// control bite.
+const (
+	overloadQueries        = 40
+	overloadSlowPeers      = 2
+	overloadSlowDelay      = 50 * time.Millisecond
+	overloadBudget         = overloadSlowDelay / 5
+	overloadHedgeDelay     = overloadBudget / 4
+	overloadAdmissionLimit = 2
+	overloadAdmissionQueue = 1
+)
+
+var overloadConcurrencies = []int{2, 8, 16}
+
 // OverloadPoint is one (mode, load level) measurement over the full
 // workload.
 type OverloadPoint struct {
 	// Mode is "bare" or "hardened".
-	Mode string
+	Mode string `json:"mode"`
 	// Concurrency is the load level: how many initiators queried in
 	// parallel.
-	Concurrency int
-	// P50, P95, P99 are query wall-clock latency percentiles.
-	P50, P95, P99 time.Duration
+	Concurrency int `json:"concurrency"`
+	// P50Ms, P95Ms, P99Ms are query wall-clock latency percentiles in
+	// milliseconds.
+	P50Ms float64 `json:"p50Ms"`
+	P95Ms float64 `json:"p95Ms"`
+	P99Ms float64 `json:"p99Ms"`
 	// Recall is micro-averaged relative recall against the fault-free
 	// reference top-k.
-	Recall float64
+	Recall float64 `json:"recall"`
 	// Reported counts structured per-peer errors surfaced across the
 	// workload (every degraded query names what it lost).
-	Reported int
+	Reported int `json:"reported"`
 	// Rejected counts fast server-side ErrOverloaded rejects observed by
 	// callers — load shed by admission control rather than queued.
-	Rejected int
+	Rejected int `json:"rejected"`
 	// BudgetExpired counts queries that ran out of deadline budget and
 	// returned a merged partial top-k.
-	BudgetExpired int
+	BudgetExpired int `json:"budgetExpired"`
 }
 
-// OverloadConfig parameterizes the experiment.
-type OverloadConfig struct {
-	// CorpusDocs, VocabSize, Strategy, Queries, K, Seed as in Fig3Config.
-	CorpusDocs, VocabSize int
-	Strategy              Strategy
-	Queries               int
-	K                     int
-	Seed                  int64
-	// MaxPeers is the per-query routing budget (default 5).
-	MaxPeers int
-	// Replicas is the directory replication factor (default 3).
-	Replicas int
-	// Concurrency is the number of initiators querying in parallel
-	// (default 4). Concurrency is what makes admission control bite.
-	Concurrency int
-	// Concurrencies, non-empty, sweeps several load levels instead of
-	// the single Concurrency — the recall-vs-load curve.
-	Concurrencies []int
-	// SlowPeers is how many peers serve slowly (default 2).
-	SlowPeers int
-	// SlowDelay is the injected per-RPC serving latency on slow peers
-	// (default 50ms).
-	SlowDelay time.Duration
-	// Budget is the hardened mode's per-query deadline budget (default
-	// SlowDelay/5).
-	Budget time.Duration
-	// HedgeDelay is the hardened mode's directory hedge delay (default
-	// Budget/4).
-	HedgeDelay time.Duration
-	// AdmissionLimit and AdmissionQueue arm server-side admission
-	// control in hardened mode (defaults 4 and 4).
-	AdmissionLimit, AdmissionQueue int
+// OverloadResult holds one point per (load level, mode) pair, bare
+// before hardened within each level.
+type OverloadResult struct {
+	Points []OverloadPoint `json:"overload"`
 }
 
-func (cfg *OverloadConfig) fillDefaults() {
-	if cfg.MaxPeers <= 0 {
-		cfg.MaxPeers = 5
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 3
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
-	}
-	if cfg.SlowPeers <= 0 {
-		cfg.SlowPeers = 2
-	}
-	if cfg.SlowDelay <= 0 {
-		cfg.SlowDelay = 50 * time.Millisecond
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = cfg.SlowDelay / 5
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = cfg.Budget / 4
-	}
-	if cfg.AdmissionLimit <= 0 {
-		cfg.AdmissionLimit = 4
-	}
-	if cfg.AdmissionQueue <= 0 {
-		cfg.AdmissionQueue = 4
-	}
-	if len(cfg.Concurrencies) == 0 {
-		cfg.Concurrencies = []int{cfg.Concurrency}
-	}
-}
-
-// Overload runs the workload in both modes at every load level and
-// returns one point per (load level, mode) pair, bare before hardened
-// within each level. Injected delays are real sleeps: the latency
-// distributions are wall-clock measurements, while recall and the
-// error/reject accounting stay seed-deterministic.
-func Overload(cfg OverloadConfig) ([]OverloadPoint, error) {
-	cfg.fillDefaults()
-	f3 := Fig3Config{
-		CorpusDocs: cfg.CorpusDocs,
-		VocabSize:  cfg.VocabSize,
-		Strategy:   cfg.Strategy,
-		Queries:    cfg.Queries,
-		K:          cfg.K,
-		Seed:       cfg.Seed,
-	}
-	f3.fillDefaults()
-
-	corpus := dataset.Generate(dataset.CorpusConfig{
-		NumDocs:   f3.CorpusDocs,
-		VocabSize: f3.VocabSize,
-		Seed:      f3.Seed,
-	})
-	cols, err := f3.Strategy.assign(corpus)
-	if err != nil {
-		return nil, err
-	}
-	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: f3.Queries, Seed: f3.Seed})
-
-	points := make([]OverloadPoint, 0, 2*len(cfg.Concurrencies))
-	for _, conc := range cfg.Concurrencies {
+// overload runs the workload in both modes at every load level.
+// Injected delays are real sleeps, so the latency distributions are
+// wall-clock measurements — and so is which deadline fires first in
+// hardened mode: its recall and error accounting move a little from run
+// to run, unlike every other experiment's output.
+func (tb *testbed) overload(concurrencies []int) (*OverloadResult, error) {
+	res := &OverloadResult{}
+	for _, conc := range concurrencies {
 		for _, mode := range []string{"bare", "hardened"} {
-			mcfg := minerva.Config{
-				SynopsisSeed: uint64(f3.Seed) + 99,
-				Replicas:     cfg.Replicas,
-			}
-			if mode == "hardened" {
-				mcfg.HedgeDelay = cfg.HedgeDelay
-				mcfg.Breakers = &transport.BreakerConfig{
-					FailureThreshold: 2,
-					ProbeAfter:       8,
-					Seed:             f3.Seed,
-				}
-				mcfg.AdmissionLimit = cfg.AdmissionLimit
-				mcfg.AdmissionQueue = cfg.AdmissionQueue
-			}
-			point, err := overloadRun(mode, conc, corpus, cols, queries, f3, cfg, mcfg)
+			point, err := tb.overloadRun(mode, conc)
 			if err != nil {
 				return nil, err
 			}
-			points = append(points, point)
+			res.Points = append(res.Points, point)
 		}
 	}
-	return points, nil
+	return res, nil
 }
 
-func overloadRun(mode string, conc int, corpus *dataset.Corpus, cols []dataset.Collection,
-	queries []dataset.Query, f3 Fig3Config, cfg OverloadConfig, mcfg minerva.Config) (OverloadPoint, error) {
-
+func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
 	point := OverloadPoint{Mode: mode, Concurrency: conc}
-	faulty := transport.NewFaulty(transport.NewInMem(), f3.Seed)
+	hardened := mode == "hardened"
+	mcfg := minerva.Config{Replicas: systemsReplicas}
+	if hardened {
+		mcfg.HedgeDelay = overloadHedgeDelay
+		mcfg.Breakers = &transport.BreakerConfig{FailureThreshold: 2, ProbeAfter: 8, Seed: tb.seed}
+		mcfg.AdmissionLimit = overloadAdmissionLimit
+		mcfg.AdmissionQueue = overloadAdmissionQueue
+	}
 	// No SetSleep override: injected delays burn real wall time so the
 	// latency percentiles mean something.
-	net, err := minerva.BuildNetworkEndpoints(faulty, faulty.Endpoint, corpus, cols, mcfg)
+	faulty := transport.NewFaulty(transport.NewInMem(), tb.seed)
+	net, err := tb.deploy(faulty, mcfg)
 	if err != nil {
 		return point, fmt.Errorf("eval: overload %s: %w", mode, err)
 	}
@@ -187,132 +113,88 @@ func overloadRun(mode string, conc int, corpus *dataset.Corpus, cols []dataset.C
 
 	// Slow a deterministic subset of peers on their serving RPCs only
 	// (query + directory reads); ring maintenance traffic stays fast so
-	// the overlay itself is not the bottleneck under test.
-	rng := rand.New(rand.NewSource(f3.Seed + 1))
-	perm := rng.Perm(len(net.Peers))
-	slow := cfg.SlowPeers
-	if slow > len(net.Peers)-1 {
-		slow = len(net.Peers) - 1
-	}
-	slowed := map[string]bool{}
-	for _, idx := range perm[:slow] {
-		name := net.Peers[idx].Name()
-		slowed[name] = true
+	// the overlay itself is not the bottleneck under test. Initiators are
+	// the healthy peers; each worker owns one so per-link breaker state
+	// accumulates across its queries like a real client's.
+	slowed, initiators := tb.victims(net, min(overloadSlowPeers, len(net.Peers)-1))
+	for _, p := range slowed {
 		for _, m := range []string{minerva.MethodQuery, directory.MethodGet, directory.MethodGetBatch} {
-			faulty.AddRule(transport.Rule{To: name, Method: m, DelayProb: 1, Delay: cfg.SlowDelay})
+			faulty.AddRule(transport.Rule{To: p.Name(), Method: m, DelayProb: 1, Delay: overloadSlowDelay})
 		}
 	}
 
 	// Pre-compute fault-free references sequentially so reference work
 	// never pollutes the measured latencies.
-	refs := make([][]ir.Result, len(queries))
-	for qi, q := range queries {
-		refs[qi] = net.ReferenceTopK(q.Terms, f3.K, false)
+	refs := make([][]ir.Result, len(tb.queries))
+	for qi, q := range tb.queries {
+		refs[qi] = net.ReferenceTopK(q.Terms, tb.k, false)
 	}
-
-	// Initiators are healthy peers; each worker owns one so per-link
-	// breaker state accumulates across its queries like a real client's.
-	var initiators []*minerva.Peer
-	for _, p := range net.Peers {
-		if !slowed[p.Name()] {
-			initiators = append(initiators, p)
-		}
+	opts := minerva.SearchOptions{
+		K:        tb.k,
+		MaxPeers: systemsMaxPeers,
+		Retry:    transport.RetryPolicy{MaxAttempts: 2, Seed: tb.seed, Sleep: noSleep},
 	}
-	if len(initiators) == 0 {
-		return point, fmt.Errorf("eval: overload %s: every peer slowed", mode)
-	}
-	workers := conc
-	if workers > len(initiators) {
-		workers = len(initiators)
-	}
-
-	retry := transport.RetryPolicy{MaxAttempts: 2, Seed: f3.Seed, Sleep: func(time.Duration) {}}
-	opts := minerva.SearchOptions{K: f3.K, MaxPeers: cfg.MaxPeers, Retry: retry}
-	if mode == "hardened" {
-		opts.Budget = cfg.Budget
+	if hardened {
+		opts.Budget = overloadBudget
 	}
 
 	type outcome struct {
-		elapsed       time.Duration
-		found, total  int
-		reported      int
-		rejected      int
-		budgetExpired bool
-		err           error
+		elapsed time.Duration
+		res     *minerva.SearchResult
+		err     error
 	}
-	outcomes := make([]outcome, len(queries))
+	outcomes := make([]outcome, len(tb.queries))
+	workers := min(conc, len(initiators))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			initiator := initiators[w%len(initiators)]
-			for qi := w; qi < len(queries); qi += workers {
-				q := queries[qi]
+			initiator := initiators[w]
+			for qi := w; qi < len(tb.queries); qi += workers {
+				out := &outcomes[qi]
 				start := time.Now()
-				res, serr := initiator.Search(q.Terms, opts)
-				out := outcome{elapsed: time.Since(start)}
-				if serr != nil {
-					out.err = fmt.Errorf("eval: overload %s query %d: %w", mode, q.ID, serr)
-					outcomes[qi] = out
-					continue
-				}
-				out.reported = len(res.Errors)
-				for _, pe := range res.Errors {
-					if strings.Contains(pe.Err, "overloaded") {
-						out.rejected++
-					}
-				}
-				for _, re := range res.Directory.Errors {
-					out.reported++
-					if strings.Contains(re.Err, "overloaded") {
-						out.rejected++
-					}
-				}
-				out.budgetExpired = res.BudgetExpired
-				got := map[uint64]struct{}{}
-				for _, r := range res.Results {
-					got[r.DocID] = struct{}{}
-				}
-				for _, r := range refs[qi] {
-					out.total++
-					if _, ok := got[r.DocID]; ok {
-						out.found++
-					}
-				}
-				outcomes[qi] = out
+				out.res, out.err = initiator.Search(tb.queries[qi].Terms, opts)
+				out.elapsed = time.Since(start)
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	lats := make([]time.Duration, 0, len(outcomes))
-	var found, total int
-	for _, out := range outcomes {
+	var t tally
+	for qi, out := range outcomes {
 		if out.err != nil {
-			return point, out.err
+			return point, fmt.Errorf("eval: overload %s query %d: %w", mode, tb.queries[qi].ID, out.err)
 		}
 		lats = append(lats, out.elapsed)
-		found += out.found
-		total += out.total
-		point.Reported += out.reported
-		point.Rejected += out.rejected
-		if out.budgetExpired {
+		t.add(out.res.Results, refs[qi])
+		point.Reported += len(out.res.Errors) + len(out.res.Directory.Errors)
+		for _, pe := range out.res.Errors {
+			if strings.Contains(pe.Err, "overloaded") {
+				point.Rejected++
+			}
+		}
+		for _, re := range out.res.Directory.Errors {
+			if strings.Contains(re.Err, "overloaded") {
+				point.Rejected++
+			}
+		}
+		if out.res.BudgetExpired {
 			point.BudgetExpired++
 		}
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	point.P50 = percentile(lats, 50)
-	point.P95 = percentile(lats, 95)
-	point.P99 = percentile(lats, 99)
-	if total > 0 {
-		point.Recall = float64(found) / float64(total)
-	}
+	point.P50Ms = percentileMs(lats, 50)
+	point.P95Ms = percentileMs(lats, 95)
+	point.P99Ms = percentileMs(lats, 99)
+	point.Recall = t.recall()
 	return point, nil
 }
 
-// percentile returns the nearest-rank percentile of sorted latencies.
-func percentile(sorted []time.Duration, p int) time.Duration {
+// percentileMs returns the nearest-rank percentile of sorted latencies,
+// in milliseconds.
+func percentileMs(sorted []time.Duration, p int) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -323,18 +205,22 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	if idx > len(sorted) {
 		idx = len(sorted)
 	}
-	return sorted[idx-1]
+	return float64(sorted[idx-1]) / float64(time.Millisecond)
 }
 
-// OverloadTable renders the two modes as an aligned text table.
-func OverloadTable(points []OverloadPoint) string {
+// Table renders the two modes per load level as an aligned text table.
+func (r *OverloadResult) Table() string {
+	ms := func(v float64) time.Duration {
+		return time.Duration(v * float64(time.Millisecond)).Round(time.Millisecond)
+	}
 	var b strings.Builder
+	b.WriteString("# Overload: tail latency and recall, bare vs hardened (budgets + hedging + breakers + admission control)\n")
 	fmt.Fprintf(&b, "%-6s %-10s %-10s %-10s %-10s %-8s %-10s %-10s %s\n",
 		"conc", "mode", "p50", "p95", "p99", "recall", "reported", "rejected", "budget-expired")
-	for _, p := range points {
+	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-6d %-10s %-10s %-10s %-10s %-8.3f %-10d %-10d %d\n",
-			p.Concurrency, p.Mode, p.P50.Round(time.Millisecond), p.P95.Round(time.Millisecond),
-			p.P99.Round(time.Millisecond), p.Recall, p.Reported, p.Rejected, p.BudgetExpired)
+			p.Concurrency, p.Mode, ms(p.P50Ms), ms(p.P95Ms), ms(p.P99Ms),
+			p.Recall, p.Reported, p.Rejected, p.BudgetExpired)
 	}
 	return b.String()
 }

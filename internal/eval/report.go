@@ -1,7 +1,9 @@
 // Package eval is the experiment harness: it regenerates every figure of
 // the paper's evaluation (Figure 2, Section 3.3; Figure 3, Section 8.2)
-// plus the ablations DESIGN.md calls out, as data series rendered to
-// aligned text tables and CSV.
+// plus the ablations and systems experiments DESIGN.md calls out. Every
+// experiment is one entry of the Experiments registry, runs on one
+// shared testbed (testbed.go), and returns a Result that renders itself
+// as a text table and as JSON.
 package eval
 
 import (
@@ -14,15 +16,56 @@ import (
 // size, overlap fraction, number of queried peers), Y the measured value
 // (relative error, relative recall).
 type Point struct {
-	X, Y float64
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
 }
 
 // Series is one labelled curve of a figure.
 type Series struct {
 	// Name labels the curve (e.g. "MIPs 64", "CORI").
-	Name string
+	Name string `json:"name"`
 	// Points are the measurements, ordered by X.
-	Points []Point
+	Points []Point `json:"points"`
+}
+
+// Curves is the Result of a figure-style experiment: labelled series
+// over a shared X axis. The labels come from the registry entry.
+type Curves struct {
+	Title          string   `json:"-"`
+	XLabel, YLabel string   `json:"-"`
+	XFmt           string   `json:"-"`
+	Series         []Series `json:"series"`
+}
+
+// Table renders the curves as an aligned text table.
+func (c *Curves) Table() string {
+	return Table(c.Title, c.XLabel, c.Series, c.XFmt, "%.3f") + "\n"
+}
+
+// CSV renders the curves as comma-separated rows under a title comment.
+func (c *Curves) CSV() string {
+	return fmt.Sprintf("# %s\n%s\n", c.Title, CSV(c.XLabel, c.Series))
+}
+
+// SVG renders the curves as a line chart.
+func (c *Curves) SVG() string {
+	return SVG(c.Series, SVGOptions{Title: c.Title, XLabel: c.XLabel, YLabel: c.YLabel})
+}
+
+// xValues returns the sorted union of the series' X values.
+func xValues(series []Series) []float64 {
+	seen := map[float64]struct{}{}
+	for _, s := range series {
+		for _, p := range s.Points {
+			seen[p.X] = struct{}{}
+		}
+	}
+	xs := make([]float64, 0, len(seen))
+	for x := range seen {
+		xs = append(xs, x)
+	}
+	sort.Float64s(xs)
+	return xs
 }
 
 // Table renders series sharing the same X values as an aligned text
@@ -30,19 +73,6 @@ type Series struct {
 func Table(title, xlabel string, series []Series, xfmt, yfmt string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# %s\n", title)
-	// Collect the union of X values.
-	xsSeen := map[float64]struct{}{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			xsSeen[p.X] = struct{}{}
-		}
-	}
-	xs := make([]float64, 0, len(xsSeen))
-	for x := range xsSeen {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	// Header.
 	widths := make([]int, len(series)+1)
 	header := make([]string, len(series)+1)
 	header[0] = xlabel
@@ -50,16 +80,13 @@ func Table(title, xlabel string, series []Series, xfmt, yfmt string) string {
 		header[i+1] = s.Name
 	}
 	rows := [][]string{header}
-	for _, x := range xs {
+	for _, x := range xValues(series) {
 		row := make([]string, len(series)+1)
 		row[0] = fmt.Sprintf(xfmt, x)
-		for i, s := range series {
+		for i := range series {
 			row[i+1] = "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					row[i+1] = fmt.Sprintf(yfmt, p.Y)
-					break
-				}
+			if y, ok := series[i].YAt(x); ok {
+				row[i+1] = fmt.Sprintf(yfmt, y)
 			}
 		}
 		rows = append(rows, row)
@@ -93,29 +120,13 @@ func CSV(xlabel string, series []Series) string {
 		sb.WriteString(strings.ReplaceAll(s.Name, ",", ";"))
 	}
 	sb.WriteByte('\n')
-	xsSeen := map[float64]struct{}{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			xsSeen[p.X] = struct{}{}
-		}
-	}
-	xs := make([]float64, 0, len(xsSeen))
-	for x := range xsSeen {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	for _, x := range xs {
+	for _, x := range xValues(series) {
 		fmt.Fprintf(&sb, "%g", x)
-		for _, s := range series {
-			val := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					val = fmt.Sprintf("%g", p.Y)
-					break
-				}
-			}
+		for i := range series {
 			sb.WriteByte(',')
-			sb.WriteString(val)
+			if y, ok := series[i].YAt(x); ok {
+				fmt.Fprintf(&sb, "%g", y)
+			}
 		}
 		sb.WriteByte('\n')
 	}

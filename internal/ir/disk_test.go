@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"iqn/internal/dataset"
@@ -246,8 +247,8 @@ func TestDiskIndexEmptyCorpus(t *testing.T) {
 }
 
 // TestDiskIndexAccessors covers the small introspection surface: Path,
-// AllDocIDs (sorted, matches the source), and format auto-detection on
-// disk indexes, gob snapshots, and garbage.
+// AllDocIDs (sorted, matches the source), and the refusal of files that
+// are not IQDX.
 func TestDiskIndexAccessors(t *testing.T) {
 	mem, corpus := buildMem(t, 80, 9, ScoringTFIDF)
 	dir := t.TempDir()
@@ -272,25 +273,22 @@ func TestDiskIndexAccessors(t *testing.T) {
 		t.Fatal("AllDocIDs not sorted")
 	}
 
-	if !IsDiskIndex(path) {
-		t.Fatal("disk index not detected")
+	// Anything that does not start with the IQDX magic is refused by
+	// name, whatever its length.
+	for name, content := range map[string][]byte{
+		"tiny":    {1, 2},
+		"garbage": []byte(strings.Repeat("x", 100)),
+	} {
+		other := filepath.Join(dir, name)
+		if err := os.WriteFile(other, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDisk(other); err == nil || !strings.Contains(err.Error(), "not an IQDX index") {
+			t.Fatalf("OpenDisk(%s) error = %v, want not-an-IQDX-index", name, err)
+		}
 	}
-	gobPath := filepath.Join(dir, "snap.gob")
-	if err := mem.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	if IsDiskIndex(gobPath) {
-		t.Fatal("gob snapshot misdetected as disk index")
-	}
-	if IsDiskIndex(filepath.Join(dir, "missing")) {
-		t.Fatal("missing file misdetected as disk index")
-	}
-	tiny := filepath.Join(dir, "tiny")
-	if err := os.WriteFile(tiny, []byte{1, 2}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if IsDiskIndex(tiny) {
-		t.Fatal("two-byte file misdetected as disk index")
+	if _, err := OpenDisk(filepath.Join(dir, "missing")); err == nil || strings.Contains(err.Error(), "IQDX") {
+		t.Fatalf("OpenDisk(missing) error = %v, want a plain open error", err)
 	}
 }
 

@@ -33,20 +33,6 @@ type DiskIndex struct {
 	syn     *synReader // nil when no synopsis side file exists
 }
 
-// IsDiskIndex reports whether the file at path starts with the on-disk
-// index magic — the cheap sniff callers use to choose between OpenDisk
-// (out-of-core reader) and LoadFile (materializing snapshot loader).
-func IsDiskIndex(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [len(diskMagic)]byte
-	n, _ := f.ReadAt(magic[:], 0)
-	return n == len(diskMagic) && string(magic[:]) == diskMagic
-}
-
 // OpenDisk opens an on-disk index written by DiskWriter (directly or
 // through the buildix pipeline), verifies its checksum, and loads the
 // dictionary and document list. A synopsis side file at path+".syn" is
@@ -71,6 +57,10 @@ func OpenDisk(path string) (*DiskIndex, error) {
 }
 
 func openDisk(f *os.File, path string) (*DiskIndex, error) {
+	var magic [len(diskMagic)]byte
+	if n, _ := f.ReadAt(magic[:], 0); n < len(magic) || string(magic[:]) != diskMagic {
+		return nil, fmt.Errorf("ir: disk index %s: not an IQDX index: re-index and save again", path)
+	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("ir: disk index %s: %w", path, err)
@@ -105,16 +95,12 @@ func openDisk(f *os.File, path string) (*DiskIndex, error) {
 		return nil, fmt.Errorf("ir: disk index %s: checksum mismatch (corrupt or truncated)", path)
 	}
 
-	// Header.
-	head := make([]byte, len(diskMagic)+binary.MaxVarintLen64)
-	if _, err := f.ReadAt(head[:len(diskMagic)+1], 0); err != nil {
+	var version [1]byte
+	if _, err := f.ReadAt(version[:], int64(len(diskMagic))); err != nil {
 		return nil, fmt.Errorf("ir: disk index %s: read header: %w", path, err)
 	}
-	if string(head[:len(diskMagic)]) != diskMagic {
-		return nil, fmt.Errorf("ir: disk index %s: bad magic", path)
-	}
-	if v := head[len(diskMagic)]; v != diskVersion {
-		return nil, fmt.Errorf("ir: disk index %s: version %d, want %d", path, v, diskVersion)
+	if version[0] != diskVersion {
+		return nil, fmt.Errorf("ir: disk index %s: version %d, want %d", path, version[0], diskVersion)
 	}
 
 	x := &DiskIndex{f: f, path: path, scoring: scoring, dict: map[string]diskDictEntry{}}
@@ -308,8 +294,7 @@ func (x *DiskIndex) Search(terms []string, k int, mode Mode) []Result {
 // AllDocIDs returns the sorted document-ID list (shared; do not modify).
 func (x *DiskIndex) AllDocIDs() []uint64 { return x.docIDs }
 
-// Materialize loads the whole index into an in-memory *Index — the
-// bridge for callers that need the mutable/gob-snapshot form. The
+// Materialize loads the whole index into an in-memory *Index. The
 // result is finalized and query-identical to the disk reader.
 func (x *DiskIndex) Materialize() *Index {
 	m := &Index{

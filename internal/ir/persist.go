@@ -1,190 +1,25 @@
 package ir
 
-import (
-	"bufio"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-)
+// This file is the in-memory index's snapshot seam, so a peer can
+// restart without re-indexing its crawl. There is one snapshot format:
+// the IQDX on-disk index (diskformat.go) — written through a temp file,
+// fsynced, renamed into place, and guarded by a crc32c footer, so a
+// truncated or bit-flipped file fails loudly at load instead of
+// silently feeding a corrupt index into queries.
 
-// This file implements index snapshots, so a peer can restart without
-// re-indexing its crawl: WriteSnapshot/ReadSnapshot stream a finalized
-// index as a gob-encoded snapshot, and SaveFile/LoadFile wrap them with
-// atomic file handling (write to a temp file, then rename) plus a
-// checksum trailer — a truncated or bit-flipped snapshot fails loudly
-// at load instead of silently feeding a corrupt index into queries.
-// LoadFile also auto-detects the on-disk index format written by the
-// external-memory build pipeline and materializes it.
-
-// snapshotVersion guards the snapshot layout. Version 2 added the
-// checksum trailer; version-1 files (pre-trailer) are rejected with a
-// clear error — re-index or re-save to upgrade.
-const snapshotVersion = 2
-
-// snapTrailerMagic terminates a checksummed snapshot file. The trailer
-// is: uint32 crc32c(payload) | uint64 len(payload) | 8-byte magic.
-const snapTrailerMagic = "IQSNAP\x00\x02"
-
-// snapTrailerLen is the byte length of the checksum trailer.
-const snapTrailerLen = 4 + 8 + 8
-
-// indexSnapshot is the serialized form of a finalized index.
-type indexSnapshot struct {
-	Version  int
-	Scoring  Scoring
-	Postings map[string][]Posting
-	DocLen   map[uint64]int
-	Docs     []uint64
-}
-
-// WriteSnapshot streams a snapshot of a finalized index (named to avoid
-// colliding with io.WriterTo's signature — gob writes directly and byte
-// counts are not tracked). Panics if the index is not finalized. The
-// stream carries no checksum; SaveFile adds the trailer.
-func (x *Index) WriteSnapshot(w io.Writer) error {
-	x.mustFinal()
-	snap := indexSnapshot{
-		Version:  snapshotVersion,
-		Scoring:  x.scoring,
-		Postings: x.postings,
-		DocLen:   x.docLen,
-		Docs:     make([]uint64, 0, len(x.docs)),
-	}
-	for d := range x.docs {
-		snap.Docs = append(snap.Docs, d)
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("ir: encode snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadSnapshot reconstructs a finalized index from a snapshot stream.
-func ReadSnapshot(r io.Reader) (*Index, error) {
-	var snap indexSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("ir: decode snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("ir: snapshot version %d unsupported (current %d): re-index and save again",
-			snap.Version, snapshotVersion)
-	}
-	x := &Index{
-		postings:  snap.Postings,
-		docLen:    snap.DocLen,
-		docs:      make(map[uint64]struct{}, len(snap.Docs)),
-		scoring:   snap.Scoring,
-		finalized: true,
-	}
-	if x.postings == nil {
-		x.postings = map[string][]Posting{}
-	}
-	if x.docLen == nil {
-		x.docLen = map[uint64]int{}
-	}
-	for _, d := range snap.Docs {
-		x.docs[d] = struct{}{}
-	}
-	return x, nil
-}
-
-// SaveFile writes the index snapshot atomically: to path+".tmp" first,
-// with a checksum trailer appended, fsynced, then renamed over path.
+// SaveFile writes the finalized index to path as an IQDX file. Panics
+// if the index is not finalized.
 func (x *Index) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ir: save: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	cw := newCRCWriter(bw)
-	if err := x.WriteSnapshot(cw); err != nil {
-		return fail(err)
-	}
-	var trailer [snapTrailerLen]byte
-	binary.BigEndian.PutUint32(trailer[0:], cw.crc.Sum32())
-	binary.BigEndian.PutUint64(trailer[4:], uint64(cw.n))
-	copy(trailer[12:], snapTrailerMagic)
-	if _, err := bw.Write(trailer[:]); err != nil {
-		return fail(fmt.Errorf("ir: save: %w", err))
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("ir: save: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("ir: save: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ir: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ir: save: %w", err)
-	}
-	return nil
+	return WriteDiskIndex(x, path)
 }
 
-// LoadFile reads an index from disk. It accepts either format:
-//
-//   - a gob snapshot written by SaveFile — the checksum trailer is
-//     verified before decoding, so truncation and corruption fail with
-//     a clear error instead of a half-decoded index;
-//   - an on-disk index written by DiskWriter/buildix (auto-detected by
-//     magic), which is materialized into memory. Callers that want the
-//     out-of-core reader should use OpenDisk instead.
+// LoadFile reads an IQDX file fully into memory; any other file is
+// rejected. Callers that want the out-of-core reader use OpenDisk.
 func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
+	d, err := OpenDisk(path)
 	if err != nil {
-		return nil, fmt.Errorf("ir: load: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-
-	var magic [len(diskMagic)]byte
-	if n, _ := f.ReadAt(magic[:], 0); n == len(diskMagic) && string(magic[:]) == diskMagic {
-		d, err := OpenDisk(path)
-		if err != nil {
-			return nil, err
-		}
-		defer d.Close()
-		return d.Materialize(), nil
-	}
-
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("ir: load: %w", err)
-	}
-	size := st.Size()
-	if size < snapTrailerLen {
-		return nil, fmt.Errorf("ir: load %s: file too short for a checksummed snapshot (%d bytes): truncated, or a pre-v2 snapshot — re-index and save again", path, size)
-	}
-	var trailer [snapTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-snapTrailerLen); err != nil {
-		return nil, fmt.Errorf("ir: load %s: read trailer: %w", path, err)
-	}
-	if string(trailer[12:]) != snapTrailerMagic {
-		return nil, fmt.Errorf("ir: load %s: missing checksum trailer: snapshot is truncated or predates v2 — re-index and save again", path)
-	}
-	wantCRC := binary.BigEndian.Uint32(trailer[0:])
-	wantLen := binary.BigEndian.Uint64(trailer[4:])
-	payload := size - snapTrailerLen
-	if uint64(payload) != wantLen {
-		return nil, fmt.Errorf("ir: load %s: snapshot truncated: trailer records %d payload bytes, file has %d", path, wantLen, payload)
-	}
-	crc := crc32.New(castagnoli)
-	if _, err := io.Copy(crc, io.NewSectionReader(f, 0, payload)); err != nil {
-		return nil, fmt.Errorf("ir: load %s: checksum read: %w", path, err)
-	}
-	if crc.Sum32() != wantCRC {
-		return nil, fmt.Errorf("ir: load %s: checksum mismatch: snapshot is corrupt", path)
-	}
-	return ReadSnapshot(bufio.NewReader(io.NewSectionReader(f, 0, payload)))
+	defer d.Close()
+	return d.Materialize(), nil
 }

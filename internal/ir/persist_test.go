@@ -1,8 +1,6 @@
 package ir
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,11 +19,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	x.Finalize()
 
-	var buf bytes.Buffer
-	if err := x.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "index.iqdx")
+	if err := x.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +49,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.snap")
+	path := filepath.Join(dir, "index.iqdx")
 	x := NewIndex()
 	x.AddText(1, "forest fire safety")
 	x.AddText(2, "pest control")
@@ -76,27 +74,21 @@ func TestLoadFileErrors(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("loading a missing file succeeded")
 	}
-	// Garbage too short for any trailer fails cleanly.
+	// Anything that is not IQDX, short or long, is refused by name.
 	path := filepath.Join(t.TempDir(), "garbage")
-	if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("garbage load error = %v", err)
-	}
-	// Garbage long enough to be trailer-sized but without the magic is
-	// reported as pre-v2 or truncated.
-	if err := os.WriteFile(path, []byte(strings.Repeat("x", 100)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "checksum trailer") {
-		t.Fatalf("trailerless load error = %v", err)
+	for _, content := range []string{"x", "not a snapshot", strings.Repeat("x", 100)} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "not an IQDX index") {
+			t.Fatalf("%d-byte garbage load error = %v", len(content), err)
+		}
 	}
 }
 
 func TestChecksumDetectsTruncationAndCorruption(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.snap")
+	path := filepath.Join(dir, "index.iqdx")
 	x := NewIndex()
 	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: 120, Seed: 4})
 	for _, d := range corpus.Docs {
@@ -113,44 +105,45 @@ func TestChecksumDetectsTruncationAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncation: drop bytes from the middle of the payload (the trailer
-	// magic survives, so only the length/CRC checks can catch it).
-	cut := append(append([]byte(nil), data[:len(data)/2]...), data[len(data)/2+8:]...)
-	if err := os.WriteFile(path, cut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("truncated load error = %v", err)
-	}
-	// Corruption: flip one payload byte; length matches, CRC must not.
-	flip := append([]byte(nil), data...)
-	flip[len(flip)/3] ^= 0xff
-	if err := os.WriteFile(path, flip, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("corrupt load error = %v", err)
+	for name, damaged := range map[string][]byte{
+		// The tail is gone: no footer to trust.
+		"cut tail": data[:len(data)-10],
+		// Bytes dropped from the middle: the footer survives, so only
+		// the offset and CRC checks can catch it.
+		"cut middle": append(append([]byte(nil), data[:len(data)/2]...), data[len(data)/2+8:]...),
+		// One payload bit-flip: every length matches, the CRC must not.
+		"bit flip": func() []byte {
+			flip := append([]byte(nil), data...)
+			flip[len(flip)/3] ^= 0xff
+			return flip
+		}(),
+	} {
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFile(path)
+		if err == nil {
+			t.Fatalf("%s: damaged snapshot loaded", name)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "truncated") && !strings.Contains(msg, "corrupt") {
+			t.Fatalf("%s: load error %q names neither truncation nor corruption", name, msg)
+		}
 	}
 }
 
+// TestOldSnapshotVersionRejected feeds LoadFile a file shaped like the
+// retired gob snapshot (opaque payload, IQSNAP trailer): it is refused
+// with the re-index hint, not half-decoded.
 func TestOldSnapshotVersionRejected(t *testing.T) {
-	// A version-1 stream decodes but is refused with a clear error.
-	var buf bytes.Buffer
-	x := NewIndex()
-	x.AddText(1, "forest fire")
-	x.Finalize()
-	if err := x.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "old.snap")
+	old := append([]byte(strings.Repeat("\x2a\xff\x81", 40)), "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x78IQSNAP\x00\x02"...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Re-encode with the old version number.
-	old := indexSnapshot{Version: 1, Postings: x.postings, Docs: []uint64{1}}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadSnapshot(&buf)
-	if err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
-		t.Fatalf("old version error = %v", err)
+	_, err := LoadFile(path)
+	if err == nil || !strings.Contains(err.Error(), "not an IQDX index: re-index and save again") {
+		t.Fatalf("old snapshot error = %v", err)
 	}
 }
 
@@ -187,5 +180,9 @@ func TestLoadFileAutoDetectsDiskIndex(t *testing.T) {
 func TestWriteToRequiresFinalized(t *testing.T) {
 	x := NewIndex()
 	x.AddText(1, "a b")
-	mustPanic(t, func() { _ = x.WriteSnapshot(&bytes.Buffer{}) })
+	path := filepath.Join(t.TempDir(), "index.iqdx")
+	mustPanic(t, func() { _ = x.SaveFile(path) })
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("unfinalized save left a file behind: %v", err)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"iqn/internal/ir"
 	"iqn/internal/telemetry"
 )
 
@@ -160,8 +159,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // SaveIndex persists the peer's local index to a file so a restart can
-// skip re-indexing. An in-memory index writes a checksummed snapshot
-// (ir.SaveFile); a disk-backed index copies its on-disk files.
+// skip re-indexing. Either way the file is an IQDX index: an in-memory
+// index writes one (ir.SaveFile), a disk-backed index copies its
+// on-disk files.
 func (p *Peer) SaveIndex(path string) error {
 	idx := p.Index()
 	if idx == nil {
@@ -174,19 +174,9 @@ func (p *Peer) SaveIndex(path string) error {
 	return saver.SaveFile(path)
 }
 
-// LoadIndex restores a persisted index. The format is auto-detected:
-// an out-of-core index built by the buildix pipeline is mounted
-// disk-backed (see LoadDiskIndex), a gob snapshot written by SaveIndex
-// is loaded into memory. The peer still needs to PublishPosts
-// afterwards to re-enter directories.
+// LoadIndex restores an index persisted by SaveIndex or built by the
+// buildix pipeline, mounting it disk-backed (see LoadDiskIndex). The
+// peer still needs to PublishPosts afterwards to re-enter directories.
 func (p *Peer) LoadIndex(path string) error {
-	if ir.IsDiskIndex(path) {
-		return p.LoadDiskIndex(path)
-	}
-	idx, err := ir.LoadFile(path)
-	if err != nil {
-		return err
-	}
-	p.snap.Store(newIndexSnapshot(idx))
-	return nil
+	return p.LoadDiskIndex(path)
 }

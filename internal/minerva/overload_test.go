@@ -192,7 +192,7 @@ func TestExecuteBudgetExpiredBeforeForwarding(t *testing.T) {
 	net, _, queries := buildTestNetwork(t, Config{SynopsisSeed: 7})
 	p := net.Peers[0]
 	terms := queries[0].Terms
-	lists, _, err := p.dir.FetchAllReport(terms, 0)
+	lists, _, err := p.dir.FetchAllReportOpts(terms, 0, directory.FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
