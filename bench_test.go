@@ -10,7 +10,6 @@ package iqn
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"iqn/internal/chord"
@@ -20,7 +19,6 @@ import (
 	"iqn/internal/eval"
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
-	"iqn/internal/topk"
 	"iqn/internal/transport"
 )
 
@@ -373,27 +371,9 @@ func BenchmarkDirectoryPublish(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.Publish(posts); err != nil {
+		if _, err := client.Publish(posts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTopKSelect measures threshold-algorithm PeerList trimming
-// against 5 lists of 1000 peers.
-func BenchmarkTopKSelect(b *testing.B) {
-	b.ReportAllocs()
-	lists := make([][]topk.Item, 5)
-	for li := range lists {
-		l := make([]topk.Item, 1000)
-		for i := range l {
-			l[i] = topk.Item{Key: fmt.Sprintf("peer-%04d", (i*7+li*13)%1000), Score: float64(1000 - i)}
-		}
-		lists[li] = l
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topk.Select(lists, 10)
 	}
 }
 
@@ -438,121 +418,6 @@ func BenchmarkCompressBloom(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(plain))/float64(len(compressed)), "ratio")
-}
-
-// BenchmarkApproxTopK measures the KLEE-style aggregation against the
-// exact threshold algorithm's input (5 lists of 1000 peers, 40-entry
-// prefixes).
-func BenchmarkApproxTopK(b *testing.B) {
-	b.ReportAllocs()
-	lists := make([][]topk.Item, 5)
-	for li := range lists {
-		l := make([]topk.Item, 1000)
-		for i := range l {
-			l[i] = topk.Item{Key: fmt.Sprintf("peer-%04d", (i*7+li*13)%1000), Score: float64(1000 - i)}
-		}
-		lists[li] = l
-	}
-	sums := make([]topk.ListSummary, len(lists))
-	for i, l := range lists {
-		sums[i] = topk.Summarize(l, 40, 8)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topk.ApproxSelect(sums, 10, 1000)
-	}
-}
-
-// BenchmarkCorrelationMatrix measures the future-work term-correlation
-// estimation over a 4-term candidate.
-func BenchmarkCorrelationMatrix(b *testing.B) {
-	b.ReportAllocs()
-	cfg := synopsis.Config{Kind: synopsis.KindMIPs, Bits: 2048, Seed: 5}
-	c := core.Candidate{
-		Peer:              "p",
-		TermSynopses:      map[string]synopsis.Set{},
-		TermCardinalities: map[string]float64{},
-	}
-	terms := []string{"a", "b", "c", "d"}
-	for ti, t := range terms {
-		ids := make([]uint64, 800)
-		for i := range ids {
-			ids[i] = uint64(ti*300 + i)
-		}
-		c.TermSynopses[t] = cfg.FromIDs(ids)
-		c.TermCardinalities[t] = 800
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.CorrelationMatrix(c, terms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Fast-IQN: lazy vs exhaustive selection ---------------------------
-
-// routeBenchInput builds n candidates with overlapping two-term MIPs
-// synopses at the paper's 2048-bit budget — the workload of the Fast-IQN
-// acceptance comparison.
-func routeBenchInput(n int) (core.Query, []core.Candidate) {
-	cfg := synopsis.Config{Kind: synopsis.KindMIPs, Bits: 2048, Seed: 3}
-	terms := []string{"a", "b"}
-	cands := make([]core.Candidate, 0, n)
-	for p := 0; p < n; p++ {
-		c := core.Candidate{
-			Peer:              core.PeerID(fmt.Sprintf("p%05d", p)),
-			Quality:           0.4 + float64(p%7)*0.05,
-			TermSynopses:      map[string]synopsis.Set{},
-			TermCardinalities: map[string]float64{},
-		}
-		for ti, t := range terms {
-			ids := make([]uint64, 200)
-			for i := range ids {
-				// Ranges overlap across peers; the two terms' ID spaces are
-				// disjoint, as distinct keywords' posting lists mostly are.
-				ids[i] = uint64(ti*1000000 + p*40 + i)
-			}
-			c.TermSynopses[t] = cfg.FromIDs(ids)
-			c.TermCardinalities[t] = 200
-		}
-		cands = append(cands, c)
-	}
-	return core.Query{Terms: terms}, cands
-}
-
-// benchRoute times one routing engine over the shared candidate scales.
-func benchRoute(b *testing.B, route func(core.Query, *core.Candidate, []core.Candidate, core.Options) (core.Plan, error), opts core.Options) {
-	for _, n := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("cands=%d", n), func(b *testing.B) {
-			q, cands := routeBenchInput(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := route(q, nil, cands, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRouteLazy measures the Fast-IQN lazy-greedy engine (Route's
-// default path), single-threaded.
-func BenchmarkRouteLazy(b *testing.B) {
-	benchRoute(b, core.Route, core.Options{MaxPeers: 10})
-}
-
-// BenchmarkRouteLazyParallel measures the lazy engine with the scoring
-// fan-out enabled at full GOMAXPROCS width.
-func BenchmarkRouteLazyParallel(b *testing.B) {
-	benchRoute(b, core.Route, core.Options{MaxPeers: 10, Parallelism: runtime.GOMAXPROCS(0)})
-}
-
-// BenchmarkRouteExhaustive measures the original full-rescan reference
-// implementation on the identical workload.
-func BenchmarkRouteExhaustive(b *testing.B) {
-	benchRoute(b, core.SelectExhaustive, core.Options{MaxPeers: 10})
 }
 
 // --- Zero-alloc synopsis kernels --------------------------------------

@@ -19,11 +19,12 @@
 //   - internal/core — the IQN routing algorithm itself (Sections 5–7),
 //     with the Fast-IQN lazy-greedy selection engine: sound per-family
 //     score ceilings prune candidate re-estimation while producing
-//     plans byte-identical to the exhaustive reference scan
-//     (core.SelectExhaustive), optionally fanning evaluations out over
-//     core.Options.Parallelism goroutines
+//     plans byte-identical to a full rescan (the oracle its tests keep),
+//     optionally fanning evaluations out over core.Options.Parallelism
+//     goroutines
 //   - internal/histogram — score-conscious synopses (Section 7.1)
-//   - internal/topk — threshold-algorithm PeerList trimming
+//   - internal/topk — the threshold coordinator that stops forwarded
+//     peers once they cannot reach the merged top-k
 //   - internal/minerva — the peer engine tying everything together
 //   - internal/dataset, internal/eval — workloads and the experiment
 //     harness regenerating every figure of the paper

@@ -353,13 +353,20 @@ func TestRingSurvivesLossyNetwork(t *testing.T) {
 	// correct (stabilize tolerates individual failures thanks to the
 	// double-ping liveness check) and lookups must succeed afterwards.
 	nodes, net := buildRing(t, 8)
-	net.SetLossRate(0.1, 99)
+	lossy := transport.NewFaulty(net, 99)
+	for _, n := range nodes {
+		n.SetCaller(lossy)
+	}
+	drop := lossy.AddRule(transport.Rule{Drop: 0.1})
 	for round := 0; round < 4*len(nodes); round++ {
 		for _, n := range nodes {
 			n.Stabilize()
 		}
 	}
-	net.SetLossRate(0, 0)
+	lossy.RemoveRule(drop)
+	if len(lossy.Schedule()) == 0 {
+		t.Fatal("the lossy phase dropped no maintenance call")
+	}
 	stabilizeAll(nodes)
 	ordered := ringOrder(nodes)
 	for i, n := range ordered {

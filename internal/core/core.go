@@ -129,7 +129,8 @@ type Options struct {
 	// QualityWeight and NoveltyWeight are the exponents of the ranking
 	// score quality^qw · novelty^nw. Both default to 1 (the paper ranks
 	// by the plain product). Set QualityWeight to 0 for novelty-only
-	// selection, NoveltyWeight to 0 to degrade IQN to quality-only.
+	// selection, NoveltyWeight to 0 to degrade IQN to quality-only. A
+	// negative NoveltyWeight is an error.
 	QualityWeight, NoveltyWeight float64
 	// UseHistograms enables the Section 7.1 score-conscious novelty
 	// estimation from Candidate.TermHistograms. Implies per-term
@@ -149,9 +150,9 @@ type Options struct {
 	// Metrics, when set, counts routing work: route.selections,
 	// route.candidates, route.evaluations (novelty estimations actually
 	// performed), route.lazy_skips (evaluations the lazy engine's
-	// ceilings proved unnecessary), and route.lazy_disabled (calls where
-	// a NaN score forced the lazy engine back to exhaustive rescans).
-	// Nil leaves routing uncounted.
+	// ceilings proved unnecessary), and route.nan_rejected (candidates
+	// dropped because their quality factor was NaN). Nil leaves routing
+	// uncounted.
 	Metrics *telemetry.Registry
 	// Prior, when set, returns a per-peer multiplier folded into each
 	// candidate's quality factor before ranking, so selection ranks by
@@ -160,12 +161,12 @@ type Options struct {
 	// peers caught publishing inflated synopses) without touching the
 	// synopsis-side novelty machinery: because the factor is constant per
 	// candidate, every lazy score ceiling scales with the exact score and
-	// Fast-IQN stays byte-identical to the exhaustive reference with the
-	// same prior. The function must be deterministic for the duration of
-	// the call and should return finite non-negative values: negative
-	// results are clamped to 0, +Inf is clamped to MaxFloat64, and NaN
-	// disables the lazy engine for the whole call (counted by
-	// route.lazy_disabled). Nil means no prior (factor 1 everywhere).
+	// Fast-IQN stays byte-identical to a full rescan with the same
+	// prior. The function must be deterministic for the duration of the
+	// call and should return finite non-negative values: negative
+	// results are clamped to 0, +Inf is clamped to MaxFloat64, and a NaN
+	// rejects that candidate (counted by route.nan_rejected). Nil means
+	// no prior (factor 1 everywhere).
 	Prior func(PeerID) float64
 }
 

@@ -22,20 +22,13 @@ import (
 // per iteration it re-estimates novelty only for candidates whose stale
 // score ceiling could still beat the current champion, and fans the
 // estimations out over Options.Parallelism goroutines. The plan is
-// byte-identical to the exhaustive rescan of SelectExhaustive.
+// byte-identical to a full rescan of every candidate per iteration.
+// Candidates whose quality factor is NaN are rejected (never planned),
+// and a negative Options.NoveltyWeight is an error.
 //
 // Route only manipulates synopses — no candidate peer is contacted.
 func Route(q Query, initiator *Candidate, cands []Candidate, opts Options) (Plan, error) {
-	return runIQN(q, initiator, cands, opts, true)
-}
-
-// SelectExhaustive runs the IQN loop with the original full-rescan
-// Select-Best-Peer: every iteration re-estimates novelty for every
-// remaining candidate. It is retained as the reference implementation the
-// lazy engine is differentially tested and benchmarked against; both
-// paths share the reference-state code, so their plans agree bit for bit.
-func SelectExhaustive(q Query, initiator *Candidate, cands []Candidate, opts Options) (Plan, error) {
-	return runIQN(q, initiator, cands, opts, false)
+	return runIQN(q, initiator, cands, opts)
 }
 
 // powWeight computes x^w with the routing conventions: weight 0 switches

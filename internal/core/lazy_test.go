@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"iqn/internal/histogram"
@@ -24,8 +25,63 @@ func raiseGOMAXPROCS(t *testing.T, n int) {
 
 // The tests in this file assert the Fast-IQN contract: Route (lazy
 // selection, optionally parallel) returns plans byte-identical to
-// SelectExhaustive (the original full-rescan reference implementation)
+// selectExhaustive, the paper's full-rescan loop kept here as the oracle,
 // for every reference-state implementation and synopsis family.
+
+// selectExhaustive is the reference Select-Best-Peer: every iteration
+// re-estimates the novelty of every remaining candidate against the same
+// referenceState Route uses, and the highest score wins, ties going to
+// the lower sorted index.
+func selectExhaustive(q Query, initiator *Candidate, cands []Candidate, opts Options) (Plan, error) {
+	if err := validateQuery(q); err != nil {
+		return Plan{}, err
+	}
+	state, err := newReferenceState(q, opts)
+	if err != nil {
+		return Plan{}, err
+	}
+	if initiator != nil {
+		if _, err := state.absorb(-1, initiator); err != nil {
+			return Plan{}, err
+		}
+	}
+	sorted := sortCandidates(cands)
+	state.prepare(len(sorted))
+	selected := make([]bool, len(sorted))
+	var plan Plan
+	for len(plan.Peers) < len(sorted) {
+		if opts.MaxPeers > 0 && len(plan.Peers) >= opts.MaxPeers {
+			break
+		}
+		if opts.TargetCoverage > 0 && state.covered() >= opts.TargetCoverage {
+			break
+		}
+		best, bestNov, bestScore := -1, 0.0, 0.0
+		for i := range sorted {
+			if selected[i] {
+				continue
+			}
+			nov, err := state.novelty(i, &sorted[i])
+			if err != nil {
+				return Plan{}, err
+			}
+			score := qualityFactor(&sorted[i], opts) * powWeight(nov, opts.noveltyWeight())
+			if best < 0 || score > bestScore {
+				best, bestNov, bestScore = i, nov, score
+			}
+		}
+		c := &sorted[best]
+		if _, err := state.absorb(best, c); err != nil {
+			return Plan{}, err
+		}
+		selected[best] = true
+		plan.Peers = append(plan.Peers, c.Peer)
+		plan.Steps = append(plan.Steps, Step{
+			Peer: c.Peer, Quality: c.Quality, Novelty: bestNov, Score: bestScore, Covered: state.covered(),
+		})
+	}
+	return plan, nil
+}
 
 // lazyTestConfigs covers all four synopsis families at the paper's
 // 2048-bit budget.
@@ -80,11 +136,11 @@ func randPlanCandidates(rng *rand.Rand, cfg synopsis.Config, n int, terms []stri
 	return cands
 }
 
-// assertSamePlan requires the lazy and exhaustive plans to be identical
+// assertSamePlan requires Route's plan and the oracle's to be identical
 // down to the float bits of every Step.
 func assertSamePlan(t *testing.T, q Query, initiator *Candidate, cands []Candidate, opts Options) {
 	t.Helper()
-	exhaustive, errEx := SelectExhaustive(q, initiator, cands, opts)
+	exhaustive, errEx := selectExhaustive(q, initiator, cands, opts)
 	lazy, errLazy := Route(q, initiator, cands, opts)
 	if (errEx == nil) != (errLazy == nil) {
 		t.Fatalf("error disagreement: exhaustive=%v lazy=%v", errEx, errLazy)
@@ -132,12 +188,11 @@ func TestLazySelectionMatchesExhaustive(t *testing.T) {
 
 func TestLazySelectionMatchesExhaustiveRandomized(t *testing.T) {
 	// Property test: random synopsis family, aggregation mode, stopping
-	// criteria, score weights (including the exponents that disable or
-	// invert a factor) and parallelism must never change the plan.
+	// criteria, score weights (including the exponent that disables a
+	// factor) and parallelism must never change the plan.
 	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(20260806))
 	weights := []float64{0, 0.5, 1, 2}
-	novWeights := []float64{-1, 0, 0.5, 1, 2}
 	for trial := 0; trial < 48; trial++ {
 		kc := lazyTestConfigs[rng.Intn(len(lazyTestConfigs))]
 		opts := Options{
@@ -145,7 +200,7 @@ func TestLazySelectionMatchesExhaustiveRandomized(t *testing.T) {
 			Aggregation:   AggregationMode(rng.Intn(2)),
 			UseHistograms: rng.Float64() < 0.25,
 			QualityWeight: weights[rng.Intn(len(weights))],
-			NoveltyWeight: novWeights[rng.Intn(len(novWeights))],
+			NoveltyWeight: weights[rng.Intn(len(weights))],
 			Parallelism:   rng.Intn(5),
 		}
 		if rng.Float64() < 0.3 {
@@ -215,4 +270,82 @@ func TestRouteParallelRace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNegativeNoveltyWeightRejected: a negative exponent makes the score
+// anti-monotone in novelty, so no ceiling is sound; Route and Reroute
+// refuse it instead of ranking by it.
+func TestNegativeNoveltyWeightRejected(t *testing.T) {
+	q := Query{Terms: []string{"x"}}
+	cands := []Candidate{cand("a", 1, testCfg, map[string][]uint64{"x": idRange(0, 100)})}
+	opts := Options{MaxPeers: 1, QualityWeight: 1, NoveltyWeight: -1}
+	if _, err := Route(q, nil, cands, opts); err == nil || !strings.Contains(err.Error(), "NoveltyWeight") {
+		t.Fatalf("Route error = %v, want a negative-NoveltyWeight error", err)
+	}
+	if _, err := Reroute(q, nil, nil, cands, opts); err == nil {
+		t.Fatal("Reroute accepted a negative NoveltyWeight")
+	}
+}
+
+// routeBenchInput builds n candidates with overlapping two-term MIPs
+// synopses at the paper's 2048-bit budget — the workload of the Fast-IQN
+// acceptance comparison.
+func routeBenchInput(n int) (Query, []Candidate) {
+	cfg := synopsis.Config{Kind: synopsis.KindMIPs, Bits: 2048, Seed: 3}
+	terms := []string{"a", "b"}
+	cands := make([]Candidate, 0, n)
+	for p := 0; p < n; p++ {
+		c := Candidate{
+			Peer:              PeerID(fmt.Sprintf("p%05d", p)),
+			Quality:           0.4 + float64(p%7)*0.05,
+			TermSynopses:      map[string]synopsis.Set{},
+			TermCardinalities: map[string]float64{},
+		}
+		for ti, t := range terms {
+			ids := make([]uint64, 200)
+			for i := range ids {
+				// Ranges overlap across peers; the two terms' ID spaces are
+				// disjoint, as distinct keywords' posting lists mostly are.
+				ids[i] = uint64(ti*1000000 + p*40 + i)
+			}
+			c.TermSynopses[t] = cfg.FromIDs(ids)
+			c.TermCardinalities[t] = 200
+		}
+		cands = append(cands, c)
+	}
+	return Query{Terms: terms}, cands
+}
+
+// benchRoute times one routing engine over the shared candidate scales.
+func benchRoute(b *testing.B, route func(Query, *Candidate, []Candidate, Options) (Plan, error), opts Options) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("cands=%d", n), func(b *testing.B) {
+			q, cands := routeBenchInput(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := route(q, nil, cands, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRouteLazy measures the Fast-IQN lazy-greedy engine,
+// single-threaded.
+func BenchmarkRouteLazy(b *testing.B) {
+	benchRoute(b, Route, Options{MaxPeers: 10})
+}
+
+// BenchmarkRouteLazyParallel measures the lazy engine with the scoring
+// fan-out enabled at full GOMAXPROCS width.
+func BenchmarkRouteLazyParallel(b *testing.B) {
+	benchRoute(b, Route, Options{MaxPeers: 10, Parallelism: runtime.GOMAXPROCS(0)})
+}
+
+// BenchmarkRouteExhaustive measures the full-rescan oracle on the
+// identical workload.
+func BenchmarkRouteExhaustive(b *testing.B) {
+	benchRoute(b, selectExhaustive, Options{MaxPeers: 10})
 }

@@ -3,9 +3,9 @@ package core
 // This file implements the Fast-IQN selection engine: a CELF-style
 // lazy-greedy Select-Best-Peer with optional parallel scoring.
 //
-// The exhaustive algorithm re-estimates every remaining candidate's
-// novelty each iteration. The lazy engine instead works with two sound
-// per-candidate score *ceilings* supplied by the reference state (see
+// The paper's loop re-estimates every remaining candidate's novelty each
+// iteration. This engine instead works with two sound per-candidate
+// score *ceilings* supplied by the reference state (see
 // referenceState.ceiling and staticCeiling):
 //
 //   - a static ceiling, immutable for the whole call, that dominates the
@@ -29,38 +29,40 @@ package core
 // the first round.
 //
 // Ceilings never underestimate the true score, and the champion merge
-// uses the same (highest score, then lowest sorted index) ordering as
-// the exhaustive scan, so the produced plans are byte-identical — under
-// the assumption that scores are never NaN, which holds whenever the
-// candidate qualities are not NaN (powWeight maps q ≤ 0 to 0, never to a
-// negative Pow base) and synopsis cardinalities are finite. An
-// Options.Prior factor preserves all of this: it is folded into the
-// per-candidate quality factor qf, which multiplies the exact score and
-// every ceiling alike, so bounds scale with scores and stay sound. A NaN
-// quality (or NaN prior) disables the lazy path for the whole call —
-// counted by route.lazy_disabled and annotated on the span with the
-// poisoned candidate; a negative NoveltyWeight does too, because
-// powWeight is then anti-monotone in novelty and ceilings would turn
-// into floors.
+// uses the same (highest score, then lowest sorted index) ordering as a
+// full rescan, so the plans are byte-identical to the rescan the core
+// tests keep as their oracle. That holds as long as scores are never
+// NaN, which holds whenever the quality factors are not NaN (powWeight
+// maps q ≤ 0 to 0, never to a negative Pow base) and synopsis
+// cardinalities are finite. An Options.Prior factor preserves all of
+// this: it is folded into the per-candidate quality factor qf, which
+// multiplies the exact score and every ceiling alike, so bounds scale
+// with scores and stay sound. A candidate whose qf is NaN (a NaN quality
+// from untrusted post statistics, or a NaN prior) cannot be ordered
+// against the others, so it is dropped before routing — counted by
+// route.nan_rejected and annotated on the span — and a negative
+// NoveltyWeight is refused outright, because powWeight is then
+// anti-monotone in novelty and ceilings would turn into floors.
 //
 // Evaluations are race-free: each one writes only its own candidate
 // index, and being value-identical per candidate, the parallel path is
 // plan-identical to the serial one.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// runIQN drives the shared IQN loop with either selection strategy.
-func runIQN(q Query, initiator *Candidate, cands []Candidate, opts Options, lazy bool) (Plan, error) {
+// runIQN drives the IQN loop from an optional initiator seed.
+func runIQN(q Query, initiator *Candidate, cands []Candidate, opts Options) (Plan, error) {
 	var seeds []*Candidate
 	if initiator != nil {
 		seeds = append(seeds, initiator)
 	}
-	return runIQNSeeded(q, seeds, cands, opts, lazy)
+	return runIQNSeeded(q, seeds, cands, opts)
 }
 
 // runIQNSeeded is runIQN with an arbitrary list of reference seeds: every
@@ -69,9 +71,12 @@ func runIQN(q Query, initiator *Candidate, cands []Candidate, opts Options, lazy
 // to resume a routing decision mid-flight — the peers a degraded query
 // already reached become seeds, so replacements are scored by the novelty
 // they add beyond what the query already covered.
-func runIQNSeeded(q Query, seeds []*Candidate, cands []Candidate, opts Options, lazy bool) (Plan, error) {
+func runIQNSeeded(q Query, seeds []*Candidate, cands []Candidate, opts Options) (Plan, error) {
 	if err := validateQuery(q); err != nil {
 		return Plan{}, err
+	}
+	if nw := opts.noveltyWeight(); nw < 0 {
+		return Plan{}, fmt.Errorf("core: NoveltyWeight %g is negative: novelty ceilings would become floors", nw)
 	}
 	state, err := newReferenceState(q, opts)
 	if err != nil {
@@ -82,20 +87,69 @@ func runIQNSeeded(q Query, seeds []*Candidate, cands []Candidate, opts Options, 
 			return Plan{}, err
 		}
 	}
-	sorted := sortCandidates(cands)
+	sorted, qf := rankable(cands, opts)
 	state.prepare(len(sorted))
 	e := &engine{
 		state: state,
 		cands: sorted,
+		qf:    qf,
 		opts:  opts,
-		// powWeight is monotone in novelty only for non-negative
-		// exponents; a negative NoveltyWeight flips the ordering, turning
-		// novelty ceilings into score floors, so the engine falls back to
-		// exhaustive re-evaluation there.
-		lazy: lazy && opts.noveltyWeight() >= 0,
-		par:  opts.parallelism(),
+		par:   opts.parallelism(),
 	}
 	return e.run()
+}
+
+// qualityFactor is the candidate's constant score multiplier,
+// quality^qw times the Options.Prior factor (negative priors clamp to 0,
+// +Inf to MaxFloat64). Folding the prior in here scales the exact score
+// (evalOne) and every ceiling built from qf (buildOrder, selectBest) by
+// the same factor, so the lazy bounds stay sound under any prior.
+func qualityFactor(c *Candidate, opts Options) float64 {
+	f := powWeight(c.Quality, opts.qualityWeight())
+	if opts.Prior != nil {
+		p := opts.Prior(c.Peer)
+		if p < 0 {
+			p = 0
+		} else if math.IsInf(p, 1) {
+			p = math.MaxFloat64
+		}
+		f *= p
+	}
+	return f
+}
+
+// rankable sorts the candidates and computes their quality factors. A
+// candidate whose factor is NaN cannot be ranked, so it is rejected: it
+// is never planned, route.nan_rejected counts it and the span names it
+// (nan_rejected=<peer>). Rejection happens before sorting because a NaN
+// quality would also scramble the sort order of the others; the plan is
+// therefore exactly the one routing without that candidate yields.
+func rankable(cands []Candidate, opts Options) ([]Candidate, []float64) {
+	sorted := sortCandidates(cands)
+	qf := make([]float64, len(sorted))
+	poisoned := false
+	for i := range sorted {
+		qf[i] = qualityFactor(&sorted[i], opts)
+		poisoned = poisoned || math.IsNaN(qf[i])
+	}
+	if !poisoned {
+		return sorted, qf
+	}
+	kept := make([]Candidate, 0, len(cands))
+	for i := range cands {
+		if math.IsNaN(qualityFactor(&cands[i], opts)) {
+			opts.Metrics.Counter("route.nan_rejected").Inc()
+			opts.Span.Setf("nan_rejected", "%s", cands[i].Peer)
+			continue
+		}
+		kept = append(kept, cands[i])
+	}
+	sorted = sortCandidates(kept)
+	qf = qf[:len(sorted)]
+	for i := range sorted {
+		qf[i] = qualityFactor(&sorted[i], opts)
+	}
+	return sorted, qf
 }
 
 // engine holds the per-Route selection state. All per-candidate slices
@@ -104,11 +158,10 @@ type engine struct {
 	state referenceState
 	cands []Candidate
 	opts  Options
-	lazy  bool
 	par   int
 
 	alive       []bool    // not yet selected
-	qf          []float64 // quality^qw, immutable per candidate
+	qf          []float64 // qualityFactor, immutable per candidate
 	nov         []float64 // last computed novelty
 	score       []float64 // last computed exact score qf·nov^nw
 	staticBound []float64 // immutable score ceilings qf·staticCeiling^nw
@@ -123,47 +176,14 @@ type engine struct {
 func (e *engine) run() (Plan, error) {
 	n := len(e.cands)
 	e.alive = make([]bool, n)
-	e.qf = make([]float64, n)
 	e.nov = make([]float64, n)
 	e.score = make([]float64, n)
 	e.batch = make([]int, 0, e.par)
-	qw := e.opts.qualityWeight()
-	prior := e.opts.Prior
-	for i := range e.cands {
+	for i := range e.alive {
 		e.alive[i] = true
-		e.qf[i] = powWeight(e.cands[i].Quality, qw)
-		if prior != nil {
-			// The prior is a constant per-candidate factor on the quality
-			// side of the score. Folding it into qf scales the exact score
-			// (evalOne) and every ceiling built from qf (buildOrder,
-			// selectBest) by the same factor, so the lazy bounds stay sound
-			// and the lazy engine remains plan-identical to the exhaustive
-			// scan under the same prior.
-			f := prior(e.cands[i].Peer)
-			if f < 0 {
-				f = 0
-			} else if math.IsInf(f, 1) {
-				f = math.MaxFloat64
-			}
-			e.qf[i] *= f
-		}
-		if math.IsNaN(e.qf[i]) && e.lazy {
-			// NaN scores break the ceiling ordering, so the whole call
-			// degrades to exhaustive rescans. Surface the degradation —
-			// it is otherwise silent and costs a full rescan per round —
-			// and name the candidate that poisoned the scores.
-			e.lazy = false
-			if m := e.opts.Metrics; m != nil {
-				m.Counter("route.lazy_disabled").Inc()
-			}
-			e.opts.Span.Set("lazy_disabled", "nan-score")
-			e.opts.Span.Setf("lazy_disabled_by", "%s", e.cands[i].Peer)
-		}
 	}
 	e.left = n
-	if e.lazy {
-		e.buildOrder()
-	}
+	e.buildOrder()
 
 	var plan Plan
 	lazySkips := 0
@@ -219,7 +239,7 @@ func (e *engine) run() (Plan, error) {
 
 // buildOrder computes the immutable static score ceilings and the walk
 // order (staticBound descending, index ascending — the order in which
-// the exhaustive tie-break would prefer equally-bounded candidates).
+// a full rescan's tie-break would prefer equally-bounded candidates).
 func (e *engine) buildOrder() {
 	n := len(e.cands)
 	nw := e.opts.noveltyWeight()
@@ -237,18 +257,6 @@ func (e *engine) buildOrder() {
 // selectBest runs one Select-Best-Peer round and returns the winner's
 // index.
 func (e *engine) selectBest() (int, error) {
-	if !e.lazy {
-		if err := e.evalAll(); err != nil {
-			return -1, err
-		}
-		champ := -1
-		for i, ok := range e.alive {
-			if ok {
-				champ = e.better(champ, i)
-			}
-		}
-		return champ, nil
-	}
 	// Ceilings are computed against this round's reference, which only
 	// changes on absorb — after the round.
 	nw := e.opts.noveltyWeight()
@@ -261,7 +269,7 @@ func (e *engine) selectBest() (int, error) {
 		if err := e.evalBatch(batch); err != nil {
 			return err
 		}
-		// Ascending index order replicates the exhaustive scan's
+		// Ascending index order replicates the full rescan's
 		// tie-breaking for the freshly evaluated scores.
 		sort.Ints(batch)
 		for _, i := range batch {
@@ -320,24 +328,13 @@ func (e *engine) contends(bound float64, i, champ int) bool {
 }
 
 // better merges a freshly evaluated candidate into the championship under
-// the exhaustive scan's ordering: strictly higher score wins, ties keep
+// the full rescan's ordering: strictly higher score wins, ties keep
 // the lower sorted index.
 func (e *engine) better(champ, i int) int {
 	if champ < 0 || e.score[i] > e.score[champ] || (e.score[i] == e.score[champ] && i < champ) {
 		return i
 	}
 	return champ
-}
-
-// evalAll evaluates every alive candidate.
-func (e *engine) evalAll() error {
-	idxs := make([]int, 0, e.left)
-	for i, ok := range e.alive {
-		if ok {
-			idxs = append(idxs, i)
-		}
-	}
-	return e.evalBatch(idxs)
 }
 
 // evalBatch (re)computes novelty and exact score for the given candidate

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // The tests in this file cover the Options.Prior hook (the adaptive
-// routing blend) and the route.lazy_disabled degradation telemetry.
+// routing blend) and the rejection of candidates whose score is NaN.
 
 // hashPrior is a deterministic, peer-dependent prior in (0.5, 2.5) —
 // enough spread to reorder plans without zeroing anyone out.
@@ -29,7 +30,6 @@ func TestPriorLazyMatchesExhaustive(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(20260808))
 	weights := []float64{0, 0.5, 1, 2}
-	novWeights := []float64{-1, 0, 0.5, 1, 2}
 	for trial := 0; trial < 48; trial++ {
 		kc := lazyTestConfigs[rng.Intn(len(lazyTestConfigs))]
 		opts := Options{
@@ -37,7 +37,7 @@ func TestPriorLazyMatchesExhaustive(t *testing.T) {
 			Aggregation:   AggregationMode(rng.Intn(2)),
 			UseHistograms: rng.Float64() < 0.25,
 			QualityWeight: weights[rng.Intn(len(weights))],
-			NoveltyWeight: novWeights[rng.Intn(len(novWeights))],
+			NoveltyWeight: weights[rng.Intn(len(weights))],
 			Parallelism:   rng.Intn(5),
 			Prior:         hashPrior,
 		}
@@ -142,94 +142,62 @@ func TestPriorClamping(t *testing.T) {
 	})
 }
 
-// plansBitEqual compares plans down to the float bits of every Step —
-// unlike reflect.DeepEqual it treats identical NaN payloads as equal,
-// which the NaN regression below needs.
-func plansBitEqual(a, b Plan) bool {
-	if len(a.Peers) != len(b.Peers) || len(a.Steps) != len(b.Steps) {
-		return false
-	}
-	for i := range a.Peers {
-		if a.Peers[i] != b.Peers[i] {
-			return false
-		}
-	}
-	for i := range a.Steps {
-		x, y := a.Steps[i], b.Steps[i]
-		if x.Peer != y.Peer ||
-			math.Float64bits(x.Quality) != math.Float64bits(y.Quality) ||
-			math.Float64bits(x.Novelty) != math.Float64bits(y.Novelty) ||
-			math.Float64bits(x.Score) != math.Float64bits(y.Score) ||
-			math.Float64bits(x.Covered) != math.Float64bits(y.Covered) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestNaNQualityLazyDisabledTelemetry is the regression test for the
-// silent lazy-engine degradation: a NaN candidate quality must disable
-// the lazy path for the whole call, and that fact must surface as a
-// route.lazy_disabled counter tick plus span annotations naming the
-// poisoned candidate — while the produced plan still matches the
-// exhaustive reference end-to-end through Route.
-func TestNaNQualityLazyDisabledTelemetry(t *testing.T) {
+// TestNaNCandidateRejected: a candidate whose quality factor is NaN — a
+// NaN quality from untrusted post statistics, or a NaN prior — is never
+// planned; the rest of the plan is the oracle's plan without it, and the
+// rejection is counted (route.nan_rejected) and named on the span.
+func TestNaNCandidateRejected(t *testing.T) {
 	cfg := testCfg
 	q := Query{Terms: []string{"x"}}
-	cands := []Candidate{
-		cand("good-a", 2, cfg, map[string][]uint64{"x": idRange(0, 300)}),
-		cand("poisoned", math.NaN(), cfg, map[string][]uint64{"x": idRange(300, 600)}),
-		cand("good-b", 1, cfg, map[string][]uint64{"x": idRange(600, 700)}),
-	}
-	reg := telemetry.NewRegistry()
-	trace := telemetry.NewTrace("nan-test", "route")
-	opts := Options{MaxPeers: 3, Metrics: reg, Span: trace.Root()}
-	plan, err := Route(q, nil, cands, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exhaustive, err := SelectExhaustive(q, nil, cands, Options{MaxPeers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plansBitEqual(plan, exhaustive) {
-		t.Fatalf("NaN-degraded plan differs from exhaustive\nlazy:       %+v\nexhaustive: %+v", plan, exhaustive)
-	}
-	if got := reg.Counter("route.lazy_disabled").Value(); got != 1 {
-		t.Fatalf("route.lazy_disabled = %d, want 1", got)
-	}
-	canon := trace.Canonical()
-	if !strings.Contains(canon, "lazy_disabled=nan-score") {
-		t.Fatalf("trace missing lazy_disabled annotation:\n%s", canon)
-	}
-	if !strings.Contains(canon, "lazy_disabled_by=poisoned") {
-		t.Fatalf("trace does not identify the poisoned candidate:\n%s", canon)
-	}
-
-	// A clean rerun of the same shape must not tick the counter: the
-	// counter isolates NaN degradations, not lazy routing in general.
 	clean := []Candidate{
 		cand("good-a", 2, cfg, map[string][]uint64{"x": idRange(0, 300)}),
 		cand("good-b", 1, cfg, map[string][]uint64{"x": idRange(600, 700)}),
+		cand("good-c", 1.5, cfg, map[string][]uint64{"x": idRange(100, 450)}),
 	}
-	if _, err := Route(q, nil, clean, Options{MaxPeers: 2, Metrics: reg}); err != nil {
+	want, err := selectExhaustive(q, nil, clean, Options{MaxPeers: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("route.lazy_disabled").Value(); got != 1 {
-		t.Fatalf("route.lazy_disabled after clean route = %d, want still 1", got)
-	}
-
-	// A NaN prior poisons scores the same way and must be counted too.
+	poisoned := append([]Candidate{cand("poisoned", math.NaN(), cfg, map[string][]uint64{"x": idRange(300, 600)})}, clean...)
 	nanPrior := func(p PeerID) float64 {
-		if p == "good-b" {
+		if p == "poisoned" {
 			return math.NaN()
 		}
 		return 1
 	}
-	if _, err := Route(q, nil, clean, Options{MaxPeers: 2, Metrics: reg, Prior: nanPrior}); err != nil {
+	cases := []struct {
+		name  string
+		cands []Candidate
+		prior func(PeerID) float64
+	}{
+		{"nan quality", poisoned, nil},
+		{"nan prior", append([]Candidate{cand("poisoned", 3, cfg, map[string][]uint64{"x": idRange(300, 600)})}, clean...), nanPrior},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			trace := telemetry.NewTrace("nan-test", "route")
+			plan, err := Route(q, nil, tc.cands, Options{MaxPeers: 4, Metrics: reg, Span: trace.Root(), Prior: tc.prior})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plan, want) {
+				t.Fatalf("plan with a NaN candidate differs from the oracle without it\ngot:  %+v\nwant: %+v", plan, want)
+			}
+			if got := reg.Counter("route.nan_rejected").Value(); got != 1 {
+				t.Fatalf("route.nan_rejected = %d, want 1", got)
+			}
+			if canon := trace.Canonical(); !strings.Contains(canon, "nan_rejected=poisoned") {
+				t.Fatalf("trace does not name the rejected candidate:\n%s", canon)
+			}
+		})
+	}
+	// A clean route must not tick the counter.
+	reg := telemetry.NewRegistry()
+	if _, err := Route(q, nil, clean, Options{MaxPeers: 4, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("route.lazy_disabled").Value(); got != 2 {
-		t.Fatalf("route.lazy_disabled after NaN prior = %d, want 2", got)
+	if got := reg.Counter("route.nan_rejected").Value(); got != 0 {
+		t.Fatalf("route.nan_rejected after a clean route = %d, want 0", got)
 	}
 }

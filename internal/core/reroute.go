@@ -25,5 +25,5 @@ func Reroute(q Query, initiator *Candidate, reached []Candidate, cands []Candida
 	for i := range reached {
 		seeds = append(seeds, &reached[i])
 	}
-	return runIQNSeeded(q, seeds, cands, opts, true)
+	return runIQNSeeded(q, seeds, cands, opts)
 }

@@ -2,13 +2,11 @@ package directory
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"iqn/internal/chord"
 	"iqn/internal/telemetry"
 	"iqn/internal/transport"
 )
@@ -47,12 +45,12 @@ func TestFetchTotalFailureErrorIsWellFormed(t *testing.T) {
 	// fail with a well-formed wrapped error (no %!w(<nil>)).
 	net := transport.NewFaulty(transport.NewInMem(), 1)
 	_, _, clients := testRingOn(t, net, 3, 2)
-	if err := clients[0].Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
 		t.Fatal(err)
 	}
 	net.AddRule(transport.Rule{Method: MethodGet, Partition: true})
 	net.AddRule(transport.Rule{Method: MethodGetBatch, Partition: true})
-	_, err := clients[0].Fetch("fire")
+	_, err := fetch(clients[0], "fire")
 	if err == nil {
 		t.Fatal("expected fetch to fail under a full read partition")
 	}
@@ -73,7 +71,7 @@ func TestFetchUsesRobustMachinery(t *testing.T) {
 	c := clients[0]
 	c.Metrics = reg
 	c.ReadQuorum = 2
-	if err := clients[1].Publish([]Post{mkPost("peerA", "gamma", 10)}); err != nil {
+	if _, err := clients[1].Publish([]Post{mkPost("peerA", "gamma", 10)}); err != nil {
 		t.Fatal(err)
 	}
 	// Diverge one replica by wiping its copy directly.
@@ -88,7 +86,7 @@ func TestFetchUsesRobustMachinery(t *testing.T) {
 		t.Fatal("no service stores gamma")
 	}
 	wiped.ReplaceTerm("gamma", nil)
-	pl, err := c.Fetch("gamma")
+	pl, err := fetch(c, "gamma")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestCacheHitMissTTLAndInvalidation(t *testing.T) {
 		now = now.Add(d)
 		clockMu.Unlock()
 	}
-	if err := c.Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
+	if _, err := c.Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,7 +143,7 @@ func TestCacheHitMissTTLAndInvalidation(t *testing.T) {
 		{name: "fresh bypasses cache", opt: FetchOptions{Fresh: true},
 			hits: 3, misses: 2, stale: 1, rpcUp: true, listLen: 10},
 		{name: "republish invalidates", prep: func() {
-			if err := c.Publish([]Post{mkPost("peerA", "fire", 42)}); err != nil {
+			if _, err := c.Publish([]Post{mkPost("peerA", "fire", 42)}); err != nil {
 				t.Fatal(err)
 			}
 		}, hits: 3, misses: 3, stale: 1, rpcUp: true, listLen: 42},
@@ -187,10 +185,10 @@ func TestCacheEpochInvalidationOnPrune(t *testing.T) {
 	old := mkPost("peerA", "fire", 10) // epoch 0
 	fresh := mkPost("peerB", "fire", 20)
 	fresh.Epoch = 1
-	if err := c.Publish([]Post{old, fresh}); err != nil {
+	if _, err := c.Publish([]Post{old, fresh}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := c.Fetch("fire")
+	pl, err := fetch(c, "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +203,7 @@ func TestCacheEpochInvalidationOnPrune(t *testing.T) {
 	if got := counter(reg, "directory.cache_invalidations"); got == 0 {
 		t.Fatal("prune did not invalidate the cached entry")
 	}
-	pl, err = c.Fetch("fire")
+	pl, err = fetch(c, "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +214,7 @@ func TestCacheEpochInvalidationOnPrune(t *testing.T) {
 
 func TestCacheServiceHookInvalidatesOnRemoteWrites(t *testing.T) {
 	_, services, clients, _ := testRing(t, 5, 1)
-	if err := clients[1].Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
+	if _, err := clients[1].Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
 		t.Fatal(err)
 	}
 	// Find the node whose directory fraction stores the term; its client
@@ -240,15 +238,15 @@ func TestCacheServiceHookInvalidatesOnRemoteWrites(t *testing.T) {
 		c.InvalidateCachedTerm(term)
 		c.ObserveFloor(floor)
 	})
-	if _, err := c.Fetch("fire"); err != nil {
+	if _, err := fetch(c, "fire"); err != nil {
 		t.Fatal(err)
 	}
 	// A different client republishes; the write lands on the owner's
 	// service over RPC and must evict the owner's cached copy.
-	if err := clients[1].Publish([]Post{mkPost("peerA", "fire", 99)}); err != nil {
+	if _, err := clients[1].Publish([]Post{mkPost("peerA", "fire", 99)}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := c.Fetch("fire")
+	pl, err := fetch(c, "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +256,14 @@ func TestCacheServiceHookInvalidatesOnRemoteWrites(t *testing.T) {
 	// A remote prune must fire the hook too (floor-only eviction path).
 	fresh := mkPost("peerA", "fire", 7)
 	fresh.Epoch = 5
-	if err := clients[1].Publish([]Post{fresh}); err != nil {
+	if _, err := clients[1].Publish([]Post{fresh}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fetch("fire"); err != nil {
+	if _, err := fetch(c, "fire"); err != nil {
 		t.Fatal(err)
 	}
 	clients[2].PruneBelow(5)
-	pl, err = c.Fetch("fire")
+	pl, err = fetch(c, "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +278,7 @@ func TestNegativeCacheThenPublish(t *testing.T) {
 	c := clients[0]
 	c.Metrics = reg
 	c.EnableCache(time.Hour)
-	pl, err := c.Fetch("ghost")
+	pl, err := fetch(c, "ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +286,7 @@ func TestNegativeCacheThenPublish(t *testing.T) {
 		t.Fatalf("unpublished term returned %+v", pl)
 	}
 	before := dirReadRPCs(reg)
-	if _, err := c.Fetch("ghost"); err != nil {
+	if _, err := fetch(c, "ghost"); err != nil {
 		t.Fatal(err)
 	}
 	if got := dirReadRPCs(reg); got != before {
@@ -298,10 +296,10 @@ func TestNegativeCacheThenPublish(t *testing.T) {
 		t.Fatalf("cache_negative_hits = %d, want 1", got)
 	}
 	// Publishing the term must invalidate the negative entry.
-	if err := c.Publish([]Post{mkPost("peerA", "ghost", 3)}); err != nil {
+	if _, err := c.Publish([]Post{mkPost("peerA", "ghost", 3)}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err = c.Fetch("ghost")
+	pl, err = fetch(c, "ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +315,7 @@ func TestSingleflightCoalescesConcurrentFetches(t *testing.T) {
 	c := clients[0]
 	c.Metrics = reg
 	c.EnableCache(time.Hour)
-	if err := c.Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
+	if _, err := c.Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
 		t.Fatal(err)
 	}
 	c.InvalidateCachedTerm("fire")
@@ -332,7 +330,7 @@ func TestSingleflightCoalescesConcurrentFetches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lists[i], errs[i] = c.Fetch("fire")
+			lists[i], errs[i] = fetch(c, "fire")
 		}(i)
 	}
 	wg.Wait()
@@ -364,10 +362,10 @@ func TestDecodedSynopsisMemoized(t *testing.T) {
 	c := clients[0]
 	c.Metrics = reg
 	c.EnableCache(time.Hour)
-	if err := c.Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
+	if _, err := c.Publish([]Post{mkPost("peerA", "fire", 10)}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := c.Fetch("fire")
+	pl, err := fetch(c, "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,10 +387,10 @@ func TestDecodedSynopsisMemoized(t *testing.T) {
 		t.Fatalf("synopsis_reuse = %d, want 1", got)
 	}
 	// A republish replaces the entry, so the memo resets with it.
-	if err := c.Publish([]Post{mkPost("peerA", "fire", 11)}); err != nil {
+	if _, err := c.Publish([]Post{mkPost("peerA", "fire", 11)}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err = c.Fetch("fire")
+	pl, err = fetch(c, "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,10 +408,10 @@ func TestRepairTermRefreshesCachedEntry(t *testing.T) {
 	c := clients[0]
 	c.Metrics = reg
 	c.EnableCache(time.Hour)
-	if err := clients[1].Publish([]Post{mkPost("peerA", "delta", 10)}); err != nil {
+	if _, err := clients[1].Publish([]Post{mkPost("peerA", "delta", 10)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fetch("delta"); err != nil {
+	if _, err := fetch(c, "delta"); err != nil {
 		t.Fatal(err)
 	}
 	// Diverge one replica with a fresher post, then repair: the cached
@@ -435,7 +433,7 @@ func TestRepairTermRefreshesCachedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dirReadRPCs(reg)
-	pl, err := c.Fetch("delta")
+	pl, err := fetch(c, "delta")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,42 +443,4 @@ func TestRepairTermRefreshesCachedEntry(t *testing.T) {
 	if len(pl) != 2 {
 		t.Fatalf("cached copy after repair = %+v, want the merged 2-post list", pl)
 	}
-}
-
-// testRingOn boots a ring like testRing but on a caller-supplied
-// network (fault injection harnesses wrap InMem).
-func testRingOn(t *testing.T, net transport.Network, n, replicas int) ([]*chord.Node, []*Service, []*Client) {
-	t.Helper()
-	nodes := make([]*chord.Node, n)
-	services := make([]*Service, n)
-	clients := make([]*Client, n)
-	for i := range nodes {
-		node, err := chord.New(fmt.Sprintf("dir-%02d", i), net, chord.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		services[i] = NewService(node)
-		clients[i] = NewClient(node, replicas)
-	}
-	nodes[0].Create()
-	for i := 1; i < n; i++ {
-		if err := nodes[i].Join(nodes[0].Self().Addr); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 3; r++ {
-			for j := 0; j <= i; j++ {
-				nodes[j].Stabilize()
-			}
-		}
-	}
-	for r := 0; r < 2*n; r++ {
-		for _, node := range nodes {
-			node.Stabilize()
-		}
-	}
-	for _, node := range nodes {
-		node.FixAllFingers()
-	}
-	return nodes, services, clients
 }

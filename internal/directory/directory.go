@@ -13,6 +13,7 @@
 package directory
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -339,10 +340,13 @@ func NewClient(node *chord.Node, replicas int) *Client {
 	return &Client{node: node, Replicas: replicas}
 }
 
-// invoke issues one directory RPC under the client's retry policy.
-func (c *Client) invoke(addr, method string, req, resp any) error {
+// invoke issues one directory RPC under the client's retry policy, with
+// every attempt's timeout capped by budget (≤ 0: uncapped). The cap is
+// per attempt, not per call chain; callers with an end-to-end budget
+// re-check what remains between stages.
+func (c *Client) invoke(addr, method string, req, resp any, budget time.Duration) error {
 	c.Metrics.Counter("directory.rpc." + method).Inc()
-	attempts, err := transport.InvokeRetry(c.node.Network(), addr, method, req, resp, c.Retry)
+	attempts, err := transport.InvokeRetry(c.node.Network(), addr, method, req, resp, c.Retry.Within(budget))
 	if attempts > 1 {
 		c.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
 	}
@@ -352,32 +356,82 @@ func (c *Client) invoke(addr, method string, req, resp any) error {
 // Publish posts a batch of per-term publications: posts are grouped by
 // responsible node (so peers "batch multiple posts directed to the same
 // recipient", Section 7.2) and each group is written to the owner and its
-// replicas. Publication succeeds per group if at least one replica
-// accepted it; the returned error aggregates groups that failed entirely.
-// PublishReport returns the same outcome with per-replica error detail.
-//
-// Large batches resolve owners against a ring snapshot (one successor
-// walk) instead of one DHT lookup per term; per-term lookups remain the
-// fallback when the walk fails.
-func (c *Client) Publish(posts []Post) error {
-	_, err := c.PublishReport(posts)
-	return err
+// replicas. The report accounts for every replica write group, and the
+// error is non-nil when a term cannot be resolved or when every group
+// failed (no replica accepted anything).
+func (c *Client) Publish(posts []Post) (PublishReport, error) {
+	var rep PublishReport
+	addrs, groups, err := groupByReplica(c, posts, func(p Post) string { return p.Term }, c.Replicas, "")
+	if err != nil {
+		return rep, err
+	}
+	rep.Groups = len(addrs)
+	for _, addr := range addrs {
+		var n int
+		if err := c.invoke(addr, methodPost, groups[addr], &n, 0); err != nil {
+			rep.Errors = append(rep.Errors, replicaError(addr, "post", "", err))
+			continue
+		}
+		rep.Written++
+	}
+	// The publish may have changed any of these terms remotely — drop the
+	// cached copies (even on partial failure: some replica may have
+	// accepted the write).
+	for _, p := range posts {
+		c.InvalidateCachedTerm(p.Term)
+	}
+	if rep.Written == 0 && rep.Groups > 0 {
+		return rep, fmt.Errorf("directory: all %d post targets failed (first: %s: %s)",
+			rep.Groups, rep.Errors[0].Addr, rep.Errors[0].Err)
+	}
+	return rep, nil
 }
 
-// Fetch retrieves the PeerList for one term. It rides the same
-// machinery as a batched read (FetchAllReportOpts) — hedged and
-// quorum-read-repaired reads, replica fail-over, budget accounting,
-// telemetry, and the read cache — so single-term and batched reads have
-// identical robustness semantics. On total failure the error unwraps to
-// the last replica failure (transport.ErrUnreachable when no replica
-// could even be resolved).
-func (c *Client) Fetch(term string) (PeerList, error) {
-	out, _, err := c.FetchAllReportOpts([]string{term}, 0, FetchOptions{})
-	if err != nil {
-		return nil, err
+// groupByReplica resolves the count-node replica set of every item's
+// term and groups the items by replica address, addresses sorted. Batches
+// of more than ringSnapshotMin items resolve against one ring snapshot
+// (one successor walk) instead of one DHT lookup per term; per-term
+// lookups remain the fallback when the walk fails. skip names an address
+// left out of every set (a departing node; "" keeps all). err reports
+// the first term that could not be resolved: its items are left out, and
+// the caller decides whether that fails the whole operation.
+func groupByReplica[T any](c *Client, items []T, term func(T) string, count int, skip string) (addrs []string, groups map[string][]T, err error) {
+	var ring []chord.NodeRef
+	if len(items) > ringSnapshotMin {
+		ring = c.ringSnapshot()
 	}
-	return out[term], nil
+	groups = make(map[string][]T)
+	for _, it := range items {
+		t := term(it)
+		var replicas []chord.NodeRef
+		if ring != nil {
+			replicas = replicasFromRing(ring, chord.HashKey(t), count)
+		} else {
+			var rerr error
+			if replicas, rerr = c.node.ReplicaSet(t, count); rerr != nil {
+				if err == nil {
+					err = fmt.Errorf("directory: resolve %q: %w", t, rerr)
+				}
+				continue
+			}
+		}
+		for _, r := range replicas {
+			if r.Addr != skip {
+				groups[r.Addr] = append(groups[r.Addr], it)
+			}
+		}
+	}
+	addrs = make([]string, 0, len(groups))
+	for addr := range groups {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	return addrs, groups, err
 }
+
+// ringSnapshotMin is the batch size above which groupByReplica resolves
+// replica sets against one ring walk rather than per-term lookups.
+const ringSnapshotMin = 16
 
 // PruneBelow asks every reachable directory node to drop posts older
 // than minEpoch. It walks the ring once; unreachable nodes are skipped
@@ -391,7 +445,7 @@ func (c *Client) PruneBelow(minEpoch int64) int {
 	total := 0
 	for _, node := range ring {
 		var n int
-		if err := c.invoke(node.Addr, methodPrune, minEpoch, &n); err == nil {
+		if err := c.invoke(node.Addr, methodPrune, minEpoch, &n, 0); err == nil {
 			total += n
 		}
 	}

@@ -14,6 +14,14 @@ import (
 func testRing(t *testing.T, n, replicas int) ([]*chord.Node, []*Service, []*Client, *transport.InMem) {
 	t.Helper()
 	net := transport.NewInMem()
+	nodes, services, clients := testRingOn(t, net, n, replicas)
+	return nodes, services, clients, net
+}
+
+// testRingOn boots the ring on a caller-supplied network (fault
+// injection harnesses wrap InMem).
+func testRingOn(t *testing.T, net transport.Network, n, replicas int) ([]*chord.Node, []*Service, []*Client) {
+	t.Helper()
 	nodes := make([]*chord.Node, n)
 	services := make([]*Service, n)
 	clients := make([]*Client, n)
@@ -45,7 +53,13 @@ func testRing(t *testing.T, n, replicas int) ([]*chord.Node, []*Service, []*Clie
 	for _, node := range nodes {
 		node.FixAllFingers()
 	}
-	return nodes, services, clients, net
+	return nodes, services, clients
+}
+
+// fetch reads one term's PeerList through the client's batched read path.
+func fetch(c *Client, term string) (PeerList, error) {
+	lists, _, err := c.FetchAllReportOpts([]string{term}, 0, FetchOptions{})
+	return lists[term], err
 }
 
 func mkPost(peer, term string, listLen int) Post {
@@ -72,11 +86,11 @@ func TestPublishAndFetch(t *testing.T) {
 		mkPost("peerA", "forest", 20),
 		mkPost("peerB", "fire", 30),
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	// Any peer can fetch.
-	pl, err := clients[3].Fetch("fire")
+	pl, err := fetch(clients[3], "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +112,7 @@ func TestPublishAndFetch(t *testing.T) {
 		t.Fatalf("synopsis cardinality = %v", set.Cardinality())
 	}
 	// Missing term: empty list, no error.
-	empty, err := clients[1].Fetch("nothing")
+	empty, err := fetch(clients[1], "nothing")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +123,13 @@ func TestPublishAndFetch(t *testing.T) {
 
 func TestPublishUpsertsPerPeer(t *testing.T) {
 	_, _, clients, _ := testRing(t, 4, 1)
-	if err := clients[0].Publish([]Post{mkPost("p", "term", 10)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", "term", 10)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clients[0].Publish([]Post{mkPost("p", "term", 99)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", "term", 99)}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := clients[2].Fetch("term")
+	pl, err := fetch(clients[2], "term")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +150,7 @@ func TestFetchAllBatches(t *testing.T) {
 			posts = append(posts, mkPost(fmt.Sprintf("peer%d", p), term, 10+p))
 		}
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	net.ResetStats()
@@ -153,7 +167,7 @@ func TestFetchAllBatches(t *testing.T) {
 
 func TestReplicationSurvivesOwnerFailure(t *testing.T) {
 	nodes, _, clients, net := testRing(t, 6, 3)
-	if err := clients[0].Publish([]Post{mkPost("p", "resilient", 42)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", "resilient", 42)}); err != nil {
 		t.Fatal(err)
 	}
 	// Find and kill the term's owner.
@@ -188,7 +202,7 @@ func TestReplicationSurvivesOwnerFailure(t *testing.T) {
 			break
 		}
 	}
-	pl, err := reader.Fetch("resilient")
+	pl, err := fetch(reader, "resilient")
 	if err != nil {
 		t.Fatalf("fetch after owner failure: %v", err)
 	}
@@ -214,10 +228,10 @@ func TestPublishWithHistogram(t *testing.T) {
 		{Lo: 0, Hi: 1, Count: 3, Synopsis: cellSyn},
 		{Lo: 1, Hi: 2, Count: 0, Synopsis: nil},
 	}
-	if err := clients[0].Publish([]Post{p}); err != nil {
+	if _, err := clients[0].Publish([]Post{p}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := clients[1].Fetch("scored")
+	pl, err := fetch(clients[1], "scored")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +249,7 @@ func TestServiceTermCount(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		posts = append(posts, mkPost("p", fmt.Sprintf("t%02d", i), 5))
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -278,7 +292,7 @@ func TestPublishAllTargetsDown(t *testing.T) {
 			break
 		}
 	}
-	if err := clients[0].Publish([]Post{mkPost("p", term, 1)}); err == nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", term, 1)}); err == nil {
 		t.Fatal("publish with all targets down succeeded")
 	}
 }
@@ -288,14 +302,14 @@ func TestPruneAgesOutStalePosts(t *testing.T) {
 	old := mkPost("dead-peer", "term", 10) // Epoch 0
 	fresh := mkPost("live-peer", "term", 20)
 	fresh.Epoch = 1
-	if err := clients[0].Publish([]Post{old, fresh}); err != nil {
+	if _, err := clients[0].Publish([]Post{old, fresh}); err != nil {
 		t.Fatal(err)
 	}
 	dropped := clients[1].PruneBelow(1)
 	if dropped != 1 {
 		t.Fatalf("pruned %d posts, want 1", dropped)
 	}
-	pl, err := clients[2].Fetch("term")
+	pl, err := fetch(clients[2], "term")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +317,7 @@ func TestPruneAgesOutStalePosts(t *testing.T) {
 		t.Fatalf("after prune PeerList = %+v", pl)
 	}
 	// Terms whose posts all expire vanish entirely.
-	if err := clients[0].Publish([]Post{mkPost("dead-peer", "gone", 5)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("dead-peer", "gone", 5)}); err != nil {
 		t.Fatal(err)
 	}
 	clients[0].PruneBelow(10)
@@ -323,7 +337,7 @@ func TestHandoffOnJoin(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		posts = append(posts, mkPost("peer", fmt.Sprintf("h-term-%02d", i), 7))
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	// A new node joins; after stabilization it owns part of the ring but
@@ -362,7 +376,7 @@ func TestHandoffOnJoin(t *testing.T) {
 		t.Skip("late node owns none of the probe terms (hash layout); nothing to hand off")
 	}
 	lateClient := NewClient(late, 1)
-	pl, err := lateClient.Fetch(ownedTerm)
+	pl, err := fetch(lateClient, ownedTerm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +390,7 @@ func TestHandoffOnJoin(t *testing.T) {
 	if acquired.Acquired == 0 {
 		t.Fatal("handoff acquired nothing")
 	}
-	pl, err = lateClient.Fetch(ownedTerm)
+	pl, err = fetch(lateClient, ownedTerm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +409,7 @@ func TestHandoffOnJoin(t *testing.T) {
 
 func TestPostsInRange(t *testing.T) {
 	_, services, clients, _ := testRing(t, 3, 1)
-	if err := clients[0].Publish([]Post{mkPost("p", "alpha", 1), mkPost("p", "beta", 2)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", "alpha", 1), mkPost("p", "beta", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	// The full ring interval (x, x] returns everything a node stores.

@@ -239,7 +239,7 @@ func (c *Client) PushHandoff(s *Service) (HandoffReport, error) {
 			continue
 		}
 		var acked int
-		if err := c.invoke(succ.Addr, methodHandoffPush, push, &acked); err != nil {
+		if err := c.invoke(succ.Addr, methodHandoffPush, push, &acked, 0); err != nil {
 			rep.Errors = append(rep.Errors, replicaError(succ.Addr, "handoff_push", "", err))
 			c.Metrics.Counter("directory.handoff.failovers").Inc()
 			continue
@@ -264,38 +264,27 @@ func (c *Client) PushHandoff(s *Service) (HandoffReport, error) {
 
 // republishExcludingSelf writes posts to their current replica sets
 // minus this node, grouped per target address. Returns how many posts
-// were acknowledged by at least one target.
+// were acknowledged by at least one target. A post whose replica set
+// cannot be resolved is skipped (and reported unplaced by the count).
 func (c *Client) republishExcludingSelf(posts []Post) (int, []ReplicaError) {
-	self := c.node.Self()
-	groups := make(map[string][]Post)
+	idx := make([]int, len(posts))
+	for i := range idx {
+		idx[i] = i
+	}
+	addrs, groups, _ := groupByReplica(c, idx, func(i int) string { return posts[i].Term }, c.Replicas+1, c.node.Self().Addr)
 	placed := make(map[int]bool, len(posts))
-	index := make(map[string][]int) // addr → post indexes in the group
-	for i, p := range posts {
-		replicas, err := c.node.ReplicaSet(p.Term, c.Replicas+1)
-		if err != nil {
-			continue
-		}
-		for _, r := range replicas {
-			if r.Addr == self.Addr {
-				continue
-			}
-			groups[r.Addr] = append(groups[r.Addr], p)
-			index[r.Addr] = append(index[r.Addr], i)
-		}
-	}
-	addrs := make([]string, 0, len(groups))
-	for addr := range groups {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
 	var errs []ReplicaError
 	for _, addr := range addrs {
+		group := make([]Post, len(groups[addr]))
+		for j, i := range groups[addr] {
+			group[j] = posts[i]
+		}
 		var n int
-		if err := c.invoke(addr, methodPost, groups[addr], &n); err != nil {
+		if err := c.invoke(addr, methodPost, group, &n, 0); err != nil {
 			errs = append(errs, replicaError(addr, "post", "", err))
 			continue
 		}
-		for _, i := range index[addr] {
+		for _, i := range groups[addr] {
 			placed[i] = true
 		}
 	}
@@ -306,40 +295,17 @@ func (c *Client) republishExcludingSelf(posts []Post) (int, []ReplicaError) {
 // replica sets — the departing peer's own publications stop routing
 // queries to it immediately instead of aging out over prune epochs.
 // Best-effort: unreachable replicas keep their copies (which then die
-// by epoch pruning). Returns the number of posts removed.
+// by epoch pruning), and terms that cannot be resolved are skipped.
+// Returns the number of posts removed.
 func (c *Client) Withdraw(peer string, terms []string) int {
 	if peer == "" || len(terms) == 0 {
 		return 0
 	}
-	var ring []chord.NodeRef
-	if len(terms) > 16 {
-		ring = c.ringSnapshot()
-	}
-	byAddr := make(map[string][]string)
-	for _, t := range terms {
-		var replicas []chord.NodeRef
-		if ring != nil {
-			replicas = replicasFromRing(ring, chord.HashKey(t), c.Replicas)
-		} else {
-			var err error
-			replicas, err = c.node.ReplicaSet(t, c.Replicas)
-			if err != nil {
-				continue
-			}
-		}
-		for _, r := range replicas {
-			byAddr[r.Addr] = append(byAddr[r.Addr], t)
-		}
-	}
-	addrs := make([]string, 0, len(byAddr))
-	for addr := range byAddr {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
+	addrs, groups, _ := groupByReplica(c, terms, func(t string) string { return t }, c.Replicas, "")
 	removed := 0
 	for _, addr := range addrs {
 		var n int
-		if err := c.invoke(addr, methodWithdraw, withdrawRequest{Peer: peer, Terms: byAddr[addr]}, &n); err != nil {
+		if err := c.invoke(addr, methodWithdraw, withdrawRequest{Peer: peer, Terms: groups[addr]}, &n, 0); err != nil {
 			continue
 		}
 		removed += n

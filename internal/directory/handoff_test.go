@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iqn/internal/chord"
+	"iqn/internal/transport"
 )
 
 // findService returns the index of the node at addr.
@@ -23,7 +24,7 @@ func TestPushHandoffToSuccessor(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		posts = append(posts, mkPost("peerA", fmt.Sprintf("term-%02d", i), 10+i))
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a node that actually stores part of the directory.
@@ -66,7 +67,7 @@ func TestPushHandoffFailsOverPastDeadSuccessor(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		posts = append(posts, mkPost("peerB", fmt.Sprintf("word-%02d", i), 5+i))
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	leaver := -1
@@ -98,6 +99,83 @@ func TestPushHandoffFailsOverPastDeadSuccessor(t *testing.T) {
 	}
 }
 
+// TestPushHandoffRepublishesWhenSuccessorsDead: when no successor takes
+// the push (every handoff push is dropped, as if each successor were
+// dead), the leaver's fraction goes out through the publish path to each
+// term's replica set minus the leaver itself, and once the leaver has
+// departed every one of its posts is still readable.
+func TestPushHandoffRepublishesWhenSuccessorsDead(t *testing.T) {
+	f := transport.NewFaulty(transport.NewInMem(), 3)
+	nodes, services, clients := testRingOn(t, f, 6, 1)
+	var posts []Post
+	for i := 0; i < 120; i++ {
+		posts = append(posts, mkPost("peerD", fmt.Sprintf("item-%03d", i), 4+i%7))
+	}
+	if _, err := clients[0].Publish(posts); err != nil {
+		t.Fatal(err)
+	}
+	// The busiest node leaves: more than ringSnapshotMin posts, so the
+	// republish resolves replica sets against a ring snapshot.
+	leaver := 0
+	for i, s := range services {
+		if s.TermCount() > services[leaver].TermCount() {
+			leaver = i
+		}
+	}
+	held := services[leaver].AllPosts()
+	if len(held) <= ringSnapshotMin {
+		t.Fatalf("leaver holds %d posts, want more than %d", len(held), ringSnapshotMin)
+	}
+	self := nodes[leaver].Self().Addr
+	f.AddRule(transport.Rule{Method: methodHandoffPush, Drop: 1})
+	// A post written back to the leaver would die with it: fail it loudly.
+	f.AddRule(transport.Rule{To: self, Method: methodPost, Error: 1})
+
+	rep, err := clients[leaver].PushHandoff(services[leaver])
+	if err != nil {
+		t.Fatalf("push handoff: %v", err)
+	}
+	if rep.Target != "" || rep.Republished != len(held) {
+		t.Fatalf("report %+v: want no push target and all %d posts republished", rep, len(held))
+	}
+	for _, e := range rep.Errors {
+		if e.Op != "handoff_push" {
+			t.Fatalf("unexpected failure %+v: only the successor pushes may fail", e)
+		}
+	}
+
+	nodes[leaver].Leave()
+	nodes[leaver].Close()
+	var live []*chord.Node
+	for i, n := range nodes {
+		if i != leaver {
+			live = append(live, n)
+		}
+	}
+	for r := 0; r < 2*len(live); r++ {
+		for _, n := range live {
+			n.Stabilize()
+		}
+	}
+	for _, n := range live {
+		n.FixAllFingers()
+	}
+	reader := clients[(leaver+1)%len(clients)]
+	for _, post := range held {
+		pl, err := fetch(reader, post.Term)
+		if err != nil {
+			t.Fatalf("fetch %q after departure: %v", post.Term, err)
+		}
+		found := false
+		for _, got := range pl {
+			found = found || got.Peer == post.Peer
+		}
+		if !found {
+			t.Fatalf("post %s/%s lost with the leaver: %+v", post.Peer, post.Term, pl)
+		}
+	}
+}
+
 func TestWithdrawRemovesDepartingPeersPosts(t *testing.T) {
 	_, _, clients, _ := testRing(t, 5, 2)
 	posts := []Post{
@@ -105,7 +183,7 @@ func TestWithdrawRemovesDepartingPeersPosts(t *testing.T) {
 		mkPost("peerB", "fire", 20),
 		mkPost("peerA", "water", 15),
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	removed := clients[1].Withdraw("peerA", []string{"fire", "water"})
@@ -113,7 +191,7 @@ func TestWithdrawRemovesDepartingPeersPosts(t *testing.T) {
 	if removed != 4 {
 		t.Fatalf("withdraw removed %d copies, want 4", removed)
 	}
-	pl, err := clients[2].Fetch("fire")
+	pl, err := fetch(clients[2], "fire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +211,7 @@ func TestAcquireOwnedRangeBestEffort(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		posts = append(posts, mkPost("peerC", fmt.Sprintf("topic-%02d", i), 3+i))
 	}
-	if err := clients[0].Publish(posts); err != nil {
+	if _, err := clients[0].Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 	// Kill node 3's immediate successor: with replication 3 the next

@@ -275,23 +275,6 @@ func applyEpochFloor(pl PeerList, floor int64) PeerList {
 	return out
 }
 
-// invokeBudget issues one directory RPC under the client's retry policy
-// with the per-attempt timeout capped by the caller's remaining budget
-// (≤ 0: no cap). The cap is per attempt, not per call chain; callers
-// with an end-to-end budget re-check what remains between stages.
-func (c *Client) invokeBudget(addr, method string, req, resp any, budget time.Duration) error {
-	c.Metrics.Counter("directory.rpc." + method).Inc()
-	p := c.Retry
-	if budget > 0 && (p.Timeout <= 0 || p.Timeout > budget) {
-		p.Timeout = budget
-	}
-	attempts, err := transport.InvokeRetry(c.node.Network(), addr, method, req, resp, p)
-	if attempts > 1 {
-		c.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
-	}
-	return err
-}
-
 // replicaError builds the report entry for one failed replica call.
 func replicaError(addr, op, term string, err error) ReplicaError {
 	return ReplicaError{
@@ -301,65 +284,6 @@ func replicaError(addr, op, term string, err error) ReplicaError {
 		Err:         err.Error(),
 		Unreachable: transport.Retryable(err),
 	}
-}
-
-// PublishReport is Publish with a full per-replica account: every
-// replica write group that failed is listed individually. The error is
-// non-nil only when every group failed (no replica accepted anything).
-func (c *Client) PublishReport(posts []Post) (PublishReport, error) {
-	var rep PublishReport
-	var ring []chord.NodeRef
-	if len(posts) > 16 {
-		ring = c.ringSnapshot()
-	}
-	groups := make(map[string][]Post) // addr → posts
-	for _, p := range posts {
-		var replicas []chord.NodeRef
-		if ring != nil {
-			replicas = replicasFromRing(ring, chord.HashKey(p.Term), c.Replicas)
-		} else {
-			var err error
-			replicas, err = c.node.ReplicaSet(p.Term, c.Replicas)
-			if err != nil {
-				return rep, fmt.Errorf("directory: resolve %q: %w", p.Term, err)
-			}
-		}
-		for _, r := range replicas {
-			groups[r.Addr] = append(groups[r.Addr], p)
-		}
-	}
-	addrs := make([]string, 0, len(groups))
-	for addr := range groups {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	rep.Groups = len(addrs)
-	for _, addr := range addrs {
-		var n int
-		if err := c.invoke(addr, methodPost, groups[addr], &n); err != nil {
-			rep.Errors = append(rep.Errors, replicaError(addr, "post", "", err))
-			continue
-		}
-		rep.Written++
-	}
-	// The publish may have changed any of these terms remotely — drop the
-	// cached copies (even on partial failure: some replica may have
-	// accepted the write).
-	if c.cache != nil {
-		seen := make(map[string]struct{}, len(posts))
-		for _, p := range posts {
-			if _, dup := seen[p.Term]; dup {
-				continue
-			}
-			seen[p.Term] = struct{}{}
-			c.InvalidateCachedTerm(p.Term)
-		}
-	}
-	if rep.Written == 0 && rep.Groups > 0 {
-		return rep, fmt.Errorf("directory: all %d post targets failed (first: %s: %s)",
-			rep.Groups, rep.Errors[0].Addr, rep.Errors[0].Err)
-	}
-	return rep, nil
 }
 
 // FetchAllReportOpts retrieves the PeerLists of several terms with a
@@ -439,7 +363,7 @@ func (c *Client) fetchAllReport(terms []string, budget time.Duration) (map[strin
 				addrs[i] = r.Addr
 			}
 			h := transport.Hedged{
-				Caller:    transport.WithTimeout(c.node.Network(), c.perAttempt(budget)),
+				Caller:    transport.WithTimeout(c.node.Network(), c.Retry.Within(budget).Timeout),
 				Delay:     c.HedgeDelay,
 				Max:       len(addrs),
 				Hedges:    c.Metrics.Counter("transport.hedges"),
@@ -460,7 +384,7 @@ func (c *Client) fetchAllReport(terms []string, budget time.Duration) (map[strin
 			// Sequential read: the owner's batch first, per-term replica
 			// fail-over below when it fails.
 			var got map[string]PeerList
-			err := c.invokeBudget(owner, methodGetBatch, group, &got, budget)
+			err := c.invoke(owner, methodGetBatch, group, &got, budget)
 			if err == nil {
 				for t, pl := range got {
 					out[t] = pl
@@ -483,23 +407,13 @@ func (c *Client) fetchAllReport(terms []string, budget time.Duration) (map[strin
 	return out, rep, nil
 }
 
-// perAttempt resolves the per-attempt timeout under a budget: the
-// tighter of the retry policy's Timeout and the budget itself.
-func (c *Client) perAttempt(budget time.Duration) time.Duration {
-	d := c.Retry.Timeout
-	if budget > 0 && (d <= 0 || d > budget) {
-		d = budget
-	}
-	return d
-}
-
 // fetchEachReplica tries a term's replicas in order, recording each
 // failure, and returns the first successful PeerList.
 func (c *Client) fetchEachReplica(term string, replicas []chord.NodeRef, budget time.Duration, rep *FetchReport) (PeerList, error) {
 	var lastErr error = transport.ErrUnreachable
 	for _, r := range replicas {
 		var pl PeerList
-		if err := c.invokeBudget(r.Addr, methodGet, term, &pl, budget); err != nil {
+		if err := c.invoke(r.Addr, methodGet, term, &pl, budget); err != nil {
 			rep.addError(replicaError(r.Addr, "get", term, err))
 			lastErr = err
 			continue
@@ -528,7 +442,7 @@ func (c *Client) quorumFetch(term string, replicas []chord.NodeRef, budget time.
 	var lastErr error = transport.ErrUnreachable
 	for _, r := range replicas {
 		var got getRepairResponse
-		if err := c.invokeBudget(r.Addr, methodGetRepair, term, &got, budget); err != nil {
+		if err := c.invoke(r.Addr, methodGetRepair, term, &got, budget); err != nil {
 			rep.addError(replicaError(r.Addr, "get", term, err))
 			lastErr = err
 			continue
@@ -559,7 +473,7 @@ func (c *Client) quorumFetch(term string, replicas []chord.NodeRef, budget time.
 			continue
 		}
 		c.Metrics.Counter("directory.replica_divergence").Inc()
-		if err := c.invokeBudget(cp.addr, methodRepair, repairRequest{Term: term, Posts: merged, Floor: floor}, nil, budget); err != nil {
+		if err := c.invoke(cp.addr, methodRepair, repairRequest{Term: term, Posts: merged, Floor: floor}, nil, budget); err != nil {
 			rep.addError(replicaError(cp.addr, "repair", term, err))
 			continue
 		}
@@ -587,7 +501,7 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 	var floor int64
 	for _, r := range replicas {
 		var d digestResponse
-		if err := c.invoke(r.Addr, methodDigest, term, &d); err != nil {
+		if err := c.invoke(r.Addr, methodDigest, term, &d, 0); err != nil {
 			continue
 		}
 		live = append(live, state{addr: r.Addr, dig: d.Dig})
@@ -612,7 +526,7 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 	byAddr := make(map[string]PeerList, len(live))
 	for _, s := range live {
 		var pl PeerList
-		if err := c.invoke(s.addr, methodGet, term, &pl); err != nil {
+		if err := c.invoke(s.addr, methodGet, term, &pl, 0); err != nil {
 			continue
 		}
 		lists = append(lists, pl)
@@ -625,7 +539,7 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 		if !ok || DigestPosts(pl) == want {
 			continue
 		}
-		if err := c.invoke(s.addr, methodRepair, repairRequest{Term: term, Posts: merged, Floor: floor}, nil); err != nil {
+		if err := c.invoke(s.addr, methodRepair, repairRequest{Term: term, Posts: merged, Floor: floor}, nil, 0); err != nil {
 			continue
 		}
 		repaired++

@@ -66,7 +66,7 @@ func TestPublishReportPerReplicaErrors(t *testing.T) {
 	nodes, _, clients, net := testRing(t, 5, 2)
 	posts := []Post{mkPost("p", "alpha", 10), mkPost("p", "beta", 20)}
 	// Healthy publish: every group written, no errors.
-	rep, err := clients[0].PublishReport(posts)
+	rep, err := clients[0].Publish(posts)
 	if err != nil || len(rep.Errors) != 0 || rep.Written != rep.Groups || rep.Groups == 0 {
 		t.Fatalf("healthy publish report = %+v, %v", rep, err)
 	}
@@ -78,7 +78,7 @@ func TestPublishReportPerReplicaErrors(t *testing.T) {
 	}
 	victim := replicas[1].Addr
 	net.SetPartitioned(victim, true)
-	rep, err = clients[0].PublishReport(posts)
+	rep, err = clients[0].Publish(posts)
 	if err != nil {
 		t.Fatalf("degraded publish = %v", err)
 	}
@@ -101,7 +101,7 @@ func TestPublishReportPerReplicaErrors(t *testing.T) {
 	for _, n := range nodes {
 		net.SetPartitioned(n.Self().Addr, true)
 	}
-	rep, err = clients[0].PublishReport(posts)
+	rep, err = clients[0].Publish(posts)
 	if err == nil {
 		t.Fatal("publish with every replica down succeeded")
 	}
@@ -112,7 +112,7 @@ func TestPublishReportPerReplicaErrors(t *testing.T) {
 
 func TestFetchAllReportWinnersAndFallback(t *testing.T) {
 	nodes, _, clients, net := testRing(t, 6, 3)
-	if err := clients[0].Publish([]Post{mkPost("p", "gamma", 7)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", "gamma", 7)}); err != nil {
 		t.Fatal(err)
 	}
 	// Healthy fetch: the owner wins, no errors.
@@ -155,7 +155,7 @@ func TestHedgedFetchOutrunsSlowOwner(t *testing.T) {
 	f := transport.NewFaulty(transport.NewInMem(), 11)
 	nodes, _, clients := ringOn(t, f, 5, 3)
 	c := clients[0]
-	if err := c.Publish([]Post{mkPost("p", "delta", 9)}); err != nil {
+	if _, err := c.Publish([]Post{mkPost("p", "delta", 9)}); err != nil {
 		t.Fatal(err)
 	}
 	replicas, err := nodes[0].ReplicaSet("delta", 3)
@@ -236,7 +236,7 @@ func TestDigestPostsCanonical(t *testing.T) {
 
 func TestReplaceTermSemantics(t *testing.T) {
 	_, services, clients, _ := testRing(t, 3, 3)
-	if err := clients[0].Publish([]Post{mkPost("a", "t", 5), mkPost("b", "t", 6)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("a", "t", 5), mkPost("b", "t", 6)}); err != nil {
 		t.Fatal(err)
 	}
 	s := services[0]
@@ -260,7 +260,7 @@ func TestReplaceTermSemantics(t *testing.T) {
 func TestQuorumReadRepairsDivergentReplica(t *testing.T) {
 	nodes, services, clients, _ := testRing(t, 6, 3)
 	full := []Post{mkPost("a", "epsilon", 5), mkPost("b", "epsilon", 6)}
-	if err := clients[0].Publish(full); err != nil {
+	if _, err := clients[0].Publish(full); err != nil {
 		t.Fatal(err)
 	}
 	replicas, err := nodes[0].ReplicaSet("epsilon", 3)
@@ -301,7 +301,7 @@ func TestQuorumReadRepairsDivergentReplica(t *testing.T) {
 func TestRepairTermAntiEntropy(t *testing.T) {
 	nodes, services, clients, _ := testRing(t, 6, 3)
 	full := []Post{mkPost("a", "zeta", 3), mkPost("b", "zeta", 4)}
-	if err := clients[0].Publish(full); err != nil {
+	if _, err := clients[0].Publish(full); err != nil {
 		t.Fatal(err)
 	}
 	replicas, err := nodes[0].ReplicaSet("zeta", 3)
@@ -336,7 +336,7 @@ func TestOverloadedDirectoryFetchDegradesLoudly(t *testing.T) {
 	// A saturated replica answers with ErrOverloaded; the fetch fails over
 	// and the report classifies the reject as retryable (Unreachable).
 	nodes, _, clients, _ := testRing(t, 5, 3)
-	if err := clients[0].Publish([]Post{mkPost("p", "eta", 2)}); err != nil {
+	if _, err := clients[0].Publish([]Post{mkPost("p", "eta", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	replicas, err := nodes[0].ReplicaSet("eta", 3)
@@ -390,7 +390,7 @@ func TestRepairFloorPreventsResurrection(t *testing.T) {
 	nodes, services, clients, _ := testRing(t, 5, 3)
 	post := mkPost("sleeper", "omega", 10)
 	post.Epoch = 1
-	if err := clients[0].Publish([]Post{post}); err != nil {
+	if _, err := clients[0].Publish([]Post{post}); err != nil {
 		t.Fatal(err)
 	}
 	replicas, err := nodes[0].ReplicaSet("omega", 3)
@@ -434,7 +434,7 @@ func TestQuorumReadRespectsPruneFloor(t *testing.T) {
 	nodes, services, clients, _ := testRing(t, 5, 3)
 	post := mkPost("sleeper", "omega", 10)
 	post.Epoch = 1
-	if err := clients[0].Publish([]Post{post}); err != nil {
+	if _, err := clients[0].Publish([]Post{post}); err != nil {
 		t.Fatal(err)
 	}
 	replicas, err := nodes[0].ReplicaSet("omega", 3)

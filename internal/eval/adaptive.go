@@ -197,7 +197,7 @@ func (tb *testbed) adaptivePass(draws []int, run adaptiveRun) (out adaptiveOutco
 			posts[i].MaxScore *= adaptiveInflateFactor
 			posts[i].Epoch = 1
 		}
-		if err := p.Directory().Publish(posts); err != nil {
+		if _, err := p.Directory().Publish(posts); err != nil {
 			return out, fmt.Errorf("eval: adaptive publish inflated: %w", err)
 		}
 	}

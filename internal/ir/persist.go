@@ -8,18 +8,8 @@ package ir
 // silently feeding a corrupt index into queries.
 
 // SaveFile writes the finalized index to path as an IQDX file. Panics
-// if the index is not finalized.
+// if the index is not finalized. OpenDisk reads it back (Materialize
+// loads it fully into memory).
 func (x *Index) SaveFile(path string) error {
 	return WriteDiskIndex(x, path)
-}
-
-// LoadFile reads an IQDX file fully into memory; any other file is
-// rejected. Callers that want the out-of-core reader use OpenDisk.
-func LoadFile(path string) (*Index, error) {
-	d, err := OpenDisk(path)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-	return d.Materialize(), nil
 }

@@ -10,6 +10,17 @@ import (
 	"iqn/internal/dataset"
 )
 
+// loadFile reads an IQDX file fully into memory, the way a restarted
+// in-memory index is restored.
+func loadFile(path string) (*Index, error) {
+	d, err := OpenDisk(path)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.Materialize(), nil
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: 300, Seed: 9})
 	x := NewIndex()
@@ -23,7 +34,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := x.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +72,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +82,7 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadFileErrors(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent")); err == nil {
+	if _, err := loadFile(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("loading a missing file succeeded")
 	}
 	// Anything that is not IQDX, short or long, is refused by name.
@@ -80,7 +91,7 @@ func TestLoadFileErrors(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "not an IQDX index") {
+		if _, err := loadFile(path); err == nil || !strings.Contains(err.Error(), "not an IQDX index") {
 			t.Fatalf("%d-byte garbage load error = %v", len(content), err)
 		}
 	}
@@ -98,7 +109,7 @@ func TestChecksumDetectsTruncationAndCorruption(t *testing.T) {
 	if err := x.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err != nil {
+	if _, err := loadFile(path); err != nil {
 		t.Fatalf("pristine snapshot failed to load: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -121,7 +132,7 @@ func TestChecksumDetectsTruncationAndCorruption(t *testing.T) {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadFile(path)
+		_, err := loadFile(path)
 		if err == nil {
 			t.Fatalf("%s: damaged snapshot loaded", name)
 		}
@@ -132,7 +143,7 @@ func TestChecksumDetectsTruncationAndCorruption(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotVersionRejected feeds LoadFile a file shaped like the
+// TestOldSnapshotVersionRejected feeds loadFile a file shaped like the
 // retired gob snapshot (opaque payload, IQSNAP trailer): it is refused
 // with the re-index hint, not half-decoded.
 func TestOldSnapshotVersionRejected(t *testing.T) {
@@ -141,12 +152,15 @@ func TestOldSnapshotVersionRejected(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadFile(path)
+	_, err := loadFile(path)
 	if err == nil || !strings.Contains(err.Error(), "not an IQDX index: re-index and save again") {
 		t.Fatalf("old snapshot error = %v", err)
 	}
 }
 
+// TestLoadFileAutoDetectsDiskIndex loads a file written straight by
+// WriteDiskIndex: OpenDisk recognises the IQDX magic and the materialized
+// index answers like the original.
 func TestLoadFileAutoDetectsDiskIndex(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.iqdx")
@@ -159,9 +173,9 @@ func TestLoadFileAutoDetectsDiskIndex(t *testing.T) {
 	if err := WriteDiskIndex(x, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadFile(path)
 	if err != nil {
-		t.Fatalf("LoadFile on disk-index format: %v", err)
+		t.Fatalf("loading the disk-index format: %v", err)
 	}
 	if got.NumDocs() != x.NumDocs() || got.TermSpaceSize() != x.TermSpaceSize() {
 		t.Fatalf("materialized shape %d/%d, want %d/%d",

@@ -130,7 +130,7 @@ func TestAdaptiveDownweightsInflatedPublisher(t *testing.T) {
 		posts[i].MaxScore *= 50
 		posts[i].Epoch = 1
 	}
-	if err := victim.Directory().Publish(posts); err != nil {
+	if _, err := victim.Directory().Publish(posts); err != nil {
 		t.Fatal(err)
 	}
 

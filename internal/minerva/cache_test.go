@@ -99,7 +99,7 @@ func TestMaintenanceRoundInvalidatesCaches(t *testing.T) {
 	// The initiator's own PeerLists must reflect the prune through the
 	// cache, too: no post of the dead peer below the floor.
 	term := q.Terms[0]
-	pl, err := initiator.Directory().Fetch(term)
+	pl, err := fetchTerm(initiator, term)
 	if err != nil {
 		t.Fatal(err)
 	}

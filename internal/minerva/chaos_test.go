@@ -224,7 +224,7 @@ func TestDirectoryClientRetries(t *testing.T) {
 	faulty.AddRule(transport.Rule{From: p.Name(), Drop: 0.6})
 	ok := false
 	for i := 0; i < 5 && !ok; i++ {
-		if _, err := p.Directory().Fetch(term); err == nil {
+		if _, err := fetchTerm(p, term); err == nil {
 			ok = true
 		}
 	}

@@ -83,7 +83,7 @@ func TestGracefulLeaveKeepsDirectoryWhole(t *testing.T) {
 	// holding posts; none of the surviving posts may name the leaver.
 	survivor := net.Peers[0]
 	for _, term := range storedTerms {
-		pl, err := survivor.Directory().Fetch(term)
+		pl, err := fetchTerm(survivor, term)
 		if err != nil {
 			t.Fatalf("fetch %q after leave: %v", term, err)
 		}
@@ -141,7 +141,7 @@ func TestBootstrapNetworkMatchesJoinedRing(t *testing.T) {
 	}
 	// The directory must work end to end on the bootstrapped ring.
 	term := net.Peers[7].Index().Terms()[0]
-	pl, err := net.Peers[42].Directory().Fetch(term)
+	pl, err := fetchTerm(net.Peers[42], term)
 	if err != nil {
 		t.Fatal(err)
 	}

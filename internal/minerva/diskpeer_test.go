@@ -196,7 +196,7 @@ func TestDiskPeerInNetwork(t *testing.T) {
 }
 
 // TestDiskPeerSaveLoadRoundTrip persists a disk-backed peer's index and
-// restores it through the auto-detecting LoadIndex.
+// restores it through LoadDiskIndex.
 func TestDiskPeerSaveLoadRoundTrip(t *testing.T) {
 	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: 150, Seed: 4})
 	cfg := Config{SynopsisSeed: 3}
@@ -210,13 +210,12 @@ func TestDiskPeerSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	p2 := standalonePeer(t, cfg)
-	if err := p2.LoadIndex(saved); err != nil {
+	if err := p2.LoadDiskIndex(saved); err != nil {
 		t.Fatal(err)
 	}
-	// The restored peer is disk-backed (auto-detected), and answers
-	// identically.
+	// The restored peer is disk-backed and answers identically.
 	if _, ok := p2.Index().(*ir.DiskIndex); !ok {
-		t.Fatalf("LoadIndex mounted %T, want *ir.DiskIndex", p2.Index())
+		t.Fatalf("LoadDiskIndex mounted %T, want *ir.DiskIndex", p2.Index())
 	}
 	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: 3, Seed: 4})
 	for _, q := range queries {

@@ -25,6 +25,20 @@ type httpSearchResponse struct {
 	Results    []httpResult   `json:"results"`
 	Steps      []httpPlanStep `json:"steps,omitempty"`
 	PerPeer    map[string]int `json:"perPeer,omitempty"`
+	// Degraded, BudgetExpired, Rerouted and Errors carry SearchResult's
+	// account of lost peers, so a partial answer never looks healthy.
+	Degraded      bool            `json:"degraded"`
+	BudgetExpired bool            `json:"budgetExpired"`
+	Rerouted      []string        `json:"rerouted,omitempty"`
+	Errors        []httpPeerError `json:"errors,omitempty"`
+}
+
+// httpPeerError is one PerPeerError of a degraded search.
+type httpPeerError struct {
+	Peer        string `json:"peer"`
+	Err         string `json:"err"`
+	Unreachable bool   `json:"unreachable"`
+	Replacement string `json:"replacement,omitempty"`
 }
 
 type httpResult struct {
@@ -88,16 +102,26 @@ func (p *Peer) HTTPHandler() http.Handler {
 		if r.URL.Query().Get("conj") == "1" {
 			opts.Conjunctive = true
 		}
-		res, err := p.Search(terms, opts)
+		res, err := p.SearchContext(r.Context(), terms, opts)
 		if err != nil {
 			httpError(w, http.StatusBadGateway, err.Error())
 			return
 		}
 		resp := httpSearchResponse{
-			Query:      terms,
-			Method:     opts.Method.String(),
-			Candidates: res.Candidates,
-			PerPeer:    map[string]int{},
+			Query:         terms,
+			Method:        opts.Method.String(),
+			Candidates:    res.Candidates,
+			PerPeer:       map[string]int{},
+			Degraded:      res.Degraded(),
+			BudgetExpired: res.BudgetExpired,
+		}
+		for _, peer := range res.Rerouted {
+			resp.Rerouted = append(resp.Rerouted, string(peer))
+		}
+		for _, e := range res.Errors {
+			resp.Errors = append(resp.Errors, httpPeerError{
+				Peer: string(e.Peer), Err: e.Err, Unreachable: e.Unreachable, Replacement: string(e.Replacement),
+			})
 		}
 		for _, peer := range res.Plan.Peers {
 			resp.Plan = append(resp.Plan, string(peer))
@@ -172,11 +196,4 @@ func (p *Peer) SaveIndex(path string) error {
 		return fmt.Errorf("minerva: index type %T cannot be saved", idx)
 	}
 	return saver.SaveFile(path)
-}
-
-// LoadIndex restores an index persisted by SaveIndex or built by the
-// buildix pipeline, mounting it disk-backed (see LoadDiskIndex). The
-// peer still needs to PublishPosts afterwards to re-enter directories.
-func (p *Peer) LoadIndex(path string) error {
-	return p.LoadDiskIndex(path)
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iqn/internal/telemetry"
+	"iqn/internal/transport"
 )
 
 func TestHTTPSearch(t *testing.T) {
@@ -39,6 +41,45 @@ func TestHTTPSearch(t *testing.T) {
 	// Steps carry novelty diagnostics.
 	if len(body.Steps) == 0 || body.Steps[0].Peer == "" {
 		t.Fatalf("steps = %+v", body.Steps)
+	}
+}
+
+// TestHTTPSearchReportsDegradation partitions one planned peer: /search
+// still answers 200, but says the search degraded and names the peer.
+func TestHTTPSearchReportsDegradation(t *testing.T) {
+	net, _, queries := buildTestNetwork(t, Config{SynopsisSeed: 7, Replicas: 3})
+	initiator := net.Peers[0]
+	q := queries[0]
+	opts := SearchOptions{K: 10, MergeK: 10, MaxPeers: 3}
+	healthy, err := initiator.Search(q.Terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := string(healthy.Plan.Peers[0])
+	net.Transport.(*transport.InMem).SetPartitioned(victim, true)
+	srv := httptest.NewServer(initiator.HTTPHandler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/search?q=" + strings.Join(q.Terms, "+") + "&peers=3&k=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d, want 200 for a degraded search", resp.StatusCode)
+	}
+	var body httpSearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !body.Degraded {
+		t.Fatalf("degraded = false after losing %s: %+v", victim, body)
+	}
+	found := false
+	for _, e := range body.Errors {
+		found = found || (e.Peer == victim && e.Unreachable && e.Err != "")
+	}
+	if !found {
+		t.Fatalf("errors %+v do not name the partitioned peer %s", body.Errors, victim)
 	}
 }
 
@@ -88,7 +129,7 @@ func TestPeerIndexPersistence(t *testing.T) {
 	}
 	before := p.LocalSearch(queries[0].Terms, 10, false)
 	// Wipe and restore.
-	if err := p.LoadIndex(path); err != nil {
+	if err := p.LoadDiskIndex(path); err != nil {
 		t.Fatal(err)
 	}
 	after := p.LocalSearch(queries[0].Terms, 10, false)

@@ -2,10 +2,15 @@ package minerva
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"iqn/internal/core"
 	"iqn/internal/dataset"
+	"iqn/internal/directory"
 	"iqn/internal/ir"
 	"iqn/internal/synopsis"
 	"iqn/internal/transport"
@@ -26,6 +31,12 @@ func buildTestNetwork(t *testing.T, cfg Config) (*Network, *dataset.Corpus, []da
 	return net, corpus, queries
 }
 
+// fetchTerm reads one term's PeerList through the peer's directory client.
+func fetchTerm(p *Peer, term string) (directory.PeerList, error) {
+	lists, _, err := p.Directory().FetchAllReportOpts([]string{term}, 0, directory.FetchOptions{})
+	return lists[term], err
+}
+
 func TestNetworkBootAndPublish(t *testing.T) {
 	net, _, _ := buildTestNetwork(t, Config{SynopsisSeed: 7})
 	if len(net.Peers) != 10 {
@@ -34,7 +45,7 @@ func TestNetworkBootAndPublish(t *testing.T) {
 	// Every peer must be able to fetch a PeerList for a term it indexed.
 	p := net.Peers[3]
 	term := p.Index().Terms()[0]
-	pl, err := p.Directory().Fetch(term)
+	pl, err := fetchTerm(p, term)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,6 +396,91 @@ func TestSearchCandidateLimit(t *testing.T) {
 	}
 	if loose.Candidates != full.Candidates {
 		t.Fatalf("loose limit changed candidates: %d vs %d", loose.Candidates, full.Candidates)
+	}
+}
+
+// TestTrimPeerListsMatchesBruteForce checks the candidate trim against a
+// rank-counting oracle over random PeerLists with many score ties: a
+// peer survives exactly when fewer than limit peers outrank it (higher
+// summed score, or equal score and a smaller name), and every list keeps
+// the surviving peers' posts in their original order.
+func TestTrimPeerListsMatchesBruteForce(t *testing.T) {
+	f := func(seed int64, limitRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		limit := int(limitRaw)%8 + 1
+		lists := map[string]directory.PeerList{}
+		for ti := rng.Intn(4) + 1; ti > 0; ti-- {
+			var pl directory.PeerList
+			seen := map[string]bool{}
+			for i := rng.Intn(30); i > 0; i-- {
+				peer := fmt.Sprintf("k%d", rng.Intn(15))
+				if !seen[peer] { // one post per peer and term, as the directory stores them
+					seen[peer] = true
+					pl = append(pl, directory.Post{Peer: peer, Term: fmt.Sprintf("t%d", ti), ListLength: rng.Intn(10) * 10})
+				}
+			}
+			lists[fmt.Sprintf("t%d", ti)] = pl
+		}
+		terms := make([]string, 0, len(lists))
+		for term := range lists {
+			terms = append(terms, term)
+		}
+		sort.Strings(terms)
+		score := map[string]float64{}
+		for _, term := range terms {
+			for _, post := range lists[term] {
+				df := float64(post.ListLength)
+				score[post.Peer] += df / (df + 200)
+			}
+		}
+		kept := map[string]bool{}
+		for peer, s := range score {
+			outranked := 0
+			for other, o := range score {
+				if o > s || (o == s && other < peer) {
+					outranked++
+				}
+			}
+			kept[peer] = outranked < limit
+		}
+		got := trimPeerLists(lists, limit)
+		for _, term := range terms {
+			var want directory.PeerList
+			for _, post := range lists[term] {
+				if kept[post.Peer] {
+					want = append(want, post)
+				}
+			}
+			if len(got[term]) != len(want) {
+				return false
+			}
+			for i := range want {
+				if got[term][i].Peer != want[i].Peer {
+					return false
+				}
+			}
+		}
+		return len(got) == len(lists)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrimPeerListsTieBreaksByName pins the order between equal scores:
+// the smaller name wins, while a higher score beats any name.
+func TestTrimPeerListsTieBreaksByName(t *testing.T) {
+	post := func(peer string, df int) directory.Post {
+		return directory.Post{Peer: peer, Term: "t", ListLength: df}
+	}
+	lists := map[string]directory.PeerList{"t": {post("b", 50), post("a", 50), post("c", 50), post("z", 60)}}
+	got := trimPeerLists(lists, 3)["t"]
+	var names []string
+	for _, p := range got {
+		names = append(names, p.Peer)
+	}
+	if want := []string{"b", "a", "z"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("kept %v, want %v", names, want)
 	}
 }
 

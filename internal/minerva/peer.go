@@ -181,7 +181,7 @@ type Peer struct {
 
 	// snap is the peer's current index generation. Queries, publishes,
 	// and Maintainer rounds all read through one atomic pointer load —
-	// never a lock — so a live re-index (IndexCollection, LoadIndex)
+	// never a lock — so a live re-index (IndexCollection, LoadDiskIndex)
 	// swaps the whole generation in one store without ever blocking
 	// query traffic. Readers that loaded the old snapshot keep a fully
 	// consistent view (index + derived posts + self-synopses all from
@@ -579,8 +579,8 @@ func (p *Peer) IndexCollection(docs []dataset.Document) {
 }
 
 // Index returns the peer's local index as the scoring-neutral Searcher
-// view (nil before IndexCollection/LoadIndex/LoadDiskIndex). The
-// backing store may be in-memory or the out-of-core disk reader.
+// view (nil before IndexCollection/LoadDiskIndex). The backing store may
+// be in-memory or the out-of-core disk reader.
 func (p *Peer) Index() ir.Searcher {
 	if s := p.snap.Load(); s != nil {
 		return s.index
@@ -589,7 +589,8 @@ func (p *Peer) Index() ir.Searcher {
 }
 
 // LoadDiskIndex mounts an index built by the out-of-core pipeline
-// (internal/buildix) without materializing it: postings stay on disk
+// (internal/buildix) or saved by SaveIndex without materializing it
+// (publish afterwards to re-enter the directories): postings stay on disk
 // and are read per term. The snapshot swap is atomic, exactly like
 // IndexCollection — in-flight queries finish on the old generation.
 // When a synopsis side file accompanies the index and its scheme
@@ -745,5 +746,6 @@ func (p *Peer) PublishPostsEpoch(epoch int64) error {
 	for i := range posts {
 		posts[i].Epoch = epoch
 	}
-	return p.dir.Publish(posts)
+	_, err = p.dir.Publish(posts)
+	return err
 }

@@ -16,7 +16,6 @@ import (
 	"iqn/internal/ir"
 	"iqn/internal/synopsis"
 	"iqn/internal/telemetry"
-	"iqn/internal/topk"
 	"iqn/internal/transport"
 )
 
@@ -73,10 +72,10 @@ type SearchOptions struct {
 	// NoveltyOnly drops the quality factor (novelty-only selection).
 	NoveltyOnly bool
 	// CandidateLimit trims the candidate set to the top peers across the
-	// fetched PeerLists before routing, using the threshold algorithm
-	// over per-term quality scores — the paper's "top-k peers over all
-	// lists, calculated by a distributed top-k algorithm" (§4). Zero
-	// keeps every candidate.
+	// fetched PeerLists before routing, ranked by summed per-term quality
+	// scores — the paper's "top-k peers over all lists" (§4), computed at
+	// the initiator over the lists it already holds. Zero keeps every
+	// candidate.
 	CandidateLimit int
 	// DisableSelf excludes the initiator's local result from seeding the
 	// reference synopsis and from the merged results.
@@ -493,36 +492,41 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 }
 
 // trimPeerLists keeps only the posts of the top `limit` peers by summed
-// per-term quality, selected with the threshold algorithm over one
-// score-sorted list per term. The per-term quality is the CORI T
-// component of the post's list length — a pure function of the post, so
-// list owners could precompute and sort server-side exactly as §4
-// envisions.
+// per-term quality, ordered by score descending, then name ascending. The
+// per-term quality is the CORI T component of the post's list length,
+// df/(df+200) — a pure function of the post, so list owners could
+// precompute and sort server-side as §4 envisions. Here the lists are
+// already in memory, so one sort ranks the peers: a threshold algorithm
+// over them would save no messages.
 func trimPeerLists(lists map[string]directory.PeerList, limit int) map[string]directory.PeerList {
-	peerCount := map[string]struct{}{}
-	taLists := make([][]topk.Item, 0, len(lists))
-	for _, pl := range lists {
-		items := make([]topk.Item, 0, len(pl))
-		for _, post := range pl {
-			peerCount[post.Peer] = struct{}{}
-			df := float64(post.ListLength)
-			items = append(items, topk.Item{Key: post.Peer, Score: df / (df + 50 + 150)})
-		}
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].Score != items[j].Score {
-				return items[i].Score > items[j].Score
-			}
-			return items[i].Key < items[j].Key
-		})
-		taLists = append(taLists, items)
+	terms := make([]string, 0, len(lists))
+	for term := range lists {
+		terms = append(terms, term)
 	}
-	if len(peerCount) <= limit {
+	sort.Strings(terms) // a fixed summation order keeps the scores bit-stable
+	score := map[string]float64{}
+	for _, term := range terms {
+		for _, post := range lists[term] {
+			df := float64(post.ListLength)
+			score[post.Peer] += df / (df + 200)
+		}
+	}
+	if len(score) <= limit {
 		return lists
 	}
-	top, _ := topk.Select(taLists, limit)
-	keep := make(map[string]struct{}, len(top))
-	for _, r := range top {
-		keep[r.Key] = struct{}{}
+	peers := make([]string, 0, len(score))
+	for peer := range score {
+		peers = append(peers, peer)
+	}
+	sort.Slice(peers, func(i, j int) bool {
+		if score[peers[i]] != score[peers[j]] {
+			return score[peers[i]] > score[peers[j]]
+		}
+		return peers[i] < peers[j]
+	})
+	keep := make(map[string]struct{}, limit)
+	for _, peer := range peers[:limit] {
+		keep[peer] = struct{}{}
 	}
 	out := make(map[string]directory.PeerList, len(lists))
 	for term, pl := range lists {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"iqn/internal/chord"
+	"iqn/internal/directory"
 	"iqn/internal/minerva"
 	"iqn/internal/transport"
 )
@@ -132,13 +133,13 @@ func countLostPosts(net *minerva.Network, faulty *transport.Faulty) int {
 			probe = []string{terms[0], terms[len(terms)/2], terms[len(terms)-1]}
 		}
 		for _, term := range probe {
-			pl, err := p.Directory().Fetch(term)
+			lists, _, err := p.Directory().FetchAllReportOpts([]string{term}, 0, directory.FetchOptions{})
 			if err != nil {
 				lost++
 				continue
 			}
 			found := false
-			for _, post := range pl {
+			for _, post := range lists[term] {
 				if post.Peer == p.Name() {
 					found = true
 					break

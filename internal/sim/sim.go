@@ -635,7 +635,7 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 				posts[i].ListLength *= 2
 				posts[i].Epoch = epoch
 			}
-			if err := src.Directory().Publish(posts); err != nil {
+			if _, err := src.Directory().Publish(posts); err != nil {
 				return fmt.Errorf("sim: publish ghost posts: %w", err)
 			}
 		case Maintenance:
@@ -697,7 +697,7 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 				posts[i].MaxScore *= factor
 				posts[i].Epoch = epoch
 			}
-			if err := p.Directory().Publish(posts); err != nil {
+			if _, err := p.Directory().Publish(posts); err != nil {
 				return fmt.Errorf("sim: publish inflated posts: %w", err)
 			}
 		default:

@@ -1,11 +1,4 @@
-package topk
-
-import (
-	"math"
-	"sort"
-)
-
-// This file is the initiator-side coordinator of the bandwidth-frugal
+// Package topk is the initiator-side coordinator of the bandwidth-frugal
 // top-k protocol (the traffic-reduction direction of Akbarinia et al.,
 // "Reducing Network Traffic in Unstructured P2P Systems Using Top-k
 // Queries" — see PAPERS.md): each queried peer streams its local result
@@ -35,6 +28,12 @@ import (
 // and legitimately re-open sources that were stopped under the old
 // threshold; Stopped answers against the current state, so pullers that
 // re-check after a removal resume exactly where soundness requires.
+package topk
+
+import (
+	"math"
+	"sort"
+)
 
 // DocScore is one (document, score) entry of a result stream.
 type DocScore struct {

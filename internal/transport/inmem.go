@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 )
@@ -21,8 +20,6 @@ type InMem struct {
 	mu          sync.RWMutex
 	nodes       map[string]*Mux
 	partitioned map[string]bool
-	lossRate    float64
-	lossRng     *rand.Rand
 
 	calls     atomic.Int64
 	bytesSent atomic.Int64
@@ -31,23 +28,6 @@ type InMem struct {
 // NewInMem returns an empty in-process network.
 func NewInMem() *InMem {
 	return &InMem{nodes: make(map[string]*Mux), partitioned: make(map[string]bool)}
-}
-
-// SetLossRate makes every call fail with the given probability (seeded,
-// so runs reproduce) — a flaky network for robustness tests. Rate 0
-// disables injection.
-func (n *InMem) SetLossRate(rate float64, seed int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lossRate = rate
-	n.lossRng = rand.New(rand.NewSource(seed))
-}
-
-// drop decides whether the current call is lost.
-func (n *InMem) drop() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lossRate > 0 && n.lossRng.Float64() < n.lossRate
 }
 
 // Register implements Network.
@@ -74,9 +54,6 @@ func (n *InMem) Call(addr, method string, req []byte) ([]byte, error) {
 	n.mu.RUnlock()
 	if mux == nil || cut {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, addr)
-	}
-	if n.drop() {
-		return nil, fmt.Errorf("%w: %s (injected loss)", ErrUnreachable, addr)
 	}
 	n.calls.Add(1)
 	n.bytesSent.Add(int64(len(req)))
@@ -114,15 +91,4 @@ func (n *InMem) Stats() (calls, bytes int64) {
 func (n *InMem) ResetStats() {
 	n.calls.Store(0)
 	n.bytesSent.Store(0)
-}
-
-// Addrs returns the currently registered addresses.
-func (n *InMem) Addrs() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.nodes))
-	for a := range n.nodes {
-		out = append(out, a)
-	}
-	return out
 }

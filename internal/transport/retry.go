@@ -181,6 +181,15 @@ func (p RetryPolicy) Backoff(key string, attempt int) time.Duration {
 	return d
 }
 
+// Within returns the policy with its per-attempt Timeout capped by a
+// caller's remaining budget (budget ≤ 0: unchanged).
+func (p RetryPolicy) Within(budget time.Duration) RetryPolicy {
+	if budget > 0 && (p.Timeout <= 0 || p.Timeout > budget) {
+		p.Timeout = budget
+	}
+	return p
+}
+
 // Do runs op under the policy: up to MaxAttempts attempts, backing off
 // between them, retrying only Retryable errors. It returns the number of
 // attempts made and the last error (nil on success).

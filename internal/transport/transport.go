@@ -156,17 +156,6 @@ func (m *Mux) Dispatch(method string, req []byte) ([]byte, error) {
 	return h(req)
 }
 
-// Methods returns the registered method names (for diagnostics).
-func (m *Mux) Methods() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.handlers))
-	for k := range m.handlers {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Caller issues RPCs.
 type Caller interface {
 	// Call invokes method at addr with the gob-encoded request payload

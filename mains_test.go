@@ -1,0 +1,63 @@
+package iqn
+
+import (
+	"bytes"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestMainsRun builds every example main plus cmd/minerva and
+// cmd/synopsize, and runs each at small scale: a main must exit 0 and
+// print something. No other test executes these programs, so without
+// this one a change that breaks them only shows when someone runs them
+// by hand. (cmd/iqnbench has its own tests.)
+func TestMainsRun(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := t.TempDir()
+	pkgs := []string{
+		"./examples/autonomy", "./examples/churn", "./examples/filesharing",
+		"./examples/quickstart", "./examples/websearch",
+		"./cmd/minerva", "./cmd/synopsize",
+	}
+	build := exec.Command(goTool, append([]string{"build", "-o", bin + string(filepath.Separator)}, pkgs...)...)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var ids strings.Builder // synopsize reads one ID per line on stdin
+	for i := 1; i <= 500; i++ {
+		ids.WriteString(strconv.Itoa(i) + "\n")
+	}
+	runs := []struct {
+		name  string
+		args  []string
+		stdin string
+	}{
+		{name: "autonomy"},
+		{name: "churn"},
+		{name: "filesharing"},
+		{name: "quickstart"},
+		{name: "websearch"},
+		{name: "minerva", args: []string{"-docs", "1000", "-fragments", "8"}},
+		{name: "synopsize", stdin: ids.String()},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(bin, r.name), r.args...)
+			cmd.Stdin = strings.NewReader(r.stdin)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s %v: %v\nstderr:\n%s", r.name, r.args, err, stderr.String())
+			}
+			if len(bytes.TrimSpace(stdout.Bytes())) == 0 {
+				t.Fatalf("%s %v printed nothing\nstderr:\n%s", r.name, r.args, stderr.String())
+			}
+		})
+	}
+}
