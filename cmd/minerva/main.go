@@ -41,7 +41,7 @@ func main() {
 		queryStr  = flag.String("query", "", "space-separated query terms (default: generated workload)")
 		numQ      = flag.Int("queries", 5, "generated workload size when -query is empty")
 		seed      = flag.Int64("seed", 42, "master seed")
-		useTCP    = flag.String("transport", "inmem", "transport: inmem|tcp")
+		transp    = flag.String("transport", "inmem", "transport: inmem|tcp")
 		basePort  = flag.Int("baseport", 39500, "first TCP port when -transport tcp")
 		httpAddr  = flag.String("http", "", "serve the first peer's HTTP search API on this address after the workload (e.g. :8080)")
 	)
@@ -64,9 +64,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "minerva: unknown method %q\n", *methodStr)
 		os.Exit(2)
 	}
-	aggregation := core.PerPeer
-	if *agg == "per-term" {
+	var aggregation core.AggregationMode
+	switch *agg {
+	case "per-peer":
+		aggregation = core.PerPeer
+	case "per-term":
 		aggregation = core.PerTerm
+	default:
+		fmt.Fprintf(os.Stderr, "minerva: unknown -agg %q (want per-peer|per-term)\n", *agg)
+		os.Exit(2)
+	}
+	if *transp != "inmem" && *transp != "tcp" {
+		fmt.Fprintf(os.Stderr, "minerva: unknown -transport %q (want inmem|tcp)\n", *transp)
+		os.Exit(2)
 	}
 
 	fmt.Printf("generating corpus: %d docs, seed %d\n", *docs, *seed)
@@ -76,7 +86,7 @@ func main() {
 		len(cols), *frags, *r, *offset)
 
 	var net transport.Network
-	switch *useTCP {
+	switch *transp {
 	case "tcp":
 		tcp := transport.NewTCP()
 		defer tcp.CloseIdle()
@@ -88,7 +98,7 @@ func main() {
 		net = transport.NewInMem()
 	}
 
-	fmt.Printf("booting network (%s transport, %s %d-bit synopses)...\n", *useTCP, kind, *bits)
+	fmt.Printf("booting network (%s transport, %s %d-bit synopses)...\n", *transp, kind, *bits)
 	network, err := minerva.BuildNetwork(net, corpus, cols, minerva.Config{
 		SynopsisKind:   kind,
 		SynopsisBits:   *bits,

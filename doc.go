@@ -14,14 +14,14 @@
 //     with a byte-for-byte replayable fault schedule) and retry with
 //     capped exponential backoff, deterministic jitter, and per-call
 //     timeouts (transport.RetryPolicy)
-//   - internal/directory — the term-partitioned PeerList directory
+//   - internal/directory — the term-partitioned PeerList directory: one
+//     batched read per owner group, failing over (or hedging) across the
+//     owner's replicas, with anti-entropy repair between them
 //   - internal/ir, internal/cori — local IR engine and CORI selection
 //   - internal/core — the IQN routing algorithm itself (Sections 5–7),
 //     with the Fast-IQN lazy-greedy selection engine: sound per-family
 //     score ceilings prune candidate re-estimation while producing
-//     plans byte-identical to a full rescan (the oracle its tests keep),
-//     optionally fanning evaluations out over core.Options.Parallelism
-//     goroutines
+//     plans byte-identical to a full rescan (the oracle its tests keep)
 //   - internal/histogram — score-conscious synopses (Section 7.1)
 //   - internal/topk — the threshold coordinator that stops forwarded
 //     peers once they cannot reach the merged top-k

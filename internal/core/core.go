@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"iqn/internal/histogram"
@@ -136,11 +135,6 @@ type Options struct {
 	// estimation from Candidate.TermHistograms. Implies per-term
 	// reference maintenance.
 	UseHistograms bool
-	// Parallelism caps the number of goroutines used to score candidates
-	// (the first-round fan-out and each batch of lazy re-evaluations).
-	// Values ≤ 1 keep routing single-threaded; larger values are capped
-	// at GOMAXPROCS. Parallel and serial routing produce identical plans.
-	Parallelism int
 	// Span, when set, receives one "iter" child per Select-Best-Peer
 	// round annotated with the winner's quality/novelty/score/covered
 	// values and the round's evaluated vs lazily-skipped candidate
@@ -168,19 +162,6 @@ type Options struct {
 	// rejects that candidate (counted by route.nan_rejected). Nil means
 	// no prior (factor 1 everywhere).
 	Prior func(PeerID) float64
-}
-
-// parallelism resolves the Parallelism option to an effective worker
-// count in [1, GOMAXPROCS].
-func (o Options) parallelism() int {
-	p := o.Parallelism
-	if p < 1 {
-		return 1
-	}
-	if g := runtime.GOMAXPROCS(0); p > g {
-		p = g
-	}
-	return p
 }
 
 func (o Options) qualityWeight() float64 {

@@ -20,8 +20,7 @@ import (
 //
 // Route uses the Fast-IQN lazy-greedy selection engine (see lazyheap.go):
 // per iteration it re-estimates novelty only for candidates whose stale
-// score ceiling could still beat the current champion, and fans the
-// estimations out over Options.Parallelism goroutines. The plan is
+// score ceiling could still beat the current champion. The plan is
 // byte-identical to a full rescan of every candidate per iteration.
 // Candidates whose quality factor is NaN are rejected (never planned),
 // and a negative Options.NoveltyWeight is an error.
@@ -56,9 +55,7 @@ func powWeight(x, w float64) float64 {
 // idx is the candidate's position in the engine's sorted candidate slice
 // and keys the per-candidate caches and lazy-evaluation snapshots; pass
 // -1 for candidates outside the slice (the initiator), which bypasses
-// all caching. novelty may be called concurrently for distinct idx ≥ 0
-// (each call writes only its own index); prepare, absorb and ceiling are
-// single-threaded.
+// all caching. A state is single-threaded.
 type referenceState interface {
 	// prepare sizes the per-candidate caches for n candidates.
 	prepare(n int)
@@ -87,14 +84,10 @@ type referenceState interface {
 
 // newReferenceState picks the implementation for the options.
 func newReferenceState(q Query, opts Options) (referenceState, error) {
-	switch {
-	case opts.UseHistograms:
-		return &histogramState{q: q, refs: map[string]synopsis.Set{}, cards: map[string]float64{}, monotone: true}, nil
-	case opts.Aggregation == PerTerm:
-		return &perTermState{q: q, refs: map[string]synopsis.Set{}, cards: map[string]float64{}, monotone: true}, nil
-	default:
-		return &perPeerState{q: q}, nil
+	if opts.UseHistograms || opts.Aggregation == PerTerm {
+		return &termState{q: q, hist: opts.UseHistograms, refs: map[string]synopsis.Set{}, cards: map[string]float64{}, monotone: true}, nil
 	}
+	return &perPeerState{q: q}, nil
 }
 
 // isBloom reports whether the synopsis is a Bloom filter — the one family
@@ -312,20 +305,12 @@ func (s *perPeerState) staticCeiling(idx int, c *Candidate) float64 {
 }
 
 // sumTermCards mirrors combinePerPeer's cardinality upper bound: the
-// published per-term list length when posted, the synopsis estimate
-// otherwise, missing terms contributing nothing.
+// sum of the candidate's term cardinalities, missing terms contributing
+// nothing.
 func sumTermCards(c *Candidate, q Query) float64 {
 	var sum float64
 	for _, t := range q.Terms {
-		set := c.TermSynopses[t]
-		if set == nil {
-			continue
-		}
-		if card, ok := c.TermCardinalities[t]; ok {
-			sum += card
-		} else {
-			sum += set.Cardinality()
-		}
+		sum += termCard(c, t)
 	}
 	return sum
 }
@@ -385,79 +370,54 @@ func (s *perPeerState) absorb(idx int, c *Candidate) (float64, error) {
 
 func (s *perPeerState) covered() float64 { return s.card }
 
-// termSnap is the lazy-evaluation snapshot of the per-term and histogram
-// states: the summed novelty at evaluation time plus a static upper
-// bound (the sum of the candidate's published term cardinalities, or the
-// cell-weighted counts for histograms) that holds against any reference.
+// termSnap is termState's lazy-evaluation snapshot: the summed novelty
+// at evaluation time plus a static upper bound (the sum of termBound over
+// the query terms) that holds against any reference.
 type termSnap struct {
 	have  bool
 	nov   float64
 	bound float64
 }
 
-// snapCeiling is the shared snapshot-ceiling rule of perTermState and
-// histogramState: while every absorbed synopsis has been a Bloom filter
-// (or a term's reference is still empty), each term's novelty is
-// monotone non-increasing and the stale value is a sound ceiling;
-// otherwise fall back to the snapshot's static bound. ok is false when
-// the candidate has no snapshot.
-func snapCeiling(snap []termSnap, idx int, monotone bool) (float64, bool) {
-	if idx < 0 || idx >= len(snap) || !snap[idx].have {
-		return 0, false
-	}
-	if monotone {
-		return snap[idx].nov, true
-	}
-	return snap[idx].bound, true
-}
-
-// termStatics caches per-candidate pre-evaluation ceilings: the same
-// reference-independent bound the snapshots carry (every term novelty is
-// clamped at the term cardinality, weighted novelty at the cell-weighted
-// count sum), computable without touching any synopsis.
-type termStatics struct {
-	static     []float64
-	haveStatic []bool
-}
-
-func (ts *termStatics) prepare(n int) {
-	ts.static = make([]float64, n)
-	ts.haveStatic = make([]bool, n)
-}
-
-func (ts *termStatics) get(idx int) (float64, bool) {
-	if idx < 0 || idx >= len(ts.static) || !ts.haveStatic[idx] {
-		return 0, false
-	}
-	return ts.static[idx], true
-}
-
-func (ts *termStatics) set(idx int, v float64) {
-	if idx >= 0 && idx < len(ts.static) {
-		ts.static[idx] = v
-		ts.haveStatic[idx] = true
-	}
-}
-
-// perTermState implements Section 6.3: term-specific reference synopses
+// termState implements Section 6.3: term-specific reference synopses
 // σ_prev(t), candidate novelty summed over terms. No intersections are
 // needed even for conjunctive queries — the trade-off the paper
-// highlights for this strategy.
-type perTermState struct {
+// highlights for this strategy. With hist set (Options.UseHistograms) it
+// is Section 7.1's score-conscious variant: a candidate's novelty for a
+// term with a published histogram is the score-weighted sum over its
+// cells, so peers whose *high-scoring* documents are new win; terms
+// without a histogram keep the plain synopsis at full weight.
+type termState struct {
 	q        Query
+	hist     bool
 	refs     map[string]synopsis.Set
 	cards    map[string]float64
 	monotone bool
 	snap     []termSnap
-	statics  termStatics
+	// static caches the pre-evaluation ceilings (see staticCeiling).
+	static     []float64
+	haveStatic []bool
 }
 
-func (s *perTermState) prepare(n int) {
+func (s *termState) prepare(n int) {
 	s.snap = make([]termSnap, n)
-	s.statics.prepare(n)
+	s.static = make([]float64, n)
+	s.haveStatic = make([]bool, n)
 }
 
-func (s *perTermState) termCard(c *Candidate, t string) float64 {
+// histogram returns the candidate's histogram for the term, or nil when
+// histograms are off or the candidate published none.
+func (s *termState) histogram(c *Candidate, t string) *histogram.Histogram {
+	if !s.hist {
+		return nil
+	}
+	return c.TermHistograms[t]
+}
+
+// termCard is the candidate's plain term cardinality: the published list
+// length when posted, the synopsis estimate otherwise, 0 without a
+// synopsis.
+func termCard(c *Candidate, t string) float64 {
 	cs := c.TermSynopses[t]
 	if cs == nil {
 		return 0
@@ -468,15 +428,24 @@ func (s *perTermState) termCard(c *Candidate, t string) float64 {
 	return cs.Cardinality()
 }
 
-func (s *perTermState) termNovelty(c *Candidate, t string) (float64, error) {
+// cellWeightSum is a histogram's cell-weighted document count — its
+// weighted novelty against an empty reference.
+func cellWeightSum(h *histogram.Histogram) float64 {
+	var w float64
+	n := len(h.Cells)
+	for i, cell := range h.Cells {
+		w += histogram.CellWeight(i, n) * float64(cell.Count)
+	}
+	return w
+}
+
+// plainNovelty is the term novelty of the candidate's plain synopsis.
+func (s *termState) plainNovelty(c *Candidate, t string) (float64, error) {
 	cs := c.TermSynopses[t]
 	if cs == nil {
 		return 0, nil
 	}
-	card, ok := c.TermCardinalities[t]
-	if !ok {
-		card = cs.Cardinality()
-	}
+	card := termCard(c, t)
 	ref := s.refs[t]
 	if ref == nil {
 		return card, nil
@@ -484,7 +453,33 @@ func (s *perTermState) termNovelty(c *Candidate, t string) (float64, error) {
 	return synopsis.EstimateNovelty(ref, cs, s.cards[t], card)
 }
 
-func (s *perTermState) novelty(idx int, c *Candidate) (float64, error) {
+// termNovelty is the ranking novelty of one term: weighted over the
+// histogram cells when the candidate has a histogram, plain otherwise.
+func (s *termState) termNovelty(c *Candidate, t string) (float64, error) {
+	h := s.histogram(c, t)
+	if h == nil {
+		return s.plainNovelty(c, t)
+	}
+	ref := s.refs[t]
+	if ref == nil {
+		return cellWeightSum(h), nil
+	}
+	return histogram.WeightedNovelty(ref, s.cards[t], h)
+}
+
+// termBound is a reference-independent upper bound on termNovelty: every
+// plain estimate is clamped at the term cardinality, and WeightedNovelty
+// caps each cell at its exact count, so the cell-weighted count sum
+// dominates it against any reference (and equals it against an empty
+// one).
+func (s *termState) termBound(c *Candidate, t string) float64 {
+	if h := s.histogram(c, t); h != nil {
+		return cellWeightSum(h)
+	}
+	return termCard(c, t)
+}
+
+func (s *termState) novelty(idx int, c *Candidate) (float64, error) {
 	var sum, bound float64
 	for _, t := range s.q.Terms {
 		n, err := s.termNovelty(c, t)
@@ -492,7 +487,7 @@ func (s *perTermState) novelty(idx int, c *Candidate) (float64, error) {
 			return 0, err
 		}
 		sum += n
-		bound += s.termCard(c, t)
+		bound += s.termBound(c, t)
 	}
 	if idx >= 0 && idx < len(s.snap) {
 		s.snap[idx] = termSnap{have: true, nov: sum, bound: bound}
@@ -500,43 +495,78 @@ func (s *perTermState) novelty(idx int, c *Candidate) (float64, error) {
 	return sum, nil
 }
 
-func (s *perTermState) ceiling(idx int, c *Candidate) float64 {
-	if cl, ok := snapCeiling(s.snap, idx, s.monotone); ok {
-		return cl
+// ceiling applies the snapshot rule: while every absorbed synopsis has
+// been a Bloom filter (or a term's reference is still empty), each term's
+// novelty is monotone non-increasing and the stale value is a sound
+// ceiling; otherwise the snapshot's static bound is.
+func (s *termState) ceiling(idx int, c *Candidate) float64 {
+	if idx < 0 || idx >= len(s.snap) || !s.snap[idx].have {
+		return s.staticCeiling(idx, c)
 	}
-	return s.staticCeiling(idx, c)
+	if s.monotone {
+		return s.snap[idx].nov
+	}
+	return s.snap[idx].bound
 }
 
-func (s *perTermState) staticCeiling(idx int, c *Candidate) float64 {
-	if v, ok := s.statics.get(idx); ok {
-		return v
+// staticCeiling is the sum of termBound over the query terms, cached per
+// candidate: the same bound the snapshots carry, computable without
+// touching any synopsis.
+func (s *termState) staticCeiling(idx int, c *Candidate) float64 {
+	cached := idx >= 0 && idx < len(s.static)
+	if cached && s.haveStatic[idx] {
+		return s.static[idx]
 	}
 	var sum float64
 	for _, t := range s.q.Terms {
-		sum += s.termCard(c, t)
+		sum += s.termBound(c, t)
 	}
-	s.statics.set(idx, sum)
+	if cached {
+		s.static[idx], s.haveStatic[idx] = sum, true
+	}
 	return sum
 }
 
-func (s *perTermState) absorb(idx int, c *Candidate) (float64, error) {
+// absorb folds the candidate into the term references: its plain
+// synopsis, or the flattened histogram (a fresh set the state may own)
+// when one is read. The covered count grows by the plain novelty either
+// way — a document is covered regardless of its score band.
+func (s *termState) absorb(idx int, c *Candidate) (float64, error) {
 	var total float64
 	for _, t := range s.q.Terms {
-		n, err := s.termNovelty(c, t)
+		var set synopsis.Set
+		var n float64
+		var err error
+		owned := false
+		if h := s.histogram(c, t); h != nil {
+			if set, err = h.Flatten(); err != nil {
+				return 0, err
+			}
+			owned = true
+			n = float64(h.Count())
+			if ref := s.refs[t]; ref != nil && set != nil {
+				n, err = synopsis.EstimateNovelty(ref, set, s.cards[t], n)
+			}
+		} else {
+			set = c.TermSynopses[t]
+			n, err = s.plainNovelty(c, t)
+		}
 		if err != nil {
 			return 0, err
 		}
-		cs := c.TermSynopses[t]
-		if cs == nil {
+		if set == nil {
 			continue
 		}
-		if !isBloom(cs) {
+		if !isBloom(set) {
 			s.monotone = false
 		}
 		if ref := s.refs[t]; ref == nil {
-			s.refs[t] = cs.Clone()
+			if !owned {
+				set = set.Clone()
+			}
+			s.refs[t] = set
 		} else {
-			if err := unionRef(&ref, cs); err != nil {
+			if err := unionRef(&ref, set); err != nil {
 				return 0, err
 			}
 			s.refs[t] = ref
@@ -550,181 +580,12 @@ func (s *perTermState) absorb(idx int, c *Candidate) (float64, error) {
 	return total, nil
 }
 
-func (s *perTermState) covered() float64 {
+func (s *termState) covered() float64 {
 	// Term-wise sums over-count documents matching several terms; this
 	// is the same deliberate crudeness as the per-term novelty sum
 	// (Section 6.3), adequate for relative stopping decisions. Summing
 	// in query-term order (not map order) keeps the float result
 	// bit-reproducible run to run.
-	var sum float64
-	for _, t := range s.q.Terms {
-		sum += s.cards[t]
-	}
-	return sum
-}
-
-// histogramState implements Section 7.1: per-term reference synopses as
-// in perTermState, but candidate novelty is the score-weighted sum over
-// the candidate's histogram cells, so peers whose *high-scoring*
-// documents are new win. Candidates without a histogram for a term fall
-// back to their plain synopsis at full weight.
-type histogramState struct {
-	q        Query
-	refs     map[string]synopsis.Set
-	cards    map[string]float64
-	monotone bool
-	snap     []termSnap
-	statics  termStatics
-}
-
-func (s *histogramState) prepare(n int) {
-	s.snap = make([]termSnap, n)
-	s.statics.prepare(n)
-}
-
-func (s *histogramState) termNovelty(c *Candidate, t string) (weighted, plain float64, err error) {
-	h := c.TermHistograms[t]
-	if h == nil {
-		// Plain-synopsis fallback, weight 1.
-		cs := c.TermSynopses[t]
-		if cs == nil {
-			return 0, 0, nil
-		}
-		card, ok := c.TermCardinalities[t]
-		if !ok {
-			card = cs.Cardinality()
-		}
-		ref := s.refs[t]
-		if ref == nil {
-			return card, card, nil
-		}
-		n, err := synopsis.EstimateNovelty(ref, cs, s.cards[t], card)
-		return n, n, err
-	}
-	ref := s.refs[t]
-	if ref == nil {
-		// Empty reference: every cell is fully novel.
-		var w float64
-		n := len(h.Cells)
-		for i, cell := range h.Cells {
-			w += histogram.CellWeight(i, n) * float64(cell.Count)
-		}
-		return w, float64(h.Count()), nil
-	}
-	w, err := histogram.WeightedNovelty(ref, s.cards[t], h)
-	if err != nil {
-		return 0, 0, err
-	}
-	flat, err := h.Flatten()
-	if err != nil {
-		return 0, 0, err
-	}
-	p, err := synopsis.EstimateNovelty(ref, flat, s.cards[t], float64(h.Count()))
-	if err != nil {
-		return 0, 0, err
-	}
-	return w, p, nil
-}
-
-// termBound is a reference-independent upper bound on the term's weighted
-// novelty: WeightedNovelty caps each cell at its exact count, so the
-// cell-weighted count sum dominates it against any reference (and equals
-// it against an empty one); the plain fallback is capped by the term
-// cardinality.
-func (s *histogramState) termBound(c *Candidate, t string) float64 {
-	if h := c.TermHistograms[t]; h != nil {
-		var w float64
-		n := len(h.Cells)
-		for i, cell := range h.Cells {
-			w += histogram.CellWeight(i, n) * float64(cell.Count)
-		}
-		return w
-	}
-	cs := c.TermSynopses[t]
-	if cs == nil {
-		return 0
-	}
-	if card, ok := c.TermCardinalities[t]; ok {
-		return card
-	}
-	return cs.Cardinality()
-}
-
-func (s *histogramState) novelty(idx int, c *Candidate) (float64, error) {
-	var sum, bound float64
-	for _, t := range s.q.Terms {
-		w, _, err := s.termNovelty(c, t)
-		if err != nil {
-			return 0, err
-		}
-		sum += w
-		bound += s.termBound(c, t)
-	}
-	if idx >= 0 && idx < len(s.snap) {
-		s.snap[idx] = termSnap{have: true, nov: sum, bound: bound}
-	}
-	return sum, nil
-}
-
-func (s *histogramState) ceiling(idx int, c *Candidate) float64 {
-	if cl, ok := snapCeiling(s.snap, idx, s.monotone); ok {
-		return cl
-	}
-	return s.staticCeiling(idx, c)
-}
-
-func (s *histogramState) staticCeiling(idx int, c *Candidate) float64 {
-	if v, ok := s.statics.get(idx); ok {
-		return v
-	}
-	var sum float64
-	for _, t := range s.q.Terms {
-		sum += s.termBound(c, t)
-	}
-	s.statics.set(idx, sum)
-	return sum
-}
-
-func (s *histogramState) absorb(idx int, c *Candidate) (float64, error) {
-	var total float64
-	for _, t := range s.q.Terms {
-		_, plain, err := s.termNovelty(c, t)
-		if err != nil {
-			return 0, err
-		}
-		var flat synopsis.Set
-		if h := c.TermHistograms[t]; h != nil {
-			flat, err = h.Flatten()
-			if err != nil {
-				return 0, err
-			}
-		} else if cs := c.TermSynopses[t]; cs != nil {
-			flat = cs.Clone()
-		}
-		if flat == nil {
-			continue
-		}
-		if !isBloom(flat) {
-			s.monotone = false
-		}
-		if ref := s.refs[t]; ref == nil {
-			s.refs[t] = flat
-		} else {
-			if err := unionRef(&ref, flat); err != nil {
-				return 0, err
-			}
-			s.refs[t] = ref
-		}
-		s.cards[t] += plain
-		total += plain
-	}
-	if idx >= 0 && idx < len(s.snap) {
-		s.snap[idx].have = false
-	}
-	return total, nil
-}
-
-func (s *histogramState) covered() float64 {
 	var sum float64
 	for _, t := range s.q.Terms {
 		sum += s.cards[t]

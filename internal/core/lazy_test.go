@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"iqn/internal/histogram"
@@ -14,9 +15,9 @@ import (
 )
 
 // raiseGOMAXPROCS lifts the scheduler width for the duration of a test
-// so Options.Parallelism (capped at GOMAXPROCS) actually fans out even
-// on single-CPU machines — the race detector needs the goroutines to
-// exist, not physical cores.
+// so concurrent routing calls actually interleave even on single-CPU
+// machines — the race detector needs the goroutines to run side by
+// side, not physical cores.
 func raiseGOMAXPROCS(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
@@ -24,7 +25,7 @@ func raiseGOMAXPROCS(t *testing.T, n int) {
 }
 
 // The tests in this file assert the Fast-IQN contract: Route (lazy
-// selection, optionally parallel) returns plans byte-identical to
+// selection) returns plans byte-identical to
 // selectExhaustive, the paper's full-rescan loop kept here as the oracle,
 // for every reference-state implementation and synopsis family.
 
@@ -154,7 +155,6 @@ func assertSamePlan(t *testing.T, q Query, initiator *Candidate, cands []Candida
 }
 
 func TestLazySelectionMatchesExhaustive(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
 	modes := []struct {
 		name string
 		opts Options
@@ -173,13 +173,10 @@ func TestLazySelectionMatchesExhaustive(t *testing.T) {
 					cands := randPlanCandidates(rng, kc.cfg, 24, []string{"alpha", "beta"}, mode.hist)
 					initiator := cand("self", 0, kc.cfg, map[string][]uint64{"alpha": idRange(0, 300)})
 					q := Query{Terms: []string{"alpha", "beta"}, Type: qt}
-					for _, par := range []int{0, 4} {
-						opts := mode.opts
-						opts.MaxPeers = 8
-						opts.Parallelism = par
-						assertSamePlan(t, q, &initiator, cands, opts)
-						assertSamePlan(t, q, nil, cands, opts)
-					}
+					opts := mode.opts
+					opts.MaxPeers = 8
+					assertSamePlan(t, q, &initiator, cands, opts)
+					assertSamePlan(t, q, nil, cands, opts)
 				})
 			}
 		}
@@ -188,9 +185,8 @@ func TestLazySelectionMatchesExhaustive(t *testing.T) {
 
 func TestLazySelectionMatchesExhaustiveRandomized(t *testing.T) {
 	// Property test: random synopsis family, aggregation mode, stopping
-	// criteria, score weights (including the exponent that disables a
-	// factor) and parallelism must never change the plan.
-	raiseGOMAXPROCS(t, 8)
+	// criteria and score weights (including the exponent that disables
+	// a factor) must never change the plan.
 	rng := rand.New(rand.NewSource(20260806))
 	weights := []float64{0, 0.5, 1, 2}
 	for trial := 0; trial < 48; trial++ {
@@ -201,7 +197,6 @@ func TestLazySelectionMatchesExhaustiveRandomized(t *testing.T) {
 			UseHistograms: rng.Float64() < 0.25,
 			QualityWeight: weights[rng.Intn(len(weights))],
 			NoveltyWeight: weights[rng.Intn(len(weights))],
-			Parallelism:   rng.Intn(5),
 		}
 		if rng.Float64() < 0.3 {
 			opts.TargetCoverage = 200 + rng.Float64()*1500
@@ -220,7 +215,6 @@ func TestLazySelectionMatchesExhaustiveRandomized(t *testing.T) {
 }
 
 func TestLazySelectionEdgeCases(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
 	cfg := testCfg
 	q := Query{Terms: []string{"x"}}
 	t.Run("no candidates", func(t *testing.T) {
@@ -231,7 +225,7 @@ func TestLazySelectionEdgeCases(t *testing.T) {
 			cand("a", 1, cfg, map[string][]uint64{"x": idRange(0, 100)}),
 			cand("b", 1, cfg, map[string][]uint64{"x": idRange(50, 150)}),
 		}
-		assertSamePlan(t, q, nil, cands, Options{MaxPeers: 10, Parallelism: 3})
+		assertSamePlan(t, q, nil, cands, Options{MaxPeers: 10})
 	})
 	t.Run("candidates without synopses", func(t *testing.T) {
 		cands := []Candidate{
@@ -247,26 +241,72 @@ func TestLazySelectionEdgeCases(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			cands = append(cands, cand(fmt.Sprintf("twin-%d", i), 1, cfg, map[string][]uint64{"x": ids}))
 		}
-		assertSamePlan(t, q, nil, cands, Options{MaxPeers: 4, Parallelism: 2})
+		assertSamePlan(t, q, nil, cands, Options{MaxPeers: 4})
 	})
 }
 
-// TestRouteParallelRace routes a large candidate set with maximum
-// parallelism so `go test -race` exercises the concurrent scoring paths
-// of every reference-state implementation.
+// TestRouteParallelRace runs concurrent Route calls over one shared
+// candidate set, as concurrent searches do over the directory cache's
+// shared decoded synopses, so `go test -race` proves every
+// reference-state implementation treats candidate synopses as
+// read-only. Every call must also return the same plan.
 func TestRouteParallelRace(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(7))
 	q := Query{Terms: []string{"alpha", "beta"}}
 	for _, kc := range lazyTestConfigs {
 		for _, opts := range []Options{
-			{MaxPeers: 6, Parallelism: 8},
-			{MaxPeers: 6, Parallelism: 8, Aggregation: PerTerm},
-			{MaxPeers: 6, Parallelism: 8, UseHistograms: true},
+			{MaxPeers: 6},
+			{MaxPeers: 6, Aggregation: PerTerm},
+			{MaxPeers: 6, UseHistograms: true},
 		} {
 			cands := randPlanCandidates(rng, kc.cfg, 120, q.Terms, opts.UseHistograms)
-			if _, err := Route(q, nil, cands, opts); err != nil {
-				t.Fatalf("%s: %v", kc.name, err)
+			initiator := cand("self", 0, kc.cfg, map[string][]uint64{"alpha": idRange(0, 300)})
+			const workers = 4
+			plans := make([]Plan, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					plans[w], errs[w] = Route(q, &initiator, cands, opts)
+				}(w)
+			}
+			wg.Wait()
+			for w := range plans {
+				if errs[w] != nil {
+					t.Fatalf("%s: %v", kc.name, errs[w])
+				}
+				if !reflect.DeepEqual(plans[w], plans[0]) {
+					t.Fatalf("%s: concurrent Route calls disagree", kc.name)
+				}
+			}
+		}
+	}
+}
+
+// TestHistogramlessCandidatesRouteAsPerTerm: with no candidate carrying
+// a histogram, the Section 7.1 mode reads nothing beyond the plain
+// synopses, so it must plan exactly as per-term aggregation does — the
+// one term-wise state serves both.
+func TestHistogramlessCandidatesRouteAsPerTerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, kc := range lazyTestConfigs {
+		for _, qt := range []QueryType{Disjunctive, Conjunctive} {
+			q := Query{Terms: []string{"alpha", "beta", "gamma"}, Type: qt}
+			cands := randPlanCandidates(rng, kc.cfg, 30, q.Terms, false)
+			initiator := cand("self", 0, kc.cfg, map[string][]uint64{"beta": idRange(0, 300)})
+			perTerm, err := Route(q, &initiator, cands, Options{Aggregation: PerTerm, TargetCoverage: 2500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist, err := Route(q, &initiator, cands, Options{UseHistograms: true, TargetCoverage: 2500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(perTerm, hist) {
+				t.Fatalf("%s/%s: histogram mode without histograms diverged\nper-term:  %+v\nhistogram: %+v", kc.name, qt, perTerm, hist)
 			}
 		}
 	}
@@ -332,16 +372,9 @@ func benchRoute(b *testing.B, route func(Query, *Candidate, []Candidate, Options
 	}
 }
 
-// BenchmarkRouteLazy measures the Fast-IQN lazy-greedy engine,
-// single-threaded.
+// BenchmarkRouteLazy measures the Fast-IQN lazy-greedy engine.
 func BenchmarkRouteLazy(b *testing.B) {
 	benchRoute(b, Route, Options{MaxPeers: 10})
-}
-
-// BenchmarkRouteLazyParallel measures the lazy engine with the scoring
-// fan-out enabled at full GOMAXPROCS width.
-func BenchmarkRouteLazyParallel(b *testing.B) {
-	benchRoute(b, Route, Options{MaxPeers: 10, Parallelism: runtime.GOMAXPROCS(0)})
 }
 
 // BenchmarkRouteExhaustive measures the full-rescan oracle on the

@@ -1,7 +1,7 @@
 package core
 
 // This file implements the Fast-IQN selection engine: a CELF-style
-// lazy-greedy Select-Best-Peer with optional parallel scoring.
+// lazy-greedy Select-Best-Peer.
 //
 // The paper's loop re-estimates every remaining candidate's novelty each
 // iteration. This engine instead works with two sound per-candidate
@@ -17,9 +17,8 @@ package core
 // Before the first round the engine sorts the candidates once into a
 // priority order by (static score ceiling descending, sorted index
 // ascending). Each round walks that order: candidates whose current
-// ceiling could still beat the round's champion are re-evaluated (in
-// batches of up to Options.Parallelism, fanned out over that many
-// goroutines), and the walk stops at the first candidate whose *static*
+// ceiling could still beat the round's champion are re-evaluated, one at
+// a time, and the walk stops at the first candidate whose *static*
 // ceiling no longer contends — every candidate after it in the order has
 // a static ceiling that is no larger (or ties with a larger index,
 // losing the tie-break), and a true score no larger than that, so the
@@ -43,17 +42,11 @@ package core
 // route.nan_rejected and annotated on the span — and a negative
 // NoveltyWeight is refused outright, because powWeight is then
 // anti-monotone in novelty and ceilings would turn into floors.
-//
-// Evaluations are race-free: each one writes only its own candidate
-// index, and being value-identical per candidate, the parallel path is
-// plan-identical to the serial one.
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // runIQN drives the IQN loop from an optional initiator seed.
@@ -94,7 +87,6 @@ func runIQNSeeded(q Query, seeds []*Candidate, cands []Candidate, opts Options) 
 		cands: sorted,
 		qf:    qf,
 		opts:  opts,
-		par:   opts.parallelism(),
 	}
 	return e.run()
 }
@@ -158,7 +150,6 @@ type engine struct {
 	state referenceState
 	cands []Candidate
 	opts  Options
-	par   int
 
 	alive       []bool    // not yet selected
 	qf          []float64 // qualityFactor, immutable per candidate
@@ -166,7 +157,6 @@ type engine struct {
 	score       []float64 // last computed exact score qf·nov^nw
 	staticBound []float64 // immutable score ceilings qf·staticCeiling^nw
 	order       []int     // indices by (staticBound desc, index asc)
-	batch       []int     // scratch for one evaluation batch
 	left        int       // number of alive candidates
 
 	evals      int // novelty evaluations performed (telemetry)
@@ -178,7 +168,6 @@ func (e *engine) run() (Plan, error) {
 	e.alive = make([]bool, n)
 	e.nov = make([]float64, n)
 	e.score = make([]float64, n)
-	e.batch = make([]int, 0, e.par)
 	for i := range e.alive {
 		e.alive[i] = true
 	}
@@ -261,23 +250,6 @@ func (e *engine) selectBest() (int, error) {
 	// changes on absorb — after the round.
 	nw := e.opts.noveltyWeight()
 	champ := -1
-	batch := e.batch[:0]
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := e.evalBatch(batch); err != nil {
-			return err
-		}
-		// Ascending index order replicates the full rescan's
-		// tie-breaking for the freshly evaluated scores.
-		sort.Ints(batch)
-		for _, i := range batch {
-			champ = e.better(champ, i)
-		}
-		batch = batch[:0]
-		return nil
-	}
 	for _, i := range e.order {
 		if !e.alive[i] {
 			continue
@@ -285,24 +257,17 @@ func (e *engine) selectBest() (int, error) {
 		if !e.contends(e.staticBound[i], i, champ) {
 			// The order is (staticBound desc, index asc): every candidate
 			// from here on has a static ceiling that is smaller, or equal
-			// with a larger index, so none can beat the champion. (The
-			// champion may lag the pending batch here, which only delays
-			// this cut-off — never takes it early.)
+			// with a larger index, so none can beat the champion.
 			break
 		}
 		cur := scoreBound(e.qf[i], powWeight(e.state.ceiling(i, &e.cands[i]), nw))
 		if !e.contends(cur, i, champ) {
 			continue
 		}
-		batch = append(batch, i)
-		if len(batch) == e.par {
-			if err := flush(); err != nil {
-				return -1, err
-			}
+		if err := e.evalOne(i, nw); err != nil {
+			return -1, err
 		}
-	}
-	if err := flush(); err != nil {
-		return -1, err
+		champ = e.better(champ, i)
 	}
 	return champ, nil
 }
@@ -337,53 +302,10 @@ func (e *engine) better(champ, i int) int {
 	return champ
 }
 
-// evalBatch (re)computes novelty and exact score for the given candidate
-// indices, fanning out over the engine's worker budget. Each worker
-// writes only per-candidate slots, and errors are reported in batch order
-// so behavior is deterministic regardless of scheduling.
-func (e *engine) evalBatch(idxs []int) error {
-	e.evals += len(idxs)
-	e.roundEvals += len(idxs)
-	nw := e.opts.noveltyWeight()
-	if e.par <= 1 || len(idxs) <= 1 {
-		for _, i := range idxs {
-			if err := e.evalOne(i, nw); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := e.par
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
-	errs := make([]error, len(idxs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(idxs) {
-					return
-				}
-				errs[k] = e.evalOne(idxs[k], nw)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // evalOne computes one candidate's novelty and exact score.
 func (e *engine) evalOne(i int, nw float64) error {
+	e.evals++
+	e.roundEvals++
 	nov, err := e.state.novelty(i, &e.cands[i])
 	if err != nil {
 		return err

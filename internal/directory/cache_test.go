@@ -16,32 +16,27 @@ func counter(r *telemetry.Registry, name string) int64 {
 	return r.Snapshot().Counters[name]
 }
 
-// dirReadRPCs sums the directory read RPC counters (get, get_batch,
-// get_repair).
+// dirReadRPCs counts the directory read RPCs a client sent.
 func dirReadRPCs(r *telemetry.Registry) int64 {
-	var n int64
-	for name, v := range r.Snapshot().Counters {
-		if strings.HasPrefix(name, "directory.rpc.dir.get") {
-			n += v
-		}
-	}
-	return n
+	return counter(r, "directory.rpc."+MethodGet)
 }
 
 func TestFetchEachReplicaEmptySetDefaultsUnreachable(t *testing.T) {
 	_, _, clients, _ := testRing(t, 3, 1)
-	var rep FetchReport
-	rep.Winners = map[string]string{}
-	// An empty replica slice must yield ErrUnreachable, not a nil error
+	rep := FetchReport{Winners: map[string]string{}}
+	// An empty replica set must yield ErrUnreachable, not a nil error
 	// that a caller would wrap into "%!w(<nil>)".
-	_, err := clients[0].fetchEachReplica("nowhere", nil, 0, &rep)
+	_, _, err := clients[0].readGroup(nil, []string{"nowhere"}, 0, &rep)
 	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
+	}
+	if strings.Contains(err.Error(), "%!") {
+		t.Fatalf("malformed error: %v", err)
 	}
 }
 
 func TestFetchTotalFailureErrorIsWellFormed(t *testing.T) {
-	// Boot a ring, then partition the directory read methods: Fetch must
+	// Boot a ring, then partition the directory read method: Fetch must
 	// fail with a well-formed wrapped error (no %!w(<nil>)).
 	net := transport.NewFaulty(transport.NewInMem(), 1)
 	_, _, clients := testRingOn(t, net, 3, 2)
@@ -49,7 +44,6 @@ func TestFetchTotalFailureErrorIsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.AddRule(transport.Rule{Method: MethodGet, Partition: true})
-	net.AddRule(transport.Rule{Method: MethodGetBatch, Partition: true})
 	_, err := fetch(clients[0], "fire")
 	if err == nil {
 		t.Fatal("expected fetch to fail under a full read partition")
@@ -59,45 +53,6 @@ func TestFetchTotalFailureErrorIsWellFormed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `fetch "fire"`) {
 		t.Fatalf("error lost the term context: %v", err)
-	}
-}
-
-// TestFetchUsesRobustMachinery locks in the second Fetch bugfix: a
-// single-term Fetch must ride the same quorum/read-repair path as
-// batched read instead of issuing bare dir.get calls.
-func TestFetchUsesRobustMachinery(t *testing.T) {
-	_, services, clients, _ := testRing(t, 5, 3)
-	reg := telemetry.NewRegistry()
-	c := clients[0]
-	c.Metrics = reg
-	c.ReadQuorum = 2
-	if _, err := clients[1].Publish([]Post{mkPost("peerA", "gamma", 10)}); err != nil {
-		t.Fatal(err)
-	}
-	// Diverge one replica by wiping its copy directly.
-	var wiped *Service
-	for _, s := range services {
-		if len(s.Lookup("gamma")) > 0 {
-			wiped = s
-			break
-		}
-	}
-	if wiped == nil {
-		t.Fatal("no service stores gamma")
-	}
-	wiped.ReplaceTerm("gamma", nil)
-	pl, err := fetch(c, "gamma")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl) != 1 || pl[0].Peer != "peerA" {
-		t.Fatalf("quorum fetch = %+v, want peerA's post", pl)
-	}
-	if got := counter(reg, "directory.rpc."+methodGetRepair); got == 0 {
-		t.Fatal("Fetch did not use the quorum read path")
-	}
-	if got := counter(reg, "directory.fetches"); got != 1 {
-		t.Fatalf("directory.fetches = %d, want 1 (Fetch shares the batched read's telemetry)", got)
 	}
 }
 
@@ -321,7 +276,7 @@ func TestSingleflightCoalescesConcurrentFetches(t *testing.T) {
 	c.InvalidateCachedTerm("fire")
 	reg.Reset()
 	// Slow the batch read so concurrent fetches pile onto one flight.
-	net.AddRule(transport.Rule{Method: MethodGetBatch, DelayProb: 1, Delay: 50 * time.Millisecond})
+	net.AddRule(transport.Rule{Method: MethodGet, DelayProb: 1, Delay: 50 * time.Millisecond})
 	const readers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, readers)

@@ -28,20 +28,17 @@ import (
 // (e.g. "every republish from this peer fails").
 const MethodPost = "dir.post"
 
-// MethodGet and MethodGetBatch are the PeerList read RPCs — exported so
-// fault-injection harnesses can scope latency or loss to the directory
-// read path (e.g. "this node serves reads 10× slower").
-const (
-	MethodGet      = "dir.get"
-	MethodGetBatch = "dir.get_batch"
-)
+// MethodGet is the PeerList read RPC: a list of terms in, each term's
+// PeerList out. Exported so fault-injection harnesses can scope latency
+// or loss to the directory read path (e.g. "this node serves reads 10×
+// slower").
+const MethodGet = "dir.get"
 
 // RPC method names served by the directory service of every node.
 const (
-	methodPost     = MethodPost
-	methodGet      = MethodGet
-	methodGetBatch = MethodGetBatch
-	methodPrune    = "dir.prune"
+	methodPost  = MethodPost
+	methodGet   = MethodGet
+	methodPrune = "dir.prune"
 )
 
 // HistCell is the wire form of one score-histogram cell (Section 7.1).
@@ -145,13 +142,6 @@ func NewService(node *chord.Node) *Service {
 		return transport.Marshal(len(posts))
 	})
 	mux.Handle(methodGet, func(req []byte) ([]byte, error) {
-		var term string
-		if err := transport.Unmarshal(req, &term); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(s.peerList(term))
-	})
-	mux.Handle(methodGetBatch, func(req []byte) ([]byte, error) {
 		var terms []string
 		if err := transport.Unmarshal(req, &terms); err != nil {
 			return nil, err
@@ -290,8 +280,8 @@ func (s *Service) TermCount() int {
 }
 
 // Client publishes to and queries the distributed directory on behalf of
-// one peer. It batches posts per responsible node and fails over to
-// replicas on reads.
+// one peer. It batches posts per responsible node, batches reads per
+// owner, and fails over to replicas on reads.
 type Client struct {
 	node *chord.Node
 	// Replicas is the replication factor for published posts (owner +
@@ -303,23 +293,17 @@ type Client struct {
 	// handles transient faults on a live node, fail-over handles dead
 	// nodes.
 	Retry transport.RetryPolicy
-	// HedgeDelay enables hedged PeerList reads: when the first replica
-	// has not answered within this delay, the next replica is tried and
-	// the first success wins — one slow replica costs HedgeDelay, not
-	// its full latency. Zero disables hedging (sequential fail-over
-	// only).
+	// HedgeDelay enables hedged PeerList reads: when the replica asked
+	// last has not answered within this delay, the next replica is
+	// started beside it and the first success wins — one slow replica
+	// costs HedgeDelay, not its full latency. Zero disables hedging
+	// (in-order fail-over only).
 	HedgeDelay time.Duration
-	// ReadQuorum ≥ 2 switches fetches to quorum reads: that many replica
-	// copies are read per term, merged (MergePeerLists), and divergent
-	// replicas are patched on the spot (read-repair). ≤ 1 reads a single
-	// replica (hedged when HedgeDelay is set).
-	ReadQuorum int
 	// Metrics, when set, counts directory activity: directory.fetches,
 	// the directory.fetch_ms latency histogram, directory.fetch_errors
-	// (failed replica calls), directory.read_repairs and
-	// directory.replica_divergence (quorum reads), directory.
-	// anti_entropy_repairs, plus transport.retries and transport.hedges
-	// spent on directory RPCs. Every RPC the client issues also bumps a
+	// (failed replica calls), directory.anti_entropy_repairs, plus
+	// transport.retries, transport.hedges and transport.hedge_wins spent
+	// on directory RPCs. Every RPC the client issues also bumps a
 	// per-method directory.rpc.<method> counter, and the read cache (when
 	// enabled) counts directory.cache_hits / cache_misses /
 	// cache_negative_hits / cache_stale_evictions / cache_coalesced_waits

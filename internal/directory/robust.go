@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"iqn/internal/chord"
 	"iqn/internal/telemetry"
 	"iqn/internal/transport"
 )
@@ -22,10 +21,6 @@ const (
 	// (REPLACE, not upsert: extra stale posts must disappear so repaired
 	// replicas end up byte-identical).
 	methodRepair = "dir.repair"
-	// methodGetRepair returns a term's full PeerList together with the
-	// node's prune floor — the read quorum path needs both in one round
-	// trip to merge without resurrecting pruned posts.
-	methodGetRepair = "dir.get_repair"
 )
 
 // ReplicaError reports one directory replica that failed during a
@@ -35,8 +30,7 @@ const (
 type ReplicaError struct {
 	// Addr is the replica that failed.
 	Addr string
-	// Op is the directory operation ("post", "get", "get_batch",
-	// "digest", "repair").
+	// Op is the directory operation ("post", "get", "digest", "repair").
 	Op string
 	// Term is the term involved ("" for batched operations spanning
 	// several terms).
@@ -60,16 +54,13 @@ type PublishReport struct {
 	Errors []ReplicaError
 }
 
-// FetchReport details one FetchAllReportOpts call: which replica served each term
-// group, which replicas failed along the way, and how many divergent
-// replicas were patched by read-repair.
+// FetchReport details one FetchAllReportOpts call: which replica served
+// each term group and which replicas failed along the way.
 type FetchReport struct {
 	// Winners maps each term to the replica address that served it.
 	Winners map[string]string
 	// Errors lists each failed replica call encountered.
 	Errors []ReplicaError
-	// Repaired counts read-repair patches pushed to divergent replicas.
-	Repaired int
 }
 
 func (r *FetchReport) addError(e ReplicaError) { r.Errors = append(r.Errors, e) }
@@ -106,12 +97,6 @@ type digestResponse struct {
 	Floor int64
 }
 
-// getRepairResponse is the wire form of the dir.get_repair reply.
-type getRepairResponse struct {
-	Posts PeerList
-	Floor int64
-}
-
 // registerRepair wires the digest and repair RPCs; called from NewService.
 func (s *Service) registerRepair() {
 	mux := s.node.Mux()
@@ -131,17 +116,11 @@ func (s *Service) registerRepair() {
 		s.ReplaceTerm(r.Term, applyEpochFloor(r.Posts, r.Floor))
 		return transport.Marshal(len(r.Posts))
 	})
-	mux.Handle(methodGetRepair, func(req []byte) ([]byte, error) {
-		var term string
-		if err := transport.Unmarshal(req, &term); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(getRepairResponse{Posts: s.Lookup(term), Floor: s.Floor()})
-	})
 }
 
 // Lookup returns the node's stored PeerList for a term, sorted by peer
-// name (the local fraction only — use Client.Fetch for a network read).
+// name (the local fraction only — use Client.FetchAllReportOpts for a
+// network read).
 func (s *Service) Lookup(term string) PeerList { return s.peerList(term) }
 
 // StoredTerms returns every term this node stores posts for, sorted.
@@ -287,14 +266,14 @@ func replicaError(addr, op, term string, err error) ReplicaError {
 }
 
 // FetchAllReportOpts retrieves the PeerLists of several terms with a
-// full account, batching terms that share a responsible node into one
-// RPC: term groups are read with hedged replica calls (HedgeDelay),
-// quorum reads with read-repair when ReadQuorum ≥ 2, per-attempt
-// timeouts capped by budget (≤ 0: uncapped), and every failed replica
-// reported. With the read cache enabled, cached terms are served
-// locally (no Winners entry — no replica was asked) and concurrent
-// fetches of the same term coalesce onto one RPC; opt.Fresh bypasses the
-// cache and refreshes it. The returned map is complete on nil error.
+// full account: terms that share a responsible node are read in one
+// dir.get, walking the owner's replica set in order (hedged after
+// HedgeDelay when set), with per-attempt timeouts capped by budget
+// (≤ 0: uncapped) and every failed replica reported. With the read
+// cache enabled, cached terms are served locally (no Winners entry — no
+// replica was asked) and concurrent fetches of the same term coalesce
+// onto one RPC; opt.Fresh bypasses the cache and refreshes it. The
+// returned map is complete on nil error.
 func (c *Client) FetchAllReportOpts(terms []string, budget time.Duration, opt FetchOptions) (map[string]PeerList, FetchReport, error) {
 	start := time.Now()
 	out, rep, err := c.fetchAllCached(terms, budget, opt)
@@ -305,17 +284,19 @@ func (c *Client) FetchAllReportOpts(terms []string, budget time.Duration, opt Fe
 		if n := len(rep.Errors); n > 0 {
 			c.Metrics.Counter("directory.fetch_errors").Add(int64(n))
 		}
-		if rep.Repaired > 0 {
-			c.Metrics.Counter("directory.read_repairs").Add(int64(rep.Repaired))
-		}
 	}
 	return out, rep, err
 }
 
 func (c *Client) fetchAllReport(terms []string, budget time.Duration) (map[string]PeerList, FetchReport, error) {
 	rep := FetchReport{Winners: make(map[string]string, len(terms))}
-	byAddr := make(map[string][]string)
-	replicasByTerm := make(map[string][]chord.NodeRef, len(terms))
+	// Every term of an owner group shares the owner's replica set (the
+	// replicas are the owner's ring successors), so one replica walk
+	// serves the whole group.
+	type ownerGroup struct {
+		addrs, terms []string
+	}
+	groups := make(map[string]ownerGroup)
 	for _, t := range terms {
 		replicas, err := c.node.ReplicaSet(t, c.Replicas)
 		if err != nil {
@@ -326,160 +307,56 @@ func (c *Client) fetchAllReport(terms []string, budget time.Duration) (map[strin
 			// unreachable rather than wrapping a nil error downstream.
 			return nil, rep, fmt.Errorf("directory: fetch %q: %w", t, transport.ErrUnreachable)
 		}
-		replicasByTerm[t] = replicas
-		byAddr[replicas[0].Addr] = append(byAddr[replicas[0].Addr], t)
+		g := groups[replicas[0].Addr]
+		if g.addrs == nil {
+			g.addrs = make([]string, len(replicas))
+			for i, r := range replicas {
+				g.addrs[i] = r.Addr
+			}
+		}
+		g.terms = append(g.terms, t)
+		groups[replicas[0].Addr] = g
 	}
-	owners := make([]string, 0, len(byAddr))
-	for addr := range byAddr {
+	owners := make([]string, 0, len(groups))
+	for addr := range groups {
 		owners = append(owners, addr)
 	}
 	sort.Strings(owners)
 	out := make(map[string]PeerList, len(terms))
 	for _, owner := range owners {
-		group := byAddr[owner]
-		if c.ReadQuorum > 1 {
-			// Quorum reads compare replica copies per term and repair
-			// divergence on the spot.
-			for _, t := range group {
-				pl, err := c.quorumFetch(t, replicasByTerm[t], budget, &rep)
-				if err != nil {
-					return nil, rep, fmt.Errorf("directory: fetch %q: %w", t, err)
-				}
-				out[t] = pl
-			}
-			continue
+		g := groups[owner]
+		got, winner, err := c.readGroup(g.addrs, g.terms, budget, &rep)
+		if err != nil {
+			return nil, rep, fmt.Errorf("directory: fetch %q: %w", g.terms[0], err)
 		}
-		if c.HedgeDelay > 0 {
-			// Hedged batch read: all terms of the group share the owner's
-			// replica set (replicas are the owner's ring successors). The
-			// owner is asked first; a replica is only raced in after the
-			// hedge delay (or an owner failure), so under healthy latency
-			// the authoritative copy still wins — a hedge winner with a
-			// thinner copy is the accepted staleness tradeoff of tail
-			// tolerance (quorum reads close that gap).
-			replicas := replicasByTerm[group[0]]
-			addrs := make([]string, len(replicas))
-			for i, r := range replicas {
-				addrs[i] = r.Addr
-			}
-			h := transport.Hedged{
-				Caller:    transport.WithTimeout(c.node.Network(), c.Retry.Within(budget).Timeout),
-				Delay:     c.HedgeDelay,
-				Max:       len(addrs),
-				Hedges:    c.Metrics.Counter("transport.hedges"),
-				HedgeWins: c.Metrics.Counter("transport.hedge_wins"),
-			}
-			c.Metrics.Counter("directory.rpc." + methodGetBatch).Inc()
-			var got map[string]PeerList
-			winner, err := h.Invoke(addrs, methodGetBatch, group, &got)
-			if err == nil {
-				for t, pl := range got {
-					out[t] = pl
-					rep.Winners[t] = winner
-				}
-				continue
-			}
-			rep.addError(replicaError(owner, "get_batch", "", err))
-		} else {
-			// Sequential read: the owner's batch first, per-term replica
-			// fail-over below when it fails.
-			var got map[string]PeerList
-			err := c.invoke(owner, methodGetBatch, group, &got, budget)
-			if err == nil {
-				for t, pl := range got {
-					out[t] = pl
-					rep.Winners[t] = owner
-				}
-				continue
-			}
-			rep.addError(replicaError(owner, "get_batch", "", err))
-		}
-		// The batch path failed; fall back to per-term reads across each
-		// term's replicas for precise per-replica blame.
-		for _, t := range group {
-			pl, ferr := c.fetchEachReplica(t, replicasByTerm[t], budget, &rep)
-			if ferr != nil {
-				return nil, rep, fmt.Errorf("directory: fetch %q: %w", t, ferr)
-			}
+		for t, pl := range got {
 			out[t] = pl
+			rep.Winners[t] = winner
 		}
 	}
 	return out, rep, nil
 }
 
-// fetchEachReplica tries a term's replicas in order, recording each
-// failure, and returns the first successful PeerList.
-func (c *Client) fetchEachReplica(term string, replicas []chord.NodeRef, budget time.Duration, rep *FetchReport) (PeerList, error) {
-	var lastErr error = transport.ErrUnreachable
-	for _, r := range replicas {
-		var pl PeerList
-		if err := c.invoke(r.Addr, methodGet, term, &pl, budget); err != nil {
-			rep.addError(replicaError(r.Addr, "get", term, err))
-			lastErr = err
-			continue
-		}
-		rep.Winners[term] = r.Addr
-		return pl, nil
+// readGroup reads one owner group's PeerLists through the replica loop:
+// one dir.get per leg, owner first, the next replica on a failure (and
+// after HedgeDelay, when set). Each leg is one invoke, so it follows the
+// retry policy and the budget-capped per-attempt timeout. Every failed
+// leg the loop waited for is blamed in rep.
+func (c *Client) readGroup(addrs, group []string, budget time.Duration, rep *FetchReport) (map[string]PeerList, string, error) {
+	h := transport.Hedged[map[string]PeerList]{Delay: c.HedgeDelay}
+	// Only a hedge can move these counters; unhedged clients leave them
+	// out of the registry.
+	if c.HedgeDelay > 0 {
+		h.Hedges = c.Metrics.Counter("transport.hedges")
+		h.HedgeWins = c.Metrics.Counter("transport.hedge_wins")
 	}
-	return nil, lastErr
-}
-
-// quorumFetch reads a term from up to ReadQuorum replicas, merges their
-// copies, and read-repairs any replica whose copy diverges from the
-// merge. The merged list is returned — a reader behind a stale replica
-// still sees the freshest union.
-func (c *Client) quorumFetch(term string, replicas []chord.NodeRef, budget time.Duration, rep *FetchReport) (PeerList, error) {
-	quorum := c.ReadQuorum
-	if quorum > len(replicas) {
-		quorum = len(replicas)
-	}
-	type copyOf struct {
-		addr string
-		pl   PeerList
-	}
-	var copies []copyOf
-	var floor int64
-	var lastErr error = transport.ErrUnreachable
-	for _, r := range replicas {
-		var got getRepairResponse
-		if err := c.invoke(r.Addr, methodGetRepair, term, &got, budget); err != nil {
-			rep.addError(replicaError(r.Addr, "get", term, err))
-			lastErr = err
-			continue
-		}
-		copies = append(copies, copyOf{addr: r.Addr, pl: got.Posts})
-		if got.Floor > floor {
-			floor = got.Floor
-		}
-		if len(copies) >= quorum {
-			break
-		}
-	}
-	if len(copies) == 0 {
-		return nil, lastErr
-	}
-	rep.Winners[term] = copies[0].addr
-	lists := make([]PeerList, len(copies))
-	for i, cp := range copies {
-		lists[i] = cp.pl
-	}
-	// A quorum read witnesses the replicas' prune floors — propagate to
-	// the read cache before the merged result is stored.
-	c.ObserveFloor(floor)
-	merged := applyEpochFloor(MergePeerLists(lists), floor)
-	want := DigestPosts(merged)
-	for _, cp := range copies {
-		if DigestPosts(cp.pl) == want {
-			continue
-		}
-		c.Metrics.Counter("directory.replica_divergence").Inc()
-		if err := c.invoke(cp.addr, methodRepair, repairRequest{Term: term, Posts: merged, Floor: floor}, nil, budget); err != nil {
-			rep.addError(replicaError(cp.addr, "repair", term, err))
-			continue
-		}
-		rep.Repaired++
-	}
-	return merged, nil
+	return h.Call(addrs, func(addr string) (map[string]PeerList, error) {
+		var got map[string]PeerList
+		err := c.invoke(addr, methodGet, group, &got, budget)
+		return got, err
+	}, func(addr string, err error) {
+		rep.addError(replicaError(addr, "get", "", err))
+	})
 }
 
 // RepairTerm runs one anti-entropy repair of a term's replica set:
@@ -525,12 +402,12 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 	lists := make([]PeerList, 0, len(live))
 	byAddr := make(map[string]PeerList, len(live))
 	for _, s := range live {
-		var pl PeerList
-		if err := c.invoke(s.addr, methodGet, term, &pl, 0); err != nil {
+		var got map[string]PeerList
+		if err := c.invoke(s.addr, methodGet, []string{term}, &got, 0); err != nil {
 			continue
 		}
-		lists = append(lists, pl)
-		byAddr[s.addr] = pl
+		lists = append(lists, got[term])
+		byAddr[s.addr] = got[term]
 	}
 	merged := applyEpochFloor(MergePeerLists(lists), floor)
 	want := DigestPosts(merged)

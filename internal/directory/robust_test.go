@@ -1,11 +1,13 @@
 package directory
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"iqn/internal/chord"
+	"iqn/internal/telemetry"
 	"iqn/internal/transport"
 )
 
@@ -166,7 +168,7 @@ func TestHedgedFetchOutrunsSlowOwner(t *testing.T) {
 	// The owner answers, but slowly — the classic tail case breakers
 	// cannot help with. The rule is scoped to the fetch RPC so chord
 	// lookups stay fast.
-	f.AddRule(transport.Rule{To: owner, Method: methodGetBatch, DelayProb: 1, Delay: 400 * time.Millisecond})
+	f.AddRule(transport.Rule{To: owner, Method: methodGet, DelayProb: 1, Delay: 400 * time.Millisecond})
 	c.HedgeDelay = 25 * time.Millisecond
 	start := time.Now()
 	lists, rep, err := c.FetchAllReportOpts([]string{"delta"}, 0, FetchOptions{})
@@ -254,47 +256,6 @@ func TestReplaceTermSemantics(t *testing.T) {
 	}
 	if terms := s.StoredTerms(); len(terms) != 0 {
 		t.Fatalf("StoredTerms after delete = %v", terms)
-	}
-}
-
-func TestQuorumReadRepairsDivergentReplica(t *testing.T) {
-	nodes, services, clients, _ := testRing(t, 6, 3)
-	full := []Post{mkPost("a", "epsilon", 5), mkPost("b", "epsilon", 6)}
-	if _, err := clients[0].Publish(full); err != nil {
-		t.Fatal(err)
-	}
-	replicas, err := nodes[0].ReplicaSet("epsilon", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Diverge the last replica: it loses one post (a missed write).
-	stale := serviceByAddr(nodes, services, replicas[2].Addr)
-	stale.ReplaceTerm("epsilon", PeerList{full[0]})
-	c := clients[0]
-	c.ReadQuorum = 3
-	lists, rep, err := c.FetchAllReportOpts([]string{"epsilon"}, 0, FetchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reader sees the merged union despite the stale copy...
-	if len(lists["epsilon"]) != 2 {
-		t.Fatalf("quorum read = %+v", lists["epsilon"])
-	}
-	if rep.Repaired != 1 {
-		t.Fatalf("Repaired = %d, want 1", rep.Repaired)
-	}
-	// ...and the divergent replica was patched in place: all three copies
-	// are now digest-identical.
-	want := DigestPosts(serviceByAddr(nodes, services, replicas[0].Addr).Lookup("epsilon"))
-	for _, r := range replicas[1:] {
-		if got := DigestPosts(serviceByAddr(nodes, services, r.Addr).Lookup("epsilon")); got != want {
-			t.Fatalf("replica %s digest %+v, want %+v", r.Addr, got, want)
-		}
-	}
-	// A second quorum read finds nothing to repair.
-	_, rep, err = c.FetchAllReportOpts([]string{"epsilon"}, 0, FetchOptions{})
-	if err != nil || rep.Repaired != 0 {
-		t.Fatalf("second read repaired %d, %v", rep.Repaired, err)
 	}
 }
 
@@ -427,36 +388,53 @@ func TestRepairFloorPreventsResurrection(t *testing.T) {
 	}
 }
 
-// TestQuorumReadRespectsPruneFloor closes the same resurrection hole on
-// the read-quorum path: merging a stale copy with pruned-empty copies
-// must yield the pruned state, not the stale posts.
-func TestQuorumReadRespectsPruneFloor(t *testing.T) {
-	nodes, services, clients, _ := testRing(t, 5, 3)
-	post := mkPost("sleeper", "omega", 10)
-	post.Epoch = 1
-	if _, err := clients[0].Publish([]Post{post}); err != nil {
+// TestPartitionedOwnerGroupServedByNextReplica: a two-term owner group
+// whose owner is partitioned costs exactly two read RPCs — the failed
+// leg to the owner and one batched read served by the next replica —
+// and the owner is blamed once. Every term of the group shares the
+// owner's replica set, so nothing is re-asked per term.
+func TestPartitionedOwnerGroupServedByNextReplica(t *testing.T) {
+	net := transport.NewFaulty(transport.NewInMem(), 3)
+	nodes, _, clients := testRingOn(t, net, 6, 2)
+	// Two terms with a common owner.
+	byOwner := map[string][]string{}
+	var owner string
+	var group []string
+	for i := 0; group == nil; i++ {
+		term := fmt.Sprintf("g%02d", i)
+		replicas, err := nodes[0].ReplicaSet(term, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := replicas[0].Addr
+		byOwner[o] = append(byOwner[o], term)
+		if len(byOwner[o]) == 2 && o != nodes[0].Self().Addr {
+			owner, group = o, byOwner[o]
+		}
+	}
+	if _, err := clients[1].Publish([]Post{mkPost("p", group[0], 3), mkPost("p", group[1], 4)}); err != nil {
 		t.Fatal(err)
 	}
-	replicas, err := nodes[0].ReplicaSet("omega", 3)
+	reg := telemetry.NewRegistry()
+	reader := clients[0]
+	reader.Metrics = reg
+	net.AddRule(transport.Rule{To: owner, Method: MethodGet, Partition: true})
+	lists, rep, err := reader.FetchAllReportOpts(group, 0, FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range replicas[:2] {
-		serviceByAddr(nodes, services, r.Addr).Prune(2)
+	for i, term := range group {
+		if len(lists[term]) != 1 || lists[term][0].ListLength != 3+i {
+			t.Fatalf("%s = %+v", term, lists[term])
+		}
+		if w := rep.Winners[term]; w == owner || w == "" {
+			t.Fatalf("%s served by %q with its owner %s partitioned", term, w, owner)
+		}
 	}
-	reader := clients[1]
-	reader.ReadQuorum = 3
-	lists, rep, err := reader.FetchAllReportOpts([]string{"omega"}, 0, FetchOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if got := dirReadRPCs(reg); got != 2 {
+		t.Fatalf("read RPCs = %d, want 2 (one failed leg, one served)", got)
 	}
-	if len(lists["omega"]) != 0 {
-		t.Fatalf("quorum read resurrected pruned posts: %+v", lists["omega"])
-	}
-	if rep.Repaired != 1 {
-		t.Fatalf("Repaired = %d, want 1 (stale replica patched to empty)", rep.Repaired)
-	}
-	if pl := serviceByAddr(nodes, services, replicas[2].Addr).Lookup("omega"); len(pl) != 0 {
-		t.Fatalf("stale replica still holds pruned posts after quorum repair: %+v", pl)
+	if len(rep.Errors) != 1 || rep.Errors[0].Addr != owner || !rep.Errors[0].Unreachable {
+		t.Fatalf("errors = %+v, want the owner %s blamed once", rep.Errors, owner)
 	}
 }

@@ -118,7 +118,7 @@ func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
 	// accumulates across its queries like a real client's.
 	slowed, initiators := tb.victims(net, min(overloadSlowPeers, len(net.Peers)-1))
 	for _, p := range slowed {
-		for _, m := range []string{minerva.MethodQuery, directory.MethodGet, directory.MethodGetBatch} {
+		for _, m := range []string{minerva.MethodQuery, directory.MethodGet} {
 			faulty.AddRule(transport.Rule{To: p.Name(), Method: m, DelayProb: 1, Delay: overloadSlowDelay})
 		}
 	}

@@ -2,22 +2,16 @@ package minerva
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
+	"iqn/internal/directory"
 	"iqn/internal/telemetry"
 )
 
-// cacheReadRPCs sums the directory read RPC counters.
+// cacheReadRPCs counts the directory read RPCs sent.
 func cacheReadRPCs(r *telemetry.Registry) int64 {
-	var n int64
-	for name, v := range r.Snapshot().Counters {
-		if strings.HasPrefix(name, "directory.rpc.dir.get") {
-			n += v
-		}
-	}
-	return n
+	return r.Snapshot().Counters["directory.rpc."+directory.MethodGet]
 }
 
 func TestSearchServedFromDirectoryCache(t *testing.T) {
@@ -56,12 +50,12 @@ func TestSearchServedFromDirectoryCache(t *testing.T) {
 	if snap["directory.cache_synopsis_reuse"] == 0 {
 		t.Fatal("second query re-decoded every synopsis")
 	}
-	// FreshDirectory bypasses the cache.
-	if _, err := initiator.Search(q.Terms, SearchOptions{K: 20, MaxPeers: 3, FreshDirectory: true}); err != nil {
+	// A Fresh read bypasses the cache.
+	if _, _, err := initiator.Directory().FetchAllReportOpts(q.Terms, 0, directory.FetchOptions{Fresh: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cacheReadRPCs(reg); got == warm {
-		t.Fatal("FreshDirectory did not re-read the directory")
+		t.Fatal("a Fresh read did not re-read the directory")
 	}
 }
 

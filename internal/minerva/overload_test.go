@@ -184,6 +184,35 @@ func TestSearchBudgetDegradesToPartial(t *testing.T) {
 	}
 }
 
+// TestSearchBudgetExpiredInDirectoryFetch: when the budget runs out
+// while the directory is still being read, the search degrades — no
+// peer planned, the initiator's own result, BudgetExpired set and the
+// timed-out replica reported — instead of failing.
+func TestSearchBudgetExpiredInDirectoryFetch(t *testing.T) {
+	net, faulty, queries := buildSlowNetwork(t, Config{SynopsisSeed: 7})
+	initiator := net.Peers[0]
+	faulty.AddRule(transport.Rule{Method: directory.MethodGet, DelayProb: 1, Delay: 300 * time.Millisecond})
+
+	start := time.Now()
+	res, err := initiator.Search(queries[0].Terms, SearchOptions{K: 20, MaxPeers: 3, Budget: 50 * time.Millisecond})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("budgeted search failed instead of degrading: %v", err)
+	}
+	if elapsed >= 250*time.Millisecond {
+		t.Fatalf("budgeted search took %v, want well under the 300ms injected delay", elapsed)
+	}
+	if !res.BudgetExpired || len(res.Plan.Peers) != 0 {
+		t.Fatalf("BudgetExpired = %v with %d planned peers, want true and none", res.BudgetExpired, len(res.Plan.Peers))
+	}
+	if len(res.Results) == 0 {
+		t.Fatal("no results; the initiator's own list must survive")
+	}
+	if len(res.Directory.Errors) == 0 {
+		t.Fatal("timed-out directory replica not reported")
+	}
+}
+
 // TestExecuteBudgetExpiredBeforeForwarding covers the degenerate case:
 // the budget is already gone when forwarding starts, so every planned
 // peer is reported as skipped with a structured error instead of being

@@ -5,8 +5,8 @@
 // baseline routing, query forwarding, result merging).
 //
 // Overload hardening is opt-in per Config: Breakers arms per-link
-// circuit breakers on the peer's outgoing calls, HedgeDelay/ReadQuorum
-// harden directory reads, AdmissionLimit sheds excess inbound load with
+// circuit breakers on the peer's outgoing calls, HedgeDelay hedges
+// directory reads, AdmissionLimit sheds excess inbound load with
 // fast rejects, and SearchOptions.Budget threads an end-to-end deadline
 // through directory fetch and query fan-out — an exhausted budget
 // degrades to a merged partial top-k with every abandoned peer named in
@@ -87,10 +87,6 @@ type Config struct {
 	// a replica has not answered a PeerList fetch within this delay, the
 	// next replica is raced in and the first success wins.
 	HedgeDelay time.Duration
-	// ReadQuorum ≥ 2 switches directory fetches to quorum reads with
-	// read-repair: that many replica copies are compared per term and
-	// divergent replicas are patched on the spot.
-	ReadQuorum int
 	// DirectoryCacheTTL > 0 arms the peer's directory read cache: fetched
 	// PeerLists are served locally for up to this long (bounded staleness
 	// ≤ TTL), validated against post epochs, invalidated by the peer's
@@ -98,8 +94,7 @@ type Config struct {
 	// directory fraction, with concurrent fetches of one term coalesced
 	// onto a single RPC and synopses decoded once per epoch instead of
 	// once per query. Zero (the default) disables caching — every search
-	// reads the directory. SearchOptions.FreshDirectory bypasses the
-	// cache per query.
+	// reads the directory.
 	DirectoryCacheTTL time.Duration
 	// SearchCoalescing collapses identical in-flight searches onto one
 	// execution: when a query with the same terms and result-affecting
@@ -367,7 +362,6 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 	}
 	p.dir.Retry = cfg.DirectoryRetry
 	p.dir.HedgeDelay = cfg.HedgeDelay
-	p.dir.ReadQuorum = cfg.ReadQuorum
 	p.dir.Metrics = cfg.Metrics
 	if cfg.DirectoryCacheTTL > 0 {
 		p.dir.EnableCache(cfg.DirectoryCacheTTL)

@@ -80,11 +80,6 @@ type SearchOptions struct {
 	// DisableSelf excludes the initiator's local result from seeding the
 	// reference synopsis and from the merged results.
 	DisableSelf bool
-	// Parallelism caps the goroutines the router uses to score routing
-	// candidates (core.Options.Parallelism). ≤ 1 routes single-threaded;
-	// larger values are capped at GOMAXPROCS. The plan is identical
-	// either way.
-	Parallelism int
 	// Retry is the per-forward retry/backoff policy. The zero value
 	// makes a single attempt with no per-call timeout — the pre-retry
 	// behavior.
@@ -95,19 +90,15 @@ type SearchOptions struct {
 	// to the replacement (core.Reroute). Failed peers are reported in
 	// SearchResult.Errors either way — never silently dropped.
 	NoReroute bool
-	// FreshDirectory bypasses the peer's directory read cache for this
-	// query: every term's PeerList is re-read from the directory and the
-	// cache is refreshed with the results. The escape hatch for callers
-	// that cannot tolerate even TTL-bounded staleness; a no-op when
-	// Config.DirectoryCacheTTL is zero.
-	FreshDirectory bool
 	// Budget is the end-to-end deadline for the whole search: directory
 	// fetch, fan-out, and re-routing all spend from it (per-attempt
 	// timeouts are capped by what remains). When it expires mid-search,
 	// the search degrades to the merged partial top-k of the peers that
 	// answered in time — outstanding peers are reported in Errors and
-	// BudgetExpired is set — instead of hanging past the deadline. Zero
-	// means no budget (the pre-deadline behavior).
+	// BudgetExpired is set — instead of hanging past the deadline; a
+	// directory fetch it cuts short degrades to the initiator's own
+	// result, the failed replicas reported in Directory. Zero means no
+	// budget (the pre-deadline behavior).
 	Budget time.Duration
 	// TopKStreaming picks how query forwarding (MethodQuery) trades
 	// round trips for bytes; it never changes Results. Off, each
@@ -185,12 +176,13 @@ type SearchResult struct {
 	// plan, in selection order.
 	Rerouted []core.PeerID
 	// Directory is the replica-level account of the PeerList fetch
-	// (which replica served each term, failed replicas, read-repairs).
+	// (which replica served each term, failed replicas).
 	Directory directory.FetchReport
 	// BudgetExpired reports that the deadline budget ran out before
 	// every planned peer was tried: Results is the merged partial top-k
 	// of the peers that answered in time, and the peers never tried are
-	// listed in Errors.
+	// listed in Errors. When it ran out during the directory fetch, no
+	// peer was planned and Results is the initiator's own result.
 	BudgetExpired bool
 }
 
@@ -271,16 +263,15 @@ type searchFlight struct {
 
 // coalesceKey canonicalizes a query for whole-search coalescing: two
 // searches coalesce only when every result-affecting input matches.
-// Parallelism is deliberately excluded — the plan is identical at any
-// width (see SearchOptions) — as is Retry.Sleep, a pacing-only test
-// hook whose function identity would defeat coalescing without ever
-// changing a result.
+// Retry.Sleep is deliberately excluded — a pacing-only test hook whose
+// function identity would defeat coalescing without ever changing a
+// result.
 func coalesceKey(terms []string, o SearchOptions) string {
 	r := o.Retry
-	return fmt.Sprintf("%s\x00k=%d mk=%d mp=%d me=%d ag=%d cj=%t hi=%t no=%t cl=%d ds=%t nr=%t fd=%t bu=%d tk=%t cs=%d ra=%d rb=%d rm=%d rj=%g rt=%d rs=%d",
+	return fmt.Sprintf("%s\x00k=%d mk=%d mp=%d me=%d ag=%d cj=%t hi=%t no=%t cl=%d ds=%t nr=%t bu=%d tk=%t cs=%d ra=%d rb=%d rm=%d rj=%g rt=%d rs=%d",
 		strings.Join(terms, "\x1f"), o.K, o.MergeK, o.MaxPeers, o.Method, o.Aggregation,
 		o.Conjunctive, o.UseHistograms, o.NoveltyOnly, o.CandidateLimit, o.DisableSelf,
-		o.NoReroute, o.FreshDirectory, o.Budget, o.TopKStreaming, o.ChunkSize,
+		o.NoReroute, o.Budget, o.TopKStreaming, o.ChunkSize,
 		r.MaxAttempts, r.BaseDelay, r.MaxDelay, r.Jitter, r.Timeout, r.Seed)
 }
 
@@ -296,13 +287,15 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	dl := core.StartDeadline(opts.Budget)
 	fetchSpan := span.Child("directory.fetch")
 	fetchStart := time.Now()
-	lists, dirRep, err := p.dir.FetchAllReportOpts(terms, dl.Cap(0), directory.FetchOptions{Fresh: opts.FreshDirectory})
+	lists, dirRep, err := p.dir.FetchAllReportOpts(terms, dl.Cap(0), directory.FetchOptions{})
 	fetchSpan.SetInt("terms", int64(len(terms)))
 	fetchSpan.SetInt("errors", int64(len(dirRep.Errors)))
-	fetchSpan.SetInt("repaired", int64(dirRep.Repaired))
 	fetchSpan.SetDuration("spent", time.Since(fetchStart))
 	fetchSpan.End()
-	if err != nil {
+	// A fetch the budget cut short degrades like an expired fan-out: no
+	// candidates, the initiator's own result, BudgetExpired set.
+	fetchExpired := err != nil && dl.Expired()
+	if err != nil && !fetchExpired {
 		span.Set("failed", "directory-fetch")
 		span.End()
 		m.Counter("search.fetch_failures").Inc()
@@ -325,7 +318,6 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 		MaxPeers:      opts.maxPeers(),
 		Aggregation:   opts.Aggregation,
 		UseHistograms: opts.UseHistograms,
-		Parallelism:   opts.Parallelism,
 		Span:          routeSpan,
 		Metrics:       m,
 	}
@@ -365,6 +357,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	routeSpan.SetInt("planned", int64(len(plan.Peers)))
 	routeSpan.End()
 	exec, merged := p.execute(q, plan, lists, initiator, cands, opts, routeOpts.Prior, dl, span)
+	exec.budgetExpired = exec.budgetExpired || fetchExpired
 	if exec.budgetExpired {
 		span.Set("budget_expired", "true")
 		m.Counter("search.budget_expired").Inc()

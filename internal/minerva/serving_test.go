@@ -109,7 +109,6 @@ func TestCoalesceKeyDiscriminates(t *testing.T) {
 		func(o *SearchOptions) { o.CandidateLimit = 7 },
 		func(o *SearchOptions) { o.DisableSelf = true },
 		func(o *SearchOptions) { o.NoReroute = true },
-		func(o *SearchOptions) { o.FreshDirectory = true },
 		func(o *SearchOptions) { o.Budget = time.Second },
 		func(o *SearchOptions) { o.Retry.MaxAttempts = 3 },
 		func(o *SearchOptions) { o.Retry.Seed = 99 },
@@ -129,14 +128,12 @@ func TestCoalesceKeyDiscriminates(t *testing.T) {
 	if coalesceKey([]string{"alpha"}, base) == coalesceKey([]string{"beta"}, base) {
 		t.Fatal("different terms share a key")
 	}
-	// Plan-neutral knobs must NOT split the key: a duplicate differing
-	// only in scoring parallelism or the retry sleep hook still shares
-	// the execution.
+	// The pacing-only retry sleep hook must NOT split the key: a
+	// duplicate differing only there still shares the execution.
 	o := base
-	o.Parallelism = 8
 	o.Retry.Sleep = func(time.Duration) {}
 	if coalesceKey(terms, o) != coalesceKey(terms, base) {
-		t.Fatal("Parallelism/Retry.Sleep split the coalescing key")
+		t.Fatal("Retry.Sleep split the coalescing key")
 	}
 }
 

@@ -317,7 +317,6 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			MaxPeers:      len(failed),
 			Aggregation:   opts.Aggregation,
 			UseHistograms: opts.UseHistograms,
-			Parallelism:   opts.Parallelism,
 			Span:          rerouteSpan,
 			Metrics:       m,
 			Prior:         prior,

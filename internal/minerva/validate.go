@@ -7,8 +7,8 @@ import "fmt"
 // of silently degrading mid-query. Zero values stay valid everywhere —
 // they are the documented "feature disabled" defaults (a zero
 // HedgeDelay means no hedging, a zero AdmissionLimit means no admission
-// control) — but negative durations and counts, or a read quorum the
-// replication factor cannot satisfy, are configuration mistakes.
+// control) — but negative durations and counts are configuration
+// mistakes.
 func (c Config) Validate() error {
 	if c.SynopsisBits < 0 {
 		return fmt.Errorf("minerva: SynopsisBits %d is negative", c.SynopsisBits)
@@ -19,19 +19,8 @@ func (c Config) Validate() error {
 	if c.HedgeDelay < 0 {
 		return fmt.Errorf("minerva: HedgeDelay %v is negative (use 0 to disable hedging)", c.HedgeDelay)
 	}
-	if c.ReadQuorum < 0 {
-		return fmt.Errorf("minerva: ReadQuorum %d is negative", c.ReadQuorum)
-	}
 	if c.DirectoryCacheTTL < 0 {
 		return fmt.Errorf("minerva: DirectoryCacheTTL %v is negative (use 0 to disable caching)", c.DirectoryCacheTTL)
-	}
-	replicas := c.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if c.ReadQuorum > replicas {
-		return fmt.Errorf("minerva: ReadQuorum %d exceeds the replication factor %d — quorum reads would always fall short",
-			c.ReadQuorum, replicas)
 	}
 	if c.AdmissionLimit < 0 {
 		return fmt.Errorf("minerva: AdmissionLimit %d is negative (use 0 to disable admission control)", c.AdmissionLimit)

@@ -17,14 +17,11 @@ func TestConfigValidate(t *testing.T) {
 		{name: "zero value", cfg: Config{}},
 		{name: "hedging disabled by zero", cfg: Config{HedgeDelay: 0}},
 		{name: "admission disabled by zero", cfg: Config{AdmissionLimit: 0}},
-		{name: "quorum within replicas", cfg: Config{Replicas: 3, ReadQuorum: 2}},
 		{name: "cache disabled by zero", cfg: Config{DirectoryCacheTTL: 0}},
 		{name: "cache enabled", cfg: Config{DirectoryCacheTTL: time.Minute}},
-		{name: "quorum equals replicas", cfg: Config{Replicas: 2, ReadQuorum: 2}},
 		{name: "full overload config", cfg: Config{
 			Replicas:       2,
 			HedgeDelay:     5 * time.Millisecond,
-			ReadQuorum:     2,
 			AdmissionLimit: 8,
 			AdmissionQueue: 16,
 			DirectoryRetry: transport.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
@@ -33,10 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{name: "negative synopsis bits", cfg: Config{SynopsisBits: -1}, wantErr: "SynopsisBits"},
 		{name: "negative replicas", cfg: Config{Replicas: -2}, wantErr: "Replicas"},
 		{name: "negative hedge delay", cfg: Config{HedgeDelay: -time.Millisecond}, wantErr: "HedgeDelay"},
-		{name: "negative read quorum", cfg: Config{ReadQuorum: -1}, wantErr: "ReadQuorum"},
 		{name: "negative cache ttl", cfg: Config{DirectoryCacheTTL: -time.Second}, wantErr: "DirectoryCacheTTL"},
-		{name: "quorum exceeds replicas", cfg: Config{Replicas: 2, ReadQuorum: 3}, wantErr: "replication factor"},
-		{name: "quorum exceeds default single replica", cfg: Config{ReadQuorum: 2}, wantErr: "replication factor"},
 		{name: "negative admission limit", cfg: Config{AdmissionLimit: -4}, wantErr: "AdmissionLimit"},
 		{name: "negative admission queue", cfg: Config{AdmissionQueue: -1}, wantErr: "AdmissionQueue"},
 		{name: "chunk size disabled by zero", cfg: Config{TopKChunkSize: 0}},

@@ -201,9 +201,6 @@ type Scenario struct {
 	// HedgeDelay enables hedged directory reads: a replica is raced in
 	// when the owner has not answered within the delay.
 	HedgeDelay time.Duration
-	// ReadQuorum enables quorum directory reads with read-repair when
-	// ≥ 2.
-	ReadQuorum int
 	// Breakers, non-nil, arms per-link circuit breakers on every peer.
 	// The config's Seed is overridden with the scenario seed.
 	Breakers *transport.BreakerConfig
@@ -562,7 +559,6 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 		DirectoryRetry:    sc.Retry,
 		Breakers:          breakers,
 		HedgeDelay:        sc.HedgeDelay,
-		ReadQuorum:        sc.ReadQuorum,
 		AdmissionLimit:    sc.AdmissionLimit,
 		AdmissionQueue:    sc.AdmissionQueue,
 		DirectoryCacheTTL: sc.DirectoryCacheTTL,
@@ -642,7 +638,7 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 			epoch++
 			net.MaintenanceRound(epoch)
 		case SlowPeer:
-			for _, m := range []string{minerva.MethodQuery, directory.MethodGet, directory.MethodGetBatch} {
+			for _, m := range []string{minerva.MethodQuery, directory.MethodGet} {
 				faulty.AddRule(transport.Rule{To: name(e.Peer), Method: m, DelayProb: 1, Delay: e.Delay})
 			}
 		case Saturate:

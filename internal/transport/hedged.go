@@ -7,133 +7,115 @@ import (
 	"iqn/internal/telemetry"
 )
 
-// Hedged issues tail-tolerant calls across a replica set: the first
-// address is called immediately, and whenever no answer has arrived
-// within Delay another replica is tried — the first success wins and
-// later answers are discarded. A failure fires the next replica
-// immediately (fail-over does not wait out the hedge delay). This is
-// the classic tail-at-scale hedge: one slow replica costs Delay, not
-// its full latency.
+// Hedged runs one idempotent read across a replica set, in replica
+// order: the first address is tried first, and a failed leg starts the
+// next replica at once. With Delay > 0 the next replica also starts
+// whenever the newest leg has not answered within Delay — the classic
+// tail-at-scale hedge, where one slow replica costs Delay, not its full
+// latency. The first success wins; answers arriving after it are
+// discarded. With Delay ≤ 0 the legs run one at a time on the caller's
+// goroutine (plain in-order fail-over, no goroutine, channel or timer).
 //
 // Hedging duplicates work by design; reserve it for idempotent reads
-// (directory PeerList fetches are — the same term read from any replica)
-// and bound the blast radius with Max.
-type Hedged struct {
-	// Caller issues the individual calls.
-	Caller Caller
-	// Delay is how long to wait on the newest in-flight call before
-	// hedging to the next replica. Delay ≤ 0 fires all Max attempts at
-	// once.
+// (directory PeerList fetches are — the same terms read from any
+// replica) and bound the blast radius by the addresses passed in.
+type Hedged[T any] struct {
+	// Delay is how long the newest leg may stay unanswered before the
+	// next replica is started alongside it (≤ 0: never — fail-over only).
 	Delay time.Duration
-	// Max bounds the total replicas tried (default 2, capped at the
-	// number of addresses given).
-	Max int
-	// Hedges, when set, counts every replica launched beyond the first
-	// (duplicate work the hedge spent); HedgeWins counts races won by a
-	// replica other than the first (tail latency the hedge saved). Both
-	// tolerate nil — unset means uncounted.
+	// Hedges, when set, counts legs the delay started while an earlier
+	// leg was still in flight (duplicate work the hedge spent);
+	// HedgeWins counts races such a leg won (tail latency the hedge
+	// saved). Both tolerate nil — unset means uncounted.
 	Hedges    *telemetry.Counter
 	HedgeWins *telemetry.Counter
 }
 
-// Call races the method across addrs and returns the first successful
-// response along with the address that won. When every tried replica
-// fails, the last error is returned. Abandoned calls complete on their
-// own goroutines and are discarded.
-func (h Hedged) Call(addrs []string, method string, req []byte) ([]byte, string, error) {
+// Call runs leg against addrs in order under the hedging rule and
+// returns the first successful response along with the address that
+// served it. failed, when non-nil, is told about every failed leg Call
+// waited for, on the caller's goroutine. When every leg fails the last
+// error is returned; no addresses at all is ErrUnreachable.
+func (h Hedged[T]) Call(addrs []string, leg func(addr string) (T, error), failed func(addr string, err error)) (resp T, winner string, err error) {
+	if failed == nil {
+		failed = func(string, error) {}
+	}
 	if len(addrs) == 0 {
-		return nil, "", fmt.Errorf("%w: hedged call with no addresses", ErrUnreachable)
+		return resp, "", fmt.Errorf("%w: hedged call with no addresses", ErrUnreachable)
 	}
-	max := h.Max
-	if max <= 0 {
-		max = 2
+	if h.Delay <= 0 {
+		for _, addr := range addrs {
+			if resp, err = leg(addr); err == nil {
+				return resp, addr, nil
+			}
+			failed(addr, err)
+		}
+		var zero T
+		return zero, "", err
 	}
-	if max > len(addrs) {
-		max = len(addrs)
-	}
+	return h.race(addrs, leg, failed)
+}
+
+// race is Call with Delay > 0: legs run on their own goroutines so a
+// slow one can be overtaken. Abandoned legs complete on their own and
+// are discarded.
+func (h Hedged[T]) race(addrs []string, leg func(addr string) (T, error), failed func(addr string, err error)) (T, string, error) {
 	type outcome struct {
-		addr string
-		resp []byte
-		err  error
+		i     int
+		hedge bool
+		resp  T
+		err   error
 	}
-	ch := make(chan outcome, max)
+	ch := make(chan outcome, len(addrs))
+	var timer *time.Timer
+	var tick <-chan time.Time
 	launched, settled := 0, 0
-	launch := func() {
-		addr := addrs[launched]
-		if launched > 0 {
+	launch := func(hedge bool) {
+		i := launched
+		launched++
+		if hedge {
 			h.Hedges.Inc()
 		}
-		launched++
 		go func() {
-			resp, err := h.Caller.Call(addr, method, req)
-			ch <- outcome{addr: addr, resp: resp, err: err}
+			resp, err := leg(addrs[i])
+			ch <- outcome{i: i, hedge: hedge, resp: resp, err: err}
 		}()
-	}
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	rearm := func() {
 		if timer != nil {
 			timer.Stop()
-			timer, timerC = nil, nil
 		}
-		if launched < max && h.Delay > 0 {
+		tick = nil
+		if launched < len(addrs) {
 			timer = time.NewTimer(h.Delay)
-			timerC = timer.C
+			tick = timer.C
 		}
 	}
-	launch()
-	if h.Delay <= 0 {
-		for launched < max {
-			launch()
-		}
-	}
-	rearm()
 	defer func() {
 		if timer != nil {
 			timer.Stop()
 		}
 	}()
+	launch(false)
 	var lastErr error
 	for {
 		select {
 		case o := <-ch:
+			settled++
 			if o.err == nil {
-				if o.addr != addrs[0] {
+				if o.hedge {
 					h.HedgeWins.Inc()
 				}
-				return o.resp, o.addr, nil
+				return o.resp, addrs[o.i], nil
 			}
+			failed(addrs[o.i], o.err)
 			lastErr = o.err
-			settled++
-			if settled == launched {
-				if launched < max {
-					launch()
-					rearm()
-					continue
-				}
-				return nil, "", lastErr
+			if launched < len(addrs) {
+				launch(false)
+			} else if settled == launched {
+				var zero T
+				return zero, "", lastErr
 			}
-		case <-timerC:
-			launch()
-			rearm()
+		case <-tick:
+			launch(true)
 		}
 	}
-}
-
-// Invoke is the typed convenience wrapper: encode req once, hedge the
-// call across addrs, decode the winning response into resp (nil
-// discards it), and report the winner.
-func (h Hedged) Invoke(addrs []string, method string, req, resp any) (winner string, err error) {
-	payload, err := Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	out, winner, err := h.Call(addrs, method, payload)
-	if err != nil {
-		return winner, err
-	}
-	if resp == nil {
-		return winner, nil
-	}
-	return winner, Unmarshal(out, resp)
 }

@@ -140,14 +140,13 @@ func TestHedgedCounters(t *testing.T) {
 	}
 
 	r := telemetry.NewRegistry()
-	h := Hedged{
-		Caller:    net,
+	h := Hedged[[]byte]{
 		Delay:     time.Millisecond,
-		Max:       2,
 		Hedges:    r.Counter("transport.hedges"),
 		HedgeWins: r.Counter("transport.hedge_wins"),
 	}
-	resp, winner, err := h.Call([]string{"slow", "fast"}, "get", nil)
+	leg := func(addr string) ([]byte, error) { return net.Call(addr, "get", nil) }
+	resp, winner, err := h.Call([]string{"slow", "fast"}, leg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

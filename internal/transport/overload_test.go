@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,12 +219,17 @@ func (s *slowCaller) Call(addr, _ string, _ []byte) ([]byte, error) {
 	return []byte("from:" + addr), nil
 }
 
+// slowLeg is the leg a Hedged call runs against a slowCaller.
+func slowLeg(sc *slowCaller) func(addr string) ([]byte, error) {
+	return func(addr string) ([]byte, error) { return sc.Call(addr, "get", nil) }
+}
+
 func TestHedgedFastPrimaryNoHedge(t *testing.T) {
 	sc := newSlowCaller()
 	sc.set("r1", 0, nil)
 	sc.set("r2", 0, nil)
-	h := Hedged{Caller: sc, Delay: 50 * time.Millisecond, Max: 2}
-	resp, winner, err := h.Call([]string{"r1", "r2"}, "get", nil)
+	h := Hedged[[]byte]{Delay: 50 * time.Millisecond}
+	resp, winner, err := h.Call([]string{"r1", "r2"}, slowLeg(sc), nil)
 	if err != nil || winner != "r1" || string(resp) != "from:r1" {
 		t.Fatalf("Call = %q, winner %q, %v", resp, winner, err)
 	}
@@ -236,9 +242,9 @@ func TestHedgedSlowPrimaryCostsDelayNotLatency(t *testing.T) {
 	sc := newSlowCaller()
 	sc.set("r1", 400*time.Millisecond, nil)
 	sc.set("r2", 0, nil)
-	h := Hedged{Caller: sc, Delay: 30 * time.Millisecond, Max: 2}
+	h := Hedged[[]byte]{Delay: 30 * time.Millisecond}
 	start := time.Now()
-	resp, winner, err := h.Call([]string{"r1", "r2"}, "get", nil)
+	resp, winner, err := h.Call([]string{"r1", "r2"}, slowLeg(sc), nil)
 	elapsed := time.Since(start)
 	if err != nil || winner != "r2" || string(resp) != "from:r2" {
 		t.Fatalf("Call = %q, winner %q, %v", resp, winner, err)
@@ -255,12 +261,12 @@ func TestHedgedFailoverIsImmediate(t *testing.T) {
 	sc.set("r2", 0, nil)
 	// A failure must fire the next replica immediately, not wait out the
 	// hedge delay.
-	h := Hedged{Caller: sc, Delay: time.Hour, Max: 2}
+	h := Hedged[[]byte]{Delay: time.Hour}
 	done := make(chan struct{})
 	var winner string
 	var err error
 	go func() {
-		_, winner, err = h.Call([]string{"r1", "r2"}, "get", nil)
+		_, winner, err = h.Call([]string{"r1", "r2"}, slowLeg(sc), nil)
 		close(done)
 	}()
 	select {
@@ -278,34 +284,58 @@ func TestHedgedAllFail(t *testing.T) {
 	sc.set("r1", 0, ErrUnreachable)
 	sc.set("r2", 0, ErrUnreachable)
 	sc.set("r3", 0, ErrUnreachable)
-	h := Hedged{Caller: sc, Delay: time.Millisecond, Max: 3}
-	_, _, err := h.Call([]string{"r1", "r2", "r3"}, "get", nil)
-	if !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("all-fail error = %v", err)
-	}
-	for _, r := range []string{"r1", "r2", "r3"} {
-		if sc.count(r) != 1 {
-			t.Fatalf("%s called %d times", r, sc.count(r))
+	for _, delay := range []time.Duration{0, time.Millisecond} {
+		h := Hedged[[]byte]{Delay: delay}
+		var blamed []string
+		_, _, err := h.Call([]string{"r1", "r2", "r3"}, slowLeg(sc), func(addr string, _ error) {
+			blamed = append(blamed, addr)
+		})
+		if !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("delay %v: all-fail error = %v", delay, err)
+		}
+		if len(blamed) != 3 {
+			t.Fatalf("delay %v: failed legs reported = %v, want all three", delay, blamed)
+		}
+		// No addresses at all is a loud, well-formed error, not a hang.
+		_, _, err = h.Call(nil, slowLeg(sc), nil)
+		if !errors.Is(err, ErrUnreachable) || strings.Contains(err.Error(), "%!") {
+			t.Fatalf("delay %v: no-address error = %v", delay, err)
 		}
 	}
-	// No addresses at all is a loud error, not a hang.
-	if _, _, err := h.Call(nil, "get", nil); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("no-address error = %v", err)
+	for _, r := range []string{"r1", "r2", "r3"} {
+		if sc.count(r) != 2 {
+			t.Fatalf("%s called %d times, want once per Call", r, sc.count(r))
+		}
 	}
 }
 
-func TestHedgedZeroDelayFiresAll(t *testing.T) {
+// TestHedgedZeroDelayFailsOverInOrder: with no hedge delay the legs run
+// one at a time on the caller's goroutine, in replica order, and the
+// first success ends the walk — later replicas are never asked.
+func TestHedgedZeroDelayFailsOverInOrder(t *testing.T) {
 	sc := newSlowCaller()
-	sc.set("r1", 200*time.Millisecond, nil)
+	sc.set("r1", 0, ErrUnreachable)
 	sc.set("r2", 0, nil)
-	h := Hedged{Caller: sc, Delay: 0, Max: 2}
-	start := time.Now()
-	_, winner, err := h.Call([]string{"r1", "r2"}, "get", nil)
-	if err != nil || winner != "r2" {
-		t.Fatalf("winner %q, %v", winner, err)
+	sc.set("r3", 0, nil)
+	var order, blamed []string
+	leg := func(addr string) ([]byte, error) {
+		order = append(order, addr) // no lock: legs must not overlap
+		return sc.Call(addr, "get", nil)
 	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("zero-delay hedge took %v", elapsed)
+	resp, winner, err := Hedged[[]byte]{}.Call([]string{"r1", "r2", "r3"}, leg, func(addr string, _ error) {
+		blamed = append(blamed, addr)
+	})
+	if err != nil || winner != "r2" || string(resp) != "from:r2" {
+		t.Fatalf("Call = %q, winner %q, %v", resp, winner, err)
+	}
+	if strings.Join(order, ",") != "r1,r2" {
+		t.Fatalf("legs ran %v, want r1 then r2 and nothing after the first success", order)
+	}
+	if strings.Join(blamed, ",") != "r1" {
+		t.Fatalf("failed legs reported = %v, want [r1]", blamed)
+	}
+	if sc.count("r3") != 0 {
+		t.Fatal("fail-over kept going past the first success")
 	}
 }
 
@@ -316,12 +346,18 @@ func TestHedgedInvokeTyped(t *testing.T) {
 	if _, err := n.Register("r2", m); err != nil {
 		t.Fatal(err)
 	}
-	// r1 is unregistered (unreachable): the hedge falls through to r2.
-	h := Hedged{Caller: n, Delay: 10 * time.Millisecond, Max: 2}
-	var out string
-	winner, err := h.Invoke([]string{"r1", "r2"}, "get", struct{}{}, &out)
-	if err != nil || winner != "r2" || out != "pong" {
-		t.Fatalf("Invoke = %q from %q, %v", out, winner, err)
+	// r1 is unregistered (unreachable): the typed leg falls through to r2
+	// and its decoded value is what the call returns.
+	leg := func(addr string) (string, error) {
+		var out string
+		_, err := InvokeRetry(n, addr, "get", struct{}{}, &out, RetryPolicy{})
+		return out, err
+	}
+	for _, delay := range []time.Duration{0, 10 * time.Millisecond} {
+		out, winner, err := Hedged[string]{Delay: delay}.Call([]string{"r1", "r2"}, leg, nil)
+		if err != nil || winner != "r2" || out != "pong" {
+			t.Fatalf("delay %v: Call = %q from %q, %v", delay, out, winner, err)
+		}
 	}
 }
 

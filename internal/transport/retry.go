@@ -63,26 +63,6 @@ func CallTimeout(c Caller, addr, method string, req []byte, d time.Duration) ([]
 	return callTimeoutRace(c, addr, method, req, d)
 }
 
-// WithTimeout returns a Caller that bounds every call by d via
-// CallTimeout (d ≤ 0 returns c unchanged). Useful for handing a
-// deadline-bounded caller to components that take a plain Caller, like
-// Hedged.
-func WithTimeout(c Caller, d time.Duration) Caller {
-	if d <= 0 {
-		return c
-	}
-	return timeoutCaller{c: c, d: d}
-}
-
-type timeoutCaller struct {
-	c Caller
-	d time.Duration
-}
-
-func (t timeoutCaller) Call(addr, method string, req []byte) ([]byte, error) {
-	return CallTimeout(t.c, addr, method, req, t.d)
-}
-
 // callTimeoutRace is the generic (abandon-on-a-goroutine) deadline
 // fallback for transports without native deadline support.
 func callTimeoutRace(c Caller, addr, method string, req []byte, d time.Duration) ([]byte, error) {

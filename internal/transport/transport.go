@@ -13,9 +13,10 @@
 // server-side admission control (bounded concurrency plus a short wait
 // queue, fast ErrOverloaded rejects beyond both), Breakers wraps any
 // Caller with per-link circuit breakers whose probe schedule is a
-// deterministic PRF of (seed, link, episode), Hedged races a replica
-// set with tail-tolerant duplicate reads, and RetryPolicy gives
-// callers capped exponential backoff with deterministic jitter.
+// deterministic PRF of (seed, link, episode), Hedged walks a replica
+// set in order with optional tail-tolerant duplicate reads, and
+// RetryPolicy gives callers capped exponential backoff with
+// deterministic jitter.
 // All of it replays byte-identically under a fixed seed.
 package transport
 
