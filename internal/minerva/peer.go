@@ -16,9 +16,9 @@
 package minerva
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,9 +275,12 @@ func (s *indexSnapshot) queryResults(terms []string, k int, conjunctive bool, si
 	if size >= k {
 		return s.index.Search(terms, k, mode)
 	}
-	key := fmt.Sprintf("%d\x00%t\x00%s", k, conjunctive, strings.Join(terms, "\x1f"))
+	// The key is built in a byte buffer and looked up as string(key),
+	// which does not copy; only storing a new list allocates the key.
+	var keyBuf [64]byte
+	key := queryKey(keyBuf[:0], terms, k, conjunctive)
 	s.queryMu.Lock()
-	rs, ok := s.queryMemo[key]
+	rs, ok := s.queryMemo[string(key)]
 	s.queryMu.Unlock()
 	if ok {
 		return rs
@@ -288,10 +291,26 @@ func (s *indexSnapshot) queryResults(terms []string, k int, conjunctive bool, si
 		if len(s.queryMemo) >= maxQueryMemo {
 			s.queryMemo = map[string][]ir.Result{}
 		}
-		s.queryMemo[key] = rs
+		s.queryMemo[string(key)] = rs
 		s.queryMu.Unlock()
 	}
 	return rs
+}
+
+// queryKey appends the memo key of one query shape to buf: k, the mode
+// and the length-prefixed terms, so distinct shapes never collide.
+func queryKey(buf []byte, terms []string, k int, conjunctive bool) []byte {
+	buf = binary.AppendUvarint(buf, uint64(k))
+	if conjunctive {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	for _, t := range terms {
+		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		buf = append(buf, t...)
+	}
+	return buf
 }
 
 // selfSynopsis returns the memoized synopsis and cardinality of one local
@@ -310,21 +329,6 @@ func (s *indexSnapshot) selfSynopsis(term string, scfg synopsis.Config) (synopsi
 	s.selfSyn[term] = set
 	s.selfCard[term] = float64(len(ids))
 	return set, float64(len(ids))
-}
-
-// chunkRequest is the wire form of one forwarded query call: the query
-// shape plus a (generation, offset) cursor into the peer's score-sorted
-// local result list. Gen 0 means "any generation" (the
-// stream's first pull); afterwards the client pins the generation the
-// first chunk reported, and a mismatch is answered with a stale-cursor
-// error instead of silently mixing two snapshots' orderings.
-type chunkRequest struct {
-	Terms       []string
-	K           int
-	Conjunctive bool
-	Offset      int
-	Size        int
-	Gen         uint64
 }
 
 // NewPeer creates a peer serving at addr (its name) on the network. The
@@ -388,12 +392,9 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 	served := cfg.Metrics.Counter("peer.queries_served")
 	chunksServed := cfg.Metrics.Counter("peer.chunks_served")
 	node.Mux().Handle(MethodQuery, func(req []byte) ([]byte, error) {
-		var q chunkRequest
-		if err := transport.Unmarshal(req, &q); err != nil {
+		q, err := transport.DecodeChunkRequest(req)
+		if err != nil {
 			return nil, err
-		}
-		if q.Offset < 0 {
-			return nil, fmt.Errorf("minerva: chunk offset %d is negative", q.Offset)
 		}
 		chunksServed.Inc()
 		s := p.snap.Load()
@@ -427,14 +428,8 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 		if end > len(results) {
 			end = len(results)
 		}
-		c := transport.ResultChunk{Gen: s.gen, Done: end == len(results)}
-		if end > off {
-			c.Entries = make([]transport.ScoredEntry, 0, end-off)
-			for _, r := range results[off:end] {
-				c.Entries = append(c.Entries, transport.ScoredEntry{Doc: r.DocID, Score: r.Score})
-			}
-		}
-		return transport.EncodeChunk(c), nil
+		return transport.EncodeChunkOf(s.gen, end == len(results), results[off:end],
+			func(r ir.Result) (uint64, float64) { return r.DocID, r.Score }), nil
 	})
 	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -406,53 +407,69 @@ func errCause(err error) string {
 // assembleCandidates turns the fetched PeerLists into routing candidates:
 // per peer, the per-term synopses, cardinalities, histograms, and the
 // CORI quality score computed from the posted statistics.
+//
+// The directory serves every PeerList sorted by peer name, so the
+// candidates come out of a k-way merge over the term lists, already in
+// name order: one step gathers every post of the smallest peer name at
+// the lists' heads. No per-peer state is kept beyond the candidate
+// itself.
 func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.PeerList) ([]core.Candidate, error) {
-	type peerInfo struct {
-		posts map[string]directory.Post
-	}
-	peers := map[string]*peerInfo{}
-	collectionFreq := map[string]int{}
-	var termSpaceSum float64
-	var termSpaceN int
-	for term, pl := range lists {
-		collectionFreq[term] = len(pl)
-		for _, post := range pl {
-			pi := peers[post.Peer]
-			if pi == nil {
-				pi = &peerInfo{posts: map[string]directory.Post{}}
-				peers[post.Peer] = pi
-			}
-			pi.posts[term] = post
-			termSpaceSum += float64(post.TermSpaceSize)
-			termSpaceN++
-		}
-	}
 	// CORI globals, with the paper's approximation: |V_avg| over the
 	// collections found in the PeerLists, np = distinct peers seen
-	// (excluding ourselves, which is not a routing candidate).
-	delete(peers, p.name)
-	g := cori.GlobalStats{
-		NumPeers:       len(peers),
-		CollectionFreq: collectionFreq,
+	// (excluding ourselves, which is not a routing candidate). Every
+	// |V_i| is an integer, so the sum is exact in any list order.
+	g := cori.GlobalStats{CollectionFreq: make(map[string]int, len(lists))}
+	names := make([]string, 0, len(lists))
+	var spaceSum float64
+	var spaceN int
+	for term, pl := range lists {
+		names = append(names, term)
+		g.CollectionFreq[term] = len(pl)
+		for _, post := range pl {
+			spaceSum += float64(post.TermSpaceSize)
+			spaceN++
+		}
 	}
-	if termSpaceN > 0 {
-		g.AvgTermSpaceSize = termSpaceSum / float64(termSpaceN)
-	}
-	names := make([]string, 0, len(peers))
-	for name := range peers {
-		names = append(names, name)
+	if spaceN > 0 {
+		g.AvgTermSpaceSize = spaceSum / float64(spaceN)
 	}
 	sort.Strings(names)
-	cands := make([]core.Candidate, 0, len(names))
-	for _, name := range names {
-		pi := peers[name]
-		c := core.Candidate{
-			Peer:              core.PeerID(name),
-			TermSynopses:      map[string]synopsis.Set{},
-			TermCardinalities: map[string]float64{},
+	heads := make([]directory.PeerList, len(names))
+	for i, term := range names {
+		heads[i] = peerSorted(lists[term])
+	}
+	m := peerMerge{heads: heads, lists: make([]directory.PeerList, len(heads))}
+	m.reset()
+	for peer, ok := m.next(); ok; peer, ok = m.next() {
+		if peer != p.name {
+			g.NumPeers++
 		}
-		stats := cori.CollectionStats{DocFreq: map[string]int{}}
-		for term, post := range pi.posts {
+		m.skip(peer)
+	}
+	cands := make([]core.Candidate, 0, g.NumPeers)
+	// cori.Score only reads the stats, so one DocFreq map serves every
+	// candidate in turn.
+	stats := cori.CollectionStats{DocFreq: make(map[string]int, len(names))}
+	m.reset()
+	for peer, ok := m.next(); ok; peer, ok = m.next() {
+		if peer == p.name {
+			m.skip(peer)
+			continue
+		}
+		c := core.Candidate{
+			Peer:              core.PeerID(peer),
+			TermSynopses:      make(map[string]synopsis.Set, len(names)),
+			TermCardinalities: make(map[string]float64, len(names)),
+		}
+		clear(stats.DocFreq)
+		for i := range m.lists {
+			pl := m.lists[i]
+			if len(pl) == 0 || pl[0].Peer != peer {
+				continue
+			}
+			post := &pl[0]
+			m.lists[i] = pl[1:]
+			term := names[i]
 			stats.DocFreq[term] = post.ListLength
 			stats.TermSpaceSize = post.TermSpaceSize
 			c.TermCardinalities[term] = float64(post.ListLength)
@@ -461,16 +478,16 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 				// (when armed) unmarshals each synopsis once per epoch, not
 				// once per query. The routing layer treats candidate
 				// synopses as read-only, so sharing the Set is safe.
-				set, err := p.dir.DecodedSynopsis(post)
+				set, err := p.dir.DecodedSynopsis(*post)
 				if err != nil {
-					return nil, fmt.Errorf("minerva: synopsis of %s/%s: %w", name, term, err)
+					return nil, fmt.Errorf("minerva: synopsis of %s/%s: %w", peer, term, err)
 				}
 				c.TermSynopses[term] = set
 			}
 			if len(post.Histogram) > 0 {
 				h, err := decodeHistogram(post.Histogram)
 				if err != nil {
-					return nil, fmt.Errorf("minerva: histogram of %s/%s: %w", name, term, err)
+					return nil, fmt.Errorf("minerva: histogram of %s/%s: %w", peer, term, err)
 				}
 				if c.TermHistograms == nil {
 					c.TermHistograms = map[string]*histogram.Histogram{}
@@ -482,6 +499,61 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 		cands = append(cands, c)
 	}
 	return cands, nil
+}
+
+// peerMerge walks a set of PeerLists, each strictly sorted by peer
+// name, in merged name order.
+type peerMerge struct {
+	heads []directory.PeerList // the full lists
+	lists []directory.PeerList // what is left of each
+}
+
+// reset rewinds every list to its start.
+func (m *peerMerge) reset() { copy(m.lists, m.heads) }
+
+// next returns the smallest peer name at the lists' heads; ok is false
+// once every list is exhausted.
+func (m *peerMerge) next() (peer string, ok bool) {
+	for _, pl := range m.lists {
+		if len(pl) > 0 && (!ok || pl[0].Peer < peer) {
+			peer, ok = pl[0].Peer, true
+		}
+	}
+	return peer, ok
+}
+
+// skip consumes peer's post from every list headed by it.
+func (m *peerMerge) skip(peer string) {
+	for i, pl := range m.lists {
+		if len(pl) > 0 && pl[0].Peer == peer {
+			m.lists[i] = pl[1:]
+		}
+	}
+}
+
+// peerSorted returns pl when it is strictly sorted by peer name, as the
+// directory serves it. A list that is not (a buggy or hostile directory)
+// is sorted on a copy and reduced to one post per peer, the last one in
+// list order winning.
+func peerSorted(pl directory.PeerList) directory.PeerList {
+	strict := true
+	for i := 1; i < len(pl) && strict; i++ {
+		strict = pl[i-1].Peer < pl[i].Peer
+	}
+	if strict {
+		return pl
+	}
+	out := slices.Clone(pl)
+	slices.SortStableFunc(out, func(a, b directory.Post) int { return strings.Compare(a.Peer, b.Peer) })
+	w := 0
+	for i := range out {
+		if i+1 < len(out) && out[i+1].Peer == out[i].Peer {
+			continue
+		}
+		out[w] = out[i]
+		w++
+	}
+	return out[:w]
 }
 
 // trimPeerLists keeps only the posts of the top `limit` peers by summed

@@ -399,18 +399,17 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 		go func(i int, ps *peerStream) {
 			defer wg.Done()
 			s := spans[i]
-			req := chunkRequest{
+			// Both directions are raw frames (transport.ChunkRequest out,
+			// transport.ResultChunk back), so the call runs through the
+			// policy directly instead of InvokeRetry's gob codec.
+			payload, err := transport.EncodeChunkRequest(transport.ChunkRequest{
 				Terms:       q.Terms,
 				K:           opts.k(),
 				Conjunctive: opts.Conjunctive,
 				Offset:      ps.offset,
 				Size:        chunkSize,
 				Gen:         ps.gen,
-			}
-			// The response is the raw chunk frame (transport.EncodeChunk),
-			// not a gob message, so the call runs through the policy
-			// directly instead of InvokeRetry's gob decode.
-			payload, err := transport.Marshal(req)
+			})
 			if err != nil {
 				out[i] = chunkOutcome{err: err}
 				s.Set("cause", "marshal")

@@ -1,7 +1,9 @@
 package minerva
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,12 +17,17 @@ import (
 
 // pullChunk issues one raw query call against a peer, the way the
 // initiator does.
-func pullChunk(t *testing.T, net transport.Network, addr string, req chunkRequest) (transport.ResultChunk, error) {
+func pullChunk(t *testing.T, net transport.Network, addr string, req transport.ChunkRequest) (transport.ResultChunk, error) {
 	t.Helper()
-	payload, err := transport.Marshal(req)
+	payload, err := transport.EncodeChunkRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pullRaw(net, addr, payload)
+}
+
+// pullRaw sends an already encoded request frame.
+func pullRaw(net transport.Network, addr string, payload []byte) (transport.ResultChunk, error) {
 	raw, err := net.Call(addr, MethodQuery, payload)
 	if err != nil {
 		return transport.ResultChunk{}, err
@@ -40,7 +47,7 @@ func TestChunkHandlerServesCursor(t *testing.T) {
 	var got []ir.Result
 	var gen uint64
 	for off := 0; ; {
-		c, err := pullChunk(t, net.Transport, peer.Name(), chunkRequest{
+		c, err := pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
 			Terms: terms, K: 20, Offset: off, Size: 2, Gen: gen,
 		})
 		if err != nil {
@@ -68,32 +75,79 @@ func TestChunkHandlerServesCursor(t *testing.T) {
 		}
 	}
 	// A cursor past the end is an empty final chunk, not an error.
-	c, err := pullChunk(t, net.Transport, peer.Name(), chunkRequest{
+	c, err := pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
 		Terms: terms, K: 20, Offset: len(full) + 100, Size: 2, Gen: gen,
 	})
 	if err != nil || !c.Done || len(c.Entries) != 0 {
 		t.Fatalf("past-end chunk = %+v, %v; want empty done", c, err)
 	}
-	// A negative offset is rejected.
-	if _, err := pullChunk(t, net.Transport, peer.Name(), chunkRequest{
-		Terms: terms, K: 20, Offset: -1, Size: 2,
-	}); err == nil {
-		t.Fatal("negative offset accepted")
+	// An offset outside the frame's range (a negative one cannot be
+	// encoded) is rejected.
+	if _, err := pullRaw(net.Transport, peer.Name(), rawChunkRequest(20, 1<<40, 2, terms)); err == nil {
+		t.Fatal("out-of-range offset accepted")
 	}
 	// Re-indexing replaces the snapshot generation: the old cursor is
 	// answered with a stale-cursor error, a fresh stream succeeds.
 	peer.IndexCollection(nil)
 	peer.IndexCollection(nil) // twice: gen must move even if docs match
-	_, err = pullChunk(t, net.Transport, peer.Name(), chunkRequest{
+	_, err = pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
 		Terms: terms, K: 20, Offset: 2, Size: 2, Gen: gen,
 	})
 	if err == nil || !isStaleCursor(err) {
 		t.Fatalf("stale cursor answered with %v, want stale-cursor error", err)
 	}
-	if c, err := pullChunk(t, net.Transport, peer.Name(), chunkRequest{
+	if c, err := pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
 		Terms: terms, K: 20, Offset: 0, Size: 2, Gen: 0,
 	}); err != nil || c.Gen == gen {
 		t.Fatalf("fresh stream after re-index: chunk %+v, err %v", c, err)
+	}
+}
+
+// rawChunkRequest hand-assembles a version-1 request frame with
+// arbitrary 64-bit K, offset and size fields, which EncodeChunkRequest
+// refuses to produce.
+func rawChunkRequest(k, offset, size uint64, terms []string) []byte {
+	frame := []byte{1, 0}
+	for _, v := range []uint64{k, offset, size, 0, uint64(len(terms))} {
+		frame = binary.AppendUvarint(frame, v)
+	}
+	for _, term := range terms {
+		frame = binary.AppendUvarint(frame, uint64(len(term)))
+		frame = append(frame, term...)
+	}
+	return frame
+}
+
+// TestQueryHandlerSurvivesHugeK sends the query handler depths no real
+// initiator asks for. K = 2^40 is rejected by the frame decoder; the
+// largest accepted K (math.MaxInt32) must be served like an unlimited
+// query instead of sizing the local top-K heap by K — which once made
+// the serving process die of an unrecoverable out-of-memory.
+func TestQueryHandlerSurvivesHugeK(t *testing.T) {
+	net, _, queries := buildTestNetwork(t, Config{SynopsisSeed: 7})
+	peer := net.Peers[2]
+	terms := queries[0].Terms
+	mux := peer.Node().Mux()
+	if _, err := mux.Dispatch(MethodQuery, rawChunkRequest(1<<40, 0, 4, terms)); err == nil {
+		t.Fatal("K = 2^40 accepted")
+	}
+	raw, err := mux.Dispatch(MethodQuery, rawChunkRequest(math.MaxInt32, 0, 4, terms))
+	if err != nil {
+		t.Fatalf("K = MaxInt32: %v", err)
+	}
+	c, err := transport.DecodeChunk(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := peer.LocalSearch(terms, 0, false)
+	want := full[:min(4, len(full))]
+	if len(c.Entries) != len(want) || c.Done != (len(full) <= 4) {
+		t.Fatalf("chunk has %d entries (done %v), want %d of %d", len(c.Entries), c.Done, len(want), len(full))
+	}
+	for i, e := range c.Entries {
+		if e.Doc != want[i].DocID || e.Score != want[i].Score {
+			t.Fatalf("entry %d = %+v, want %+v", i, e, want[i])
+		}
 	}
 }
 

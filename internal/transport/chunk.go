@@ -6,9 +6,14 @@ import (
 	"math"
 )
 
-// This file is the wire codec for result chunks: the response payload
-// of the query-forwarding RPC (minerva.MethodQuery). A peer streams its score-sorted local result list to the query
-// initiator one chunk at a time, and the initiator's threshold
+// This file is the wire codec of the query-forwarding RPC
+// (minerva.MethodQuery) in both directions: ChunkRequest carries the
+// query shape and cursor to the peer, ResultChunk carries one chunk of
+// results back. Both are hand-encoded frames rather than gob, so
+// neither side rebuilds a type decoder per message.
+//
+// Result chunks. A peer streams its score-sorted local result list to
+// the query initiator one chunk at a time, and the initiator's threshold
 // coordinator stops pulling the moment the peer provably cannot crack
 // the merged top-k — so the dominant cost of the protocol is exactly
 // these frames, and they are encoded by hand instead of through gob:
@@ -66,17 +71,26 @@ type ResultChunk struct {
 
 // EncodeChunk serializes a chunk into a fresh buffer.
 func EncodeChunk(c ResultChunk) []byte {
-	buf := make([]byte, 0, 2+2*binary.MaxVarintLen64+len(c.Entries)*(binary.MaxVarintLen64+8))
+	return EncodeChunkOf(c.Gen, c.Done, c.Entries, func(e ScoredEntry) (uint64, float64) { return e.Doc, e.Score })
+}
+
+// EncodeChunkOf serializes a chunk whose entries are any slice read
+// through entry, so a server can encode straight from its own result
+// type without first copying it into ScoredEntry values. The bytes are
+// exactly EncodeChunk's for the same (doc, score) sequence.
+func EncodeChunkOf[E any](gen uint64, done bool, entries []E, entry func(E) (doc uint64, score float64)) []byte {
+	buf := make([]byte, 0, 2+2*binary.MaxVarintLen64+len(entries)*(binary.MaxVarintLen64+8))
 	var flags byte
-	if c.Done {
+	if done {
 		flags |= chunkDone
 	}
 	buf = append(buf, chunkVersion, flags)
-	buf = binary.AppendUvarint(buf, c.Gen)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Entries)))
-	for _, e := range c.Entries {
-		buf = binary.AppendUvarint(buf, e.Doc)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Score))
+	buf = binary.AppendUvarint(buf, gen)
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		doc, score := entry(e)
+		buf = binary.AppendUvarint(buf, doc)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(score))
 	}
 	return buf
 }
@@ -137,6 +151,166 @@ func DecodeChunk(data []byte) (ResultChunk, error) {
 		return ResultChunk{}, fmt.Errorf("transport: result chunk has %d trailing bytes", len(rest))
 	}
 	return c, nil
+}
+
+// Chunk requests. One forwarded query call: the query shape plus a
+// (generation, offset) cursor into the peer's score-sorted result list.
+//
+// Layout (all integers are canonical unsigned varints unless noted):
+//
+//	byte    version (requestVersion)
+//	byte    flags (bit 0: conjunctive)
+//	uvarint K (result-list depth; 0 asks for the server's default)
+//	uvarint offset (the cursor: entries already pulled)
+//	uvarint size (entries per chunk; 0 asks for the server's default)
+//	uvarint generation (0: any; otherwise the snapshot the cursor is in)
+//	uvarint term count
+//	repeat  count times:
+//	  uvarint term length
+//	  bytes   term
+//
+// K, offset and size are at most math.MaxInt32 on both sides of the
+// wire, so a hostile request cannot ask a peer to size anything by a
+// 64-bit count. A count the remaining bytes cannot back is rejected
+// before allocating, as in DecodeChunk.
+
+// requestVersion is the request frame's version byte.
+const requestVersion = 1
+
+// requestConjunctive is the flags bit selecting the conjunctive model.
+const requestConjunctive = 1
+
+// ChunkRequest is one decoded query-forwarding request.
+type ChunkRequest struct {
+	// Terms are the query terms, in the initiator's order.
+	Terms []string
+	// K is the depth of the peer's local top-K (0: the server default).
+	K int
+	// Conjunctive selects the conjunctive query model.
+	Conjunctive bool
+	// Offset is the cursor: how many entries of the stream the
+	// initiator already holds.
+	Offset int
+	// Size is the number of entries to return (0: the server default).
+	Size int
+	// Gen pins the snapshot generation the cursor belongs to; 0 means
+	// any (a stream's first pull).
+	Gen uint64
+}
+
+// EncodeChunkRequest serializes a request into a fresh buffer. K,
+// Offset and Size must lie in [0, math.MaxInt32] — the range the
+// decoder accepts.
+func EncodeChunkRequest(r ChunkRequest) ([]byte, error) {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"K", r.K}, {"offset", r.Offset}, {"size", r.Size}} {
+		if f.v < 0 || f.v > math.MaxInt32 {
+			return nil, fmt.Errorf("transport: chunk request %s %d outside [0, %d]", f.name, f.v, math.MaxInt32)
+		}
+	}
+	n := 2 + 5*binary.MaxVarintLen64
+	for _, t := range r.Terms {
+		n += binary.MaxVarintLen64 + len(t)
+	}
+	buf := make([]byte, 0, n)
+	var flags byte
+	if r.Conjunctive {
+		flags |= requestConjunctive
+	}
+	buf = append(buf, requestVersion, flags)
+	buf = binary.AppendUvarint(buf, uint64(r.K))
+	buf = binary.AppendUvarint(buf, uint64(r.Offset))
+	buf = binary.AppendUvarint(buf, uint64(r.Size))
+	buf = binary.AppendUvarint(buf, r.Gen)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Terms)))
+	for _, t := range r.Terms {
+		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		buf = append(buf, t...)
+	}
+	return buf, nil
+}
+
+// DecodeChunkRequest parses a request frame. Like DecodeChunk it
+// returns an error — never panics — on truncated frames, unknown
+// versions or flags, non-canonical varints, out-of-range K/offset/size,
+// counts the bytes cannot back, and trailing bytes. All terms share one
+// string allocation.
+func DecodeChunkRequest(data []byte) (ChunkRequest, error) {
+	var r ChunkRequest
+	if len(data) < 2 {
+		return r, fmt.Errorf("transport: chunk request truncated (%d bytes)", len(data))
+	}
+	if data[0] != requestVersion {
+		return r, fmt.Errorf("transport: chunk request version %d (want %d)", data[0], requestVersion)
+	}
+	if data[1]&^requestConjunctive != 0 {
+		return r, fmt.Errorf("transport: chunk request has unknown flags %#x", data[1])
+	}
+	r.Conjunctive = data[1]&requestConjunctive != 0
+	rest := data[2:]
+	var ints [3]int
+	for i, name := range [...]string{"K", "offset", "size"} {
+		v, n := canonicalUvarint(rest)
+		if n <= 0 {
+			return ChunkRequest{}, fmt.Errorf("transport: chunk request %s malformed", name)
+		}
+		if v > math.MaxInt32 {
+			return ChunkRequest{}, fmt.Errorf("transport: chunk request %s %d above %d", name, v, math.MaxInt32)
+		}
+		ints[i] = int(v)
+		rest = rest[n:]
+	}
+	r.K, r.Offset, r.Size = ints[0], ints[1], ints[2]
+	gen, n := canonicalUvarint(rest)
+	if n <= 0 {
+		return ChunkRequest{}, fmt.Errorf("transport: chunk request generation malformed")
+	}
+	r.Gen = gen
+	rest = rest[n:]
+	count, n := canonicalUvarint(rest)
+	if n <= 0 {
+		return ChunkRequest{}, fmt.Errorf("transport: chunk request term count malformed")
+	}
+	rest = rest[n:]
+	// Each term costs at least its one-byte length prefix.
+	if count > uint64(len(rest)) {
+		return ChunkRequest{}, fmt.Errorf("transport: chunk request claims %d terms in %d bytes", count, len(rest))
+	}
+	if count == 0 {
+		if len(rest) != 0 {
+			return ChunkRequest{}, fmt.Errorf("transport: chunk request has %d trailing bytes", len(rest))
+		}
+		return r, nil
+	}
+	// The first pass validates every length against the bytes left; the
+	// second slices each term out of one string copy of the term bytes.
+	off := 0
+	for i := uint64(0); i < count; i++ {
+		l, n := canonicalUvarint(rest[off:])
+		if n <= 0 {
+			return ChunkRequest{}, fmt.Errorf("transport: chunk request term %d length malformed", i)
+		}
+		off += n
+		if l > uint64(len(rest)-off) {
+			return ChunkRequest{}, fmt.Errorf("transport: chunk request term %d claims %d bytes, %d left", i, l, len(rest)-off)
+		}
+		off += int(l)
+	}
+	if off != len(rest) {
+		return ChunkRequest{}, fmt.Errorf("transport: chunk request has %d trailing bytes", len(rest)-off)
+	}
+	all := string(rest)
+	r.Terms = make([]string, count)
+	off = 0
+	for i := range r.Terms {
+		l, n := binary.Uvarint(rest[off:])
+		off += n
+		r.Terms[i] = all[off : off+int(l)]
+		off += int(l)
+	}
+	return r, nil
 }
 
 // canonicalUvarint decodes an unsigned varint and additionally rejects

@@ -4,7 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -226,5 +231,163 @@ func TestReadChunkLargeValid(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("multi-step chunk corrupted")
+	}
+}
+
+// goldenChunkRequest is the request pinned, byte for byte, by
+// testdata/chunk_request_v1.hex.
+var goldenChunkRequest = ChunkRequest{
+	Terms: []string{"forest", "fire"}, K: 50, Conjunctive: true, Offset: 16, Size: 16, Gen: 300,
+}
+
+func readGoldenChunkRequest(tb testing.TB) []byte {
+	tb.Helper()
+	text, err := os.ReadFile("testdata/chunk_request_v1.hex")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// FuzzChunkRequest fuzzes the query request frame decoder: arbitrary
+// bytes must error or decode — never panic — and a decode never holds
+// more terms or term bytes than the input carried. Frames that do decode
+// re-encode to the exact same bytes (one canonical form per request).
+func FuzzChunkRequest(f *testing.F) {
+	mustEncode := func(r ChunkRequest) []byte {
+		b, err := EncodeChunkRequest(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	// A pull: the whole local top-K in one chunk.
+	f.Add(mustEncode(ChunkRequest{Terms: []string{"p2p", "routing"}, K: 50, Size: 50}))
+	// A conjunctive request.
+	f.Add(mustEncode(ChunkRequest{Terms: []string{"a", "b", "a"}, K: 10, Conjunctive: true, Size: 4}))
+	// A cursor into a pinned generation.
+	f.Add(mustEncode(ChunkRequest{Terms: []string{"q"}, K: 100, Offset: 32, Size: 16, Gen: 1 << 40}))
+	// Zero terms.
+	f.Add(mustEncode(ChunkRequest{}))
+	f.Add(readGoldenChunkRequest(f))
+	// Lying term count and term length, an out-of-range K, unknown
+	// version and flags, a trailing byte.
+	f.Add([]byte{requestVersion, 0, 0, 0, 0, 0, 0xff, 0xff, 0x03})
+	f.Add([]byte{requestVersion, 0, 0, 0, 0, 0, 1, 0xff, 0x7f, 'x'})
+	f.Add([]byte{requestVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0})
+	f.Add([]byte{99, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{requestVersion, 0x80, 0, 0, 0, 0, 0})
+	f.Add([]byte{requestVersion, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeChunkRequest(data)
+		if err != nil {
+			return
+		}
+		termBytes := 0
+		for _, term := range r.Terms {
+			termBytes += len(term)
+		}
+		if len(r.Terms) > len(data) || termBytes > len(data) {
+			t.Fatalf("decoded %d terms of %d bytes from %d bytes", len(r.Terms), termBytes, len(data))
+		}
+		round, err := EncodeChunkRequest(r)
+		if err != nil {
+			t.Fatalf("decoded request %+v does not re-encode: %v", r, err)
+		}
+		if !bytes.Equal(round, data) {
+			t.Fatalf("re-encode diverged:\n in  %x\n out %x", data, round)
+		}
+	})
+}
+
+// TestChunkRequestGolden pins the version-1 request layout: the golden
+// request encodes to the committed bytes and decodes back from them.
+func TestChunkRequestGolden(t *testing.T) {
+	want := readGoldenChunkRequest(t)
+	got, err := EncodeChunkRequest(goldenChunkRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoding changed:\n got  %x\n want %x", got, want)
+	}
+	back, err := DecodeChunkRequest(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, goldenChunkRequest) {
+		t.Fatalf("decoded %+v, want %+v", back, goldenChunkRequest)
+	}
+}
+
+// TestChunkRequestLimits: K, offset and size above math.MaxInt32 are
+// refused on both sides of the wire, negative ones by the encoder; a
+// lying term count allocates nothing sized by the count.
+func TestChunkRequestLimits(t *testing.T) {
+	for _, r := range []ChunkRequest{
+		{K: -1}, {Offset: -1}, {Size: -1},
+		{K: math.MaxInt32 + 1}, {Offset: math.MaxInt32 + 1}, {Size: math.MaxInt32 + 1},
+	} {
+		if _, err := EncodeChunkRequest(r); err == nil {
+			t.Fatalf("encoded out-of-range request %+v", r)
+		}
+	}
+	if _, err := EncodeChunkRequest(ChunkRequest{K: math.MaxInt32, Offset: math.MaxInt32, Size: math.MaxInt32}); err != nil {
+		t.Fatalf("MaxInt32 fields refused: %v", err)
+	}
+	for field := 0; field < 3; field++ {
+		frame := []byte{requestVersion, 0}
+		for i := 0; i < 3; i++ {
+			v := uint64(7)
+			if i == field {
+				v = math.MaxInt32 + 1
+			}
+			frame = binary.AppendUvarint(frame, v)
+		}
+		frame = append(frame, 0, 0)
+		if _, err := DecodeChunkRequest(frame); err == nil {
+			t.Fatalf("field %d above MaxInt32 decoded", field)
+		}
+	}
+	lying := []byte{requestVersion, 0, 0, 0, 0, 0}
+	lying = binary.AppendUvarint(lying, 1<<40)
+	lying = append(lying, "short"...)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeChunkRequest(lying); err == nil {
+			t.Fatal("lying term count decoded")
+		}
+	})
+	// The error value itself is all that may be allocated.
+	if allocs > 4 {
+		t.Fatalf("lying term count made %.0f allocations", allocs)
+	}
+}
+
+// TestChunkRequestRoundTripAllocs guards the request path of every
+// forwarded query: encoding allocates the frame, decoding the term
+// slice and one string holding every term.
+func TestChunkRequestRoundTripAllocs(t *testing.T) {
+	frame, err := EncodeChunkRequest(goldenChunkRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := testing.AllocsPerRun(100, func() {
+		if _, err := EncodeChunkRequest(goldenChunkRequest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dec := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeChunkRequest(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if enc > 1 || dec > 2 {
+		t.Fatalf("request round trip: %.0f encode + %.0f decode allocations, limits 1 + 2", enc, dec)
 	}
 }
