@@ -1,10 +1,6 @@
 package chord
 
-import (
-	"sort"
-
-	"iqn/internal/transport"
-)
+import "sort"
 
 // This file implements graceful membership changes: a departing node
 // announces its leave to its neighbours so the ring closes over the gap
@@ -40,13 +36,13 @@ func (n *Node) Leave() {
 		if s.IsZero() || s.Addr == n.self.Addr {
 			continue
 		}
-		if err := transport.Invoke(n.rpc(), s.Addr, methodLeave, notice, nil); err == nil {
+		if _, _, err := leaveRPC.Call(n.rpc(), s.Addr, notice, oneShot); err == nil {
 			break
 		}
 		n.metrics.pingFailures.Inc()
 	}
 	if !pred.IsZero() && pred.Addr != n.self.Addr {
-		_ = transport.Invoke(n.rpc(), pred.Addr, methodLeave, notice, nil)
+		_, _, _ = leaveRPC.Call(n.rpc(), pred.Addr, notice, oneShot)
 	}
 }
 
@@ -177,8 +173,8 @@ func (n *Node) PredecessorOf(ref NodeRef) (NodeRef, error) {
 	if ref.Addr == n.self.Addr {
 		return n.Predecessor(), nil
 	}
-	var pred NodeRef
-	if err := transport.Invoke(n.rpc(), ref.Addr, methodGetPredecessor, struct{}{}, &pred); err != nil {
+	pred, _, err := getPredecessorRPC.Call(n.rpc(), ref.Addr, none, oneShot)
+	if err != nil {
 		return NodeRef{}, err
 	}
 	return pred, nil

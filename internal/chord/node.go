@@ -214,8 +214,7 @@ func (n *Node) Create() {
 // successor of this node's ID (Chord's join protocol; the rest of the
 // state converges through stabilization).
 func (n *Node) Join(seedAddr string) error {
-	var succ NodeRef
-	err := transport.Invoke(n.rpc(), seedAddr, methodFindSuccessor, n.self.ID, &succ)
+	succ, _, err := findSuccessorRPC.Call(n.rpc(), seedAddr, n.self.ID, oneShot)
 	if err != nil {
 		return fmt.Errorf("chord: join via %s: %w", seedAddr, err)
 	}
@@ -261,48 +260,24 @@ func (n *Node) Start() {
 
 // registerHandlers wires the Chord RPCs into the node's mux.
 func (n *Node) registerHandlers() {
-	n.mux.Handle(methodFindSuccessor, func(req []byte) ([]byte, error) {
-		var id ID
-		if err := transport.Unmarshal(req, &id); err != nil {
-			return nil, err
-		}
-		ref, err := n.FindSuccessor(id)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Marshal(ref)
+	findSuccessorRPC.Handle(n.mux, n.FindSuccessor)
+	closestPrecedingRPC.Handle(n.mux, func(id ID) (NodeRef, error) {
+		return n.closestPreceding(id), nil
 	})
-	n.mux.Handle(methodClosestPreceding, func(req []byte) ([]byte, error) {
-		var id ID
-		if err := transport.Unmarshal(req, &id); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(n.closestPreceding(id))
+	getPredecessorRPC.Handle(n.mux, func(struct{}) (NodeRef, error) {
+		return n.Predecessor(), nil
 	})
-	n.mux.Handle(methodGetPredecessor, func([]byte) ([]byte, error) {
-		return transport.Marshal(n.Predecessor())
-	})
-	n.mux.Handle(methodNotify, func(req []byte) ([]byte, error) {
-		var cand NodeRef
-		if err := transport.Unmarshal(req, &cand); err != nil {
-			return nil, err
-		}
+	notifyRPC.Handle(n.mux, func(cand NodeRef) (bool, error) {
 		n.notify(cand)
-		return transport.Marshal(true)
+		return true, nil
 	})
-	n.mux.Handle(methodSuccessors, func([]byte) ([]byte, error) {
-		return transport.Marshal(n.SuccessorList())
+	successorsRPC.Handle(n.mux, func(struct{}) ([]NodeRef, error) {
+		return n.SuccessorList(), nil
 	})
-	n.mux.Handle(methodPing, func([]byte) ([]byte, error) {
-		return transport.Marshal(true)
-	})
-	n.mux.Handle(methodLeave, func(req []byte) ([]byte, error) {
-		var ln leaveNotice
-		if err := transport.Unmarshal(req, &ln); err != nil {
-			return nil, err
-		}
+	pingRPC.Handle(n.mux, func(struct{}) (bool, error) { return true, nil })
+	leaveRPC.Handle(n.mux, func(ln leaveNotice) (bool, error) {
 		n.handleLeave(ln)
-		return transport.Marshal(true)
+		return true, nil
 	})
 }
 
@@ -373,8 +348,8 @@ func (n *Node) successorListOf(ref NodeRef) ([]NodeRef, error) {
 	if ref.Addr == n.self.Addr {
 		return n.SuccessorList(), nil
 	}
-	var succs []NodeRef
-	if err := transport.Invoke(n.rpc(), ref.Addr, methodSuccessors, struct{}{}, &succs); err != nil {
+	succs, _, err := successorsRPC.Call(n.rpc(), ref.Addr, none, oneShot)
+	if err != nil {
 		return nil, err
 	}
 	if len(succs) == 0 {
@@ -389,8 +364,8 @@ func (n *Node) closestPrecedingOf(ref NodeRef, id ID) (NodeRef, error) {
 	if ref.Addr == n.self.Addr {
 		return n.closestPreceding(id), nil
 	}
-	var next NodeRef
-	if err := transport.Invoke(n.rpc(), ref.Addr, methodClosestPreceding, id, &next); err != nil {
+	next, _, err := closestPrecedingRPC.Call(n.rpc(), ref.Addr, id, oneShot)
+	if err != nil {
 		return NodeRef{}, err
 	}
 	if next.IsZero() {
@@ -437,8 +412,8 @@ func (n *Node) SuccessorsOf(ref NodeRef) ([]NodeRef, error) {
 	if ref.Addr == n.self.Addr {
 		return n.SuccessorList(), nil
 	}
-	var succs []NodeRef
-	if err := transport.Invoke(n.rpc(), ref.Addr, methodSuccessors, struct{}{}, &succs); err != nil {
+	succs, _, err := successorsRPC.Call(n.rpc(), ref.Addr, none, oneShot)
+	if err != nil {
 		return nil, err
 	}
 	return succs, nil

@@ -58,8 +58,7 @@ func (n *Node) Stabilize() {
 // oddities are absorbed as before.
 func (n *Node) stabilizeWith(succ NodeRef) bool {
 	if succ.Addr != n.self.Addr {
-		var pred NodeRef
-		if err := transport.Invoke(n.rpc(), succ.Addr, methodGetPredecessor, struct{}{}, &pred); err == nil &&
+		if pred, _, err := getPredecessorRPC.Call(n.rpc(), succ.Addr, none, oneShot); err == nil &&
 			!pred.IsZero() && between(n.self.ID, pred.ID, succ.ID) {
 			// A node slipped in between: verify it's alive before
 			// adopting it.
@@ -68,7 +67,7 @@ func (n *Node) stabilizeWith(succ NodeRef) bool {
 			}
 		}
 		n.metrics.notifies.Inc()
-		if err := transport.Invoke(n.rpc(), succ.Addr, methodNotify, n.self, nil); err != nil && transport.Retryable(err) {
+		if _, _, err := notifyRPC.Call(n.rpc(), succ.Addr, n.self, oneShot); err != nil && transport.Retryable(err) {
 			// The notify bounced after the liveness probe passed: on a
 			// lossy link that is a dropped packet, under churn a death.
 			// Only a double-ping failure (the same discipline as
@@ -84,7 +83,7 @@ func (n *Node) stabilizeWith(succ NodeRef) bool {
 		if n.ping(pred) {
 			succ = pred
 			n.metrics.notifies.Inc()
-			_ = transport.Invoke(n.rpc(), succ.Addr, methodNotify, n.self, nil)
+			_, _, _ = notifyRPC.Call(n.rpc(), succ.Addr, n.self, oneShot)
 		}
 	}
 	n.refreshSuccessors(succ)
@@ -113,8 +112,7 @@ func (n *Node) liveSuccessor() NodeRef {
 func (n *Node) refreshSuccessors(succ NodeRef) {
 	list := []NodeRef{succ}
 	if succ.Addr != n.self.Addr {
-		var remote []NodeRef
-		if err := transport.Invoke(n.rpc(), succ.Addr, methodSuccessors, struct{}{}, &remote); err == nil {
+		if remote, _, err := successorsRPC.Call(n.rpc(), succ.Addr, none, oneShot); err == nil {
 			for _, s := range remote {
 				if s.Addr == n.self.Addr || s.IsZero() {
 					continue
@@ -184,8 +182,7 @@ func (n *Node) FixAllFingers() {
 
 // ping reports whether a node answers its ping RPC.
 func (n *Node) ping(ref NodeRef) bool {
-	var ok bool
-	if transport.Invoke(n.rpc(), ref.Addr, methodPing, struct{}{}, &ok) == nil && ok {
+	if ok, _, err := pingRPC.Call(n.rpc(), ref.Addr, none, oneShot); err == nil && ok {
 		return true
 	}
 	n.metrics.pingFailures.Inc()

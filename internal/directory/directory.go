@@ -15,6 +15,7 @@ package directory
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -133,32 +134,18 @@ func (s *Service) fireInvalidate(terms []string, floor int64) {
 func NewService(node *chord.Node) *Service {
 	s := &Service{node: node, data: make(map[string]map[string]Post)}
 	mux := node.Mux()
-	mux.Handle(methodPost, func(req []byte) ([]byte, error) {
-		var posts []Post
-		if err := transport.Unmarshal(req, &posts); err != nil {
-			return nil, err
-		}
+	postRPC.Handle(mux, func(posts []Post) (int, error) {
 		s.store(posts)
-		return transport.Marshal(len(posts))
+		return len(posts), nil
 	})
-	mux.Handle(methodGet, func(req []byte) ([]byte, error) {
-		var terms []string
-		if err := transport.Unmarshal(req, &terms); err != nil {
-			return nil, err
-		}
+	getRPC.Handle(mux, func(terms []string) (map[string]PeerList, error) {
 		out := make(map[string]PeerList, len(terms))
 		for _, t := range terms {
 			out[t] = s.peerList(t)
 		}
-		return transport.Marshal(out)
+		return out, nil
 	})
-	mux.Handle(methodPrune, func(req []byte) ([]byte, error) {
-		var minEpoch int64
-		if err := transport.Unmarshal(req, &minEpoch); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(s.Prune(minEpoch))
-	})
+	pruneRPC.Handle(mux, func(minEpoch int64) (int, error) { return s.Prune(minEpoch), nil })
 	s.registerHandoff()
 	s.registerRepair()
 	return s
@@ -206,7 +193,9 @@ func (s *Service) store(posts []Post) {
 		byPeer := s.data[p.Term]
 		if byPeer == nil {
 			byPeer = make(map[string]Post)
-			s.data[p.Term] = byPeer
+			// The key outlives the post: its own copy keeps it from
+			// pinning the decoded request's string section.
+			s.data[strings.Clone(p.Term)] = byPeer
 		}
 		byPeer[p.Peer] = p
 		if _, dup := seen[p.Term]; !dup {
@@ -324,19 +313,6 @@ func NewClient(node *chord.Node, replicas int) *Client {
 	return &Client{node: node, Replicas: replicas}
 }
 
-// invoke issues one directory RPC under the client's retry policy, with
-// every attempt's timeout capped by budget (≤ 0: uncapped). The cap is
-// per attempt, not per call chain; callers with an end-to-end budget
-// re-check what remains between stages.
-func (c *Client) invoke(addr, method string, req, resp any, budget time.Duration) error {
-	c.Metrics.Counter("directory.rpc." + method).Inc()
-	attempts, err := transport.InvokeRetry(c.node.Network(), addr, method, req, resp, c.Retry.Within(budget))
-	if attempts > 1 {
-		c.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
-	}
-	return err
-}
-
 // Publish posts a batch of per-term publications: posts are grouped by
 // responsible node (so peers "batch multiple posts directed to the same
 // recipient", Section 7.2) and each group is written to the owner and its
@@ -351,8 +327,7 @@ func (c *Client) Publish(posts []Post) (PublishReport, error) {
 	}
 	rep.Groups = len(addrs)
 	for _, addr := range addrs {
-		var n int
-		if err := c.invoke(addr, methodPost, groups[addr], &n, 0); err != nil {
+		if _, err := invoke(c, postRPC, addr, groups[addr], 0); err != nil {
 			rep.Errors = append(rep.Errors, replicaError(addr, "post", "", err))
 			continue
 		}
@@ -428,8 +403,7 @@ func (c *Client) PruneBelow(minEpoch int64) int {
 	}
 	total := 0
 	for _, node := range ring {
-		var n int
-		if err := c.invoke(node.Addr, methodPrune, minEpoch, &n, 0); err == nil {
+		if n, err := invoke(c, pruneRPC, node.Addr, minEpoch, 0); err == nil {
 			total += n
 		}
 	}

@@ -62,28 +62,16 @@ type withdrawRequest struct {
 // registerHandoff wires the handoff RPCs; called from NewService.
 func (s *Service) registerHandoff() {
 	mux := s.node.Mux()
-	mux.Handle(methodHandoff, func(req []byte) ([]byte, error) {
-		var hr handoffRequest
-		if err := transport.Unmarshal(req, &hr); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(s.PostsInRange(hr.From, hr.To))
+	handoffRPC.Handle(mux, func(hr handoffRequest) ([]Post, error) {
+		return s.PostsInRange(hr.From, hr.To), nil
 	})
-	mux.Handle(methodHandoffPush, func(req []byte) ([]byte, error) {
-		var hp handoffPush
-		if err := transport.Unmarshal(req, &hp); err != nil {
-			return nil, err
-		}
+	handoffPushRPC.Handle(mux, func(hp handoffPush) (int, error) {
 		s.raiseFloor(hp.Floor)
 		s.store(applyEpochFloor(hp.Posts, s.Floor()))
-		return transport.Marshal(len(hp.Posts))
+		return len(hp.Posts), nil
 	})
-	mux.Handle(methodWithdraw, func(req []byte) ([]byte, error) {
-		var wr withdrawRequest
-		if err := transport.Unmarshal(req, &wr); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(s.removePeerPosts(wr.Peer, wr.Terms))
+	withdrawRPC.Handle(mux, func(wr withdrawRequest) (int, error) {
+		return s.removePeerPosts(wr.Peer, wr.Terms), nil
 	})
 }
 
@@ -174,8 +162,8 @@ func (s *Service) AcquireRangeFrom(from chord.ID, sources []chord.NodeRef) (Acqu
 	req := handoffRequest{From: from, To: self.ID}
 	byTerm := make(map[string][]PeerList)
 	for _, src := range sources {
-		var posts []Post
-		if err := transport.Invoke(s.node.Network(), src.Addr, methodHandoff, req, &posts); err != nil {
+		posts, _, err := handoffRPC.Call(s.node.Network(), src.Addr, req, transport.RetryPolicy{})
+		if err != nil {
 			rep.Errors = append(rep.Errors, replicaError(src.Addr, "handoff", "", err))
 			continue
 		}
@@ -204,7 +192,8 @@ func (s *Service) AcquireRangeFrom(from chord.ID, sources []chord.NodeRef) (Acqu
 type HandoffReport struct {
 	// Posts is the number of posts in the pushed fraction.
 	Posts int
-	// Bytes is the marshaled size of the pushed payload.
+	// Bytes is the size of the push's request frame, the bytes every
+	// successor attempt sends.
 	Bytes int
 	// Target is the successor that acknowledged the push ("" when the
 	// push fell back to re-publication).
@@ -229,17 +218,16 @@ func (c *Client) PushHandoff(s *Service) (HandoffReport, error) {
 	if len(posts) == 0 {
 		return rep, nil
 	}
-	push := handoffPush{Posts: posts, Floor: s.Floor()}
-	if raw, err := transport.Marshal(push); err == nil {
-		rep.Bytes = len(raw)
-	}
+	// One encoding serves every successor attempt, and its size is
+	// exactly what a push puts on the wire.
+	frame := handoffPushRPC.EncodeRequest(handoffPush{Posts: posts, Floor: s.Floor()})
+	rep.Bytes = len(frame)
 	self := c.node.Self()
 	for _, succ := range c.node.SuccessorList() {
 		if succ.IsZero() || succ.Addr == self.Addr {
 			continue
 		}
-		var acked int
-		if err := c.invoke(succ.Addr, methodHandoffPush, push, &acked, 0); err != nil {
+		if _, err := invokeFrame(c, handoffPushRPC, succ.Addr, frame, 0); err != nil {
 			rep.Errors = append(rep.Errors, replicaError(succ.Addr, "handoff_push", "", err))
 			c.Metrics.Counter("directory.handoff.failovers").Inc()
 			continue
@@ -279,8 +267,7 @@ func (c *Client) republishExcludingSelf(posts []Post) (int, []ReplicaError) {
 		for j, i := range groups[addr] {
 			group[j] = posts[i]
 		}
-		var n int
-		if err := c.invoke(addr, methodPost, group, &n, 0); err != nil {
+		if _, err := invoke(c, postRPC, addr, group, 0); err != nil {
 			errs = append(errs, replicaError(addr, "post", "", err))
 			continue
 		}
@@ -304,8 +291,8 @@ func (c *Client) Withdraw(peer string, terms []string) int {
 	addrs, groups, _ := groupByReplica(c, terms, func(t string) string { return t }, c.Replicas, "")
 	removed := 0
 	for _, addr := range addrs {
-		var n int
-		if err := c.invoke(addr, methodWithdraw, withdrawRequest{Peer: peer, Terms: groups[addr]}, &n, 0); err != nil {
+		n, err := invoke(c, withdrawRPC, addr, withdrawRequest{Peer: peer, Terms: groups[addr]}, 0)
+		if err != nil {
 			continue
 		}
 		removed += n

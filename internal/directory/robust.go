@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"iqn/internal/telemetry"
@@ -100,21 +101,13 @@ type digestResponse struct {
 // registerRepair wires the digest and repair RPCs; called from NewService.
 func (s *Service) registerRepair() {
 	mux := s.node.Mux()
-	mux.Handle(methodDigest, func(req []byte) ([]byte, error) {
-		var term string
-		if err := transport.Unmarshal(req, &term); err != nil {
-			return nil, err
-		}
-		return transport.Marshal(digestResponse{Dig: DigestPosts(s.Lookup(term)), Floor: s.Floor()})
+	digestRPC.Handle(mux, func(term string) (digestResponse, error) {
+		return digestResponse{Dig: DigestPosts(s.Lookup(term)), Floor: s.Floor()}, nil
 	})
-	mux.Handle(methodRepair, func(req []byte) ([]byte, error) {
-		var r repairRequest
-		if err := transport.Unmarshal(req, &r); err != nil {
-			return nil, err
-		}
+	repairRPC.Handle(mux, func(r repairRequest) (int, error) {
 		s.raiseFloor(r.Floor)
 		s.ReplaceTerm(r.Term, applyEpochFloor(r.Posts, r.Floor))
-		return transport.Marshal(len(r.Posts))
+		return len(r.Posts), nil
 	})
 }
 
@@ -148,7 +141,9 @@ func (s *Service) ReplaceTerm(term string, posts PeerList) {
 		for _, p := range posts {
 			byPeer[p.Peer] = p
 		}
-		s.data[term] = byPeer
+		// As in store: the key gets its own copy, so it never pins a
+		// decoded request.
+		s.data[strings.Clone(term)] = byPeer
 	}
 	floor := s.floor
 	s.mu.Unlock()
@@ -343,6 +338,7 @@ func (c *Client) fetchAllReport(terms []string, budget time.Duration) (map[strin
 // retry policy and the budget-capped per-attempt timeout. Every failed
 // leg the loop waited for is blamed in rep.
 func (c *Client) readGroup(addrs, group []string, budget time.Duration, rep *FetchReport) (map[string]PeerList, string, error) {
+	frame := getRPC.EncodeRequest(group)
 	h := transport.Hedged[map[string]PeerList]{Delay: c.HedgeDelay}
 	// Only a hedge can move these counters; unhedged clients leave them
 	// out of the registry.
@@ -351,9 +347,7 @@ func (c *Client) readGroup(addrs, group []string, budget time.Duration, rep *Fet
 		h.HedgeWins = c.Metrics.Counter("transport.hedge_wins")
 	}
 	return h.Call(addrs, func(addr string) (map[string]PeerList, error) {
-		var got map[string]PeerList
-		err := c.invoke(addr, methodGet, group, &got, budget)
-		return got, err
+		return invokeFrame(c, getRPC, addr, frame, budget)
 	}, func(addr string, err error) {
 		rep.addError(replicaError(addr, "get", "", err))
 	})
@@ -377,8 +371,8 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 	var live []state
 	var floor int64
 	for _, r := range replicas {
-		var d digestResponse
-		if err := c.invoke(r.Addr, methodDigest, term, &d, 0); err != nil {
+		d, err := invoke(c, digestRPC, r.Addr, term, 0)
+		if err != nil {
 			continue
 		}
 		live = append(live, state{addr: r.Addr, dig: d.Dig})
@@ -402,8 +396,8 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 	lists := make([]PeerList, 0, len(live))
 	byAddr := make(map[string]PeerList, len(live))
 	for _, s := range live {
-		var got map[string]PeerList
-		if err := c.invoke(s.addr, methodGet, []string{term}, &got, 0); err != nil {
+		got, err := invoke(c, getRPC, s.addr, []string{term}, 0)
+		if err != nil {
 			continue
 		}
 		lists = append(lists, got[term])
@@ -416,7 +410,7 @@ func (c *Client) RepairTerm(term string) (repaired int, err error) {
 		if !ok || DigestPosts(pl) == want {
 			continue
 		}
-		if err := c.invoke(s.addr, methodRepair, repairRequest{Term: term, Posts: merged, Floor: floor}, nil, 0); err != nil {
+		if _, err := invoke(c, repairRPC, s.addr, repairRequest{Term: term, Posts: merged, Floor: floor}, 0); err != nil {
 			continue
 		}
 		repaired++

@@ -399,9 +399,9 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 		go func(i int, ps *peerStream) {
 			defer wg.Done()
 			s := spans[i]
-			// Both directions are raw frames (transport.ChunkRequest out,
-			// transport.ResultChunk back), so the call runs through the
-			// policy directly instead of InvokeRetry's gob codec.
+			// Both directions are the query frames (transport.ChunkRequest
+			// out, transport.ResultChunk back), sent through the retry
+			// policy directly.
 			payload, err := transport.EncodeChunkRequest(transport.ChunkRequest{
 				Terms:       q.Terms,
 				K:           opts.k(),

@@ -371,22 +371,14 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("typed invoke", func(t *testing.T) {
 				addr := addrOf(t)
 				m := NewMux()
-				type pair struct{ X, Y int }
-				m.Handle("add", func(b []byte) ([]byte, error) {
-					var p pair
-					if err := Unmarshal(b, &p); err != nil {
-						return nil, err
-					}
-					return Marshal(p.X + p.Y)
-				})
+				addRPC.Handle(m, add)
 				stop, err := net.Register(addr, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer stop()
-				var sum int
-				if err := Invoke(net, addr, "add", pair{20, 22}, &sum); err != nil || sum != 42 {
-					t.Fatalf("Invoke = %d, %v", sum, err)
+				if sum, _, err := addRPC.Call(net, addr, [2]int64{20, 22}, RetryPolicy{}); err != nil || sum != 42 {
+					t.Fatalf("Call = %d, %v", sum, err)
 				}
 			})
 		})

@@ -342,15 +342,14 @@ func TestHedgedZeroDelayFailsOverInOrder(t *testing.T) {
 func TestHedgedInvokeTyped(t *testing.T) {
 	n := NewInMem()
 	m := NewMux()
-	m.Handle("get", func([]byte) ([]byte, error) { return Marshal("pong") })
+	pongRPC.Handle(m, pong)
 	if _, err := n.Register("r2", m); err != nil {
 		t.Fatal(err)
 	}
 	// r1 is unregistered (unreachable): the typed leg falls through to r2
 	// and its decoded value is what the call returns.
 	leg := func(addr string) (string, error) {
-		var out string
-		_, err := InvokeRetry(n, addr, "get", struct{}{}, &out, RetryPolicy{})
+		out, _, err := pongRPC.Call(n, addr, struct{}{}, RetryPolicy{})
 		return out, err
 	}
 	for _, delay := range []time.Duration{0, 10 * time.Millisecond} {

@@ -187,27 +187,3 @@ func (p RetryPolicy) Do(key string, op func() error) (attempts int, err error) {
 		sleep(p.Backoff(key, attempt))
 	}
 }
-
-// InvokeRetry is Invoke under a retry policy with per-attempt timeouts:
-// it encodes req once, attempts the call per the policy, and decodes the
-// first successful response into resp (nil discards it). It returns the
-// number of attempts made alongside the final error.
-func InvokeRetry(c Caller, addr, method string, req, resp any, p RetryPolicy) (attempts int, err error) {
-	payload, err := Marshal(req)
-	if err != nil {
-		return 0, err
-	}
-	var out []byte
-	attempts, err = p.Do(addr, func() error {
-		var cerr error
-		out, cerr = CallTimeout(c, addr, method, payload, p.Timeout)
-		return cerr
-	})
-	if err != nil {
-		return attempts, err
-	}
-	if resp == nil {
-		return attempts, nil
-	}
-	return attempts, Unmarshal(out, resp)
-}

@@ -153,12 +153,12 @@ func TestCallTimeout(t *testing.T) {
 }
 
 // TestInvokeRetryRecovers registers a peer whose link drops the first two
-// calls and verifies InvokeRetry reports three attempts and the decoded
+// calls and verifies Method.Call reports three attempts and the decoded
 // response.
 func TestInvokeRetryRecovers(t *testing.T) {
 	f := NewFaulty(NewInMem(), 7)
 	m := NewMux()
-	m.Handle("get", func([]byte) ([]byte, error) { return Marshal("pong") })
+	pongRPC.Handle(m, pong)
 	if _, err := f.Register("p", m); err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +169,9 @@ func TestInvokeRetryRecovers(t *testing.T) {
 			f.RemoveRule(id)
 		}
 	}}
-	var out string
-	attempts, err := InvokeRetry(f, "p", "get", struct{}{}, &out, p)
+	out, attempts, err := pongRPC.Call(f, "p", struct{}{}, p)
 	if err != nil || out != "pong" {
-		t.Fatalf("InvokeRetry = %q, %v", out, err)
+		t.Fatalf("Call = %q, %v", out, err)
 	}
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", attempts)
@@ -180,7 +179,7 @@ func TestInvokeRetryRecovers(t *testing.T) {
 	// Exhausted retries surface the final connectivity error and the
 	// attempt count.
 	f.AddRule(Rule{To: "p", Drop: 1})
-	attempts, err = InvokeRetry(f, "p", "get", struct{}{}, &out, RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}})
+	_, attempts, err = pongRPC.Call(f, "p", struct{}{}, RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}})
 	if !errors.Is(err, ErrUnreachable) || attempts != 2 {
 		t.Fatalf("exhausted: attempts=%d err=%v", attempts, err)
 	}

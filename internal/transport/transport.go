@@ -7,7 +7,10 @@
 //
 // A peer exposes one address with a method multiplexer (Mux); subsystems
 // (Chord routing, the directory service, query execution) register their
-// methods on the same Mux. Payloads are encoding/gob.
+// methods on the same Mux. Every payload is a hand-encoded frame: Chord
+// and the directory declare each of their RPCs once, as a Method whose
+// codecs write frame.go's frames, and query forwarding has its own
+// frames (chunk.go).
 //
 // The overload layer rides the same abstraction: Mux.SetLimit arms
 // server-side admission control (bounded concurrency plus a short wait
@@ -159,10 +162,10 @@ func (m *Mux) Dispatch(method string, req []byte) ([]byte, error) {
 
 // Caller issues RPCs.
 type Caller interface {
-	// Call invokes method at addr with the gob-encoded request payload
-	// and returns the response payload. Application errors surface as
-	// *RemoteError; connectivity problems as ErrUnreachable (possibly
-	// wrapped).
+	// Call invokes method at addr with an encoded request frame (see
+	// Method) and returns the response frame. Application errors
+	// surface as *RemoteError; connectivity problems as ErrUnreachable
+	// (possibly wrapped).
 	Call(addr, method string, req []byte) ([]byte, error)
 }
 
@@ -174,7 +177,8 @@ type Network interface {
 	Register(addr string, mux *Mux) (stop func(), err error)
 }
 
-// Marshal gob-encodes an RPC payload value.
+// Marshal gob-encodes a value. No RPC uses gob: Marshal and Unmarshal
+// remain as the reference codec the method frames are tested against.
 func Marshal(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -183,28 +187,10 @@ func Marshal(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal gob-decodes an RPC payload into v (a pointer).
+// Unmarshal gob-decodes data into v (a pointer).
 func Unmarshal(data []byte, v any) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		return fmt.Errorf("transport: decode: %w", err)
 	}
 	return nil
-}
-
-// Invoke is the typed convenience wrapper around Caller.Call: it encodes
-// req, performs the call, and decodes into resp (pass nil to discard the
-// response payload).
-func Invoke(c Caller, addr, method string, req, resp any) error {
-	payload, err := Marshal(req)
-	if err != nil {
-		return err
-	}
-	out, err := c.Call(addr, method, payload)
-	if err != nil {
-		return err
-	}
-	if resp == nil {
-		return nil
-	}
-	return Unmarshal(out, resp)
 }

@@ -148,30 +148,22 @@ func TestInMemConcurrentCalls(t *testing.T) {
 	}
 }
 
+// TestInvokeTyped calls a typed method through the table: Handle
+// decodes the request and encodes the response, Call the reverse.
 func TestInvokeTyped(t *testing.T) {
 	n := NewInMem()
 	m := NewMux()
-	type req struct{ X, Y int }
-	m.Handle("add", func(b []byte) ([]byte, error) {
-		var r req
-		if err := Unmarshal(b, &r); err != nil {
-			return nil, err
-		}
-		return Marshal(r.X + r.Y)
-	})
+	addRPC.Handle(m, add)
 	if _, err := n.Register("calc", m); err != nil {
 		t.Fatal(err)
 	}
-	var sum int
-	if err := Invoke(n, "calc", "add", req{2, 3}, &sum); err != nil {
-		t.Fatal(err)
+	sum, attempts, err := addRPC.Call(n, "calc", [2]int64{2, -3}, RetryPolicy{})
+	if err != nil || sum != -1 || attempts != 1 {
+		t.Fatalf("Call = %d after %d attempts, %v", sum, attempts, err)
 	}
-	if sum != 5 {
-		t.Fatalf("sum = %d", sum)
-	}
-	// nil response discards the payload.
-	if err := Invoke(n, "calc", "add", req{1, 1}, nil); err != nil {
-		t.Fatal(err)
+	// A frame that does not decode is a remote error, not a panic.
+	if _, err := n.Call("calc", "add", []byte{frameVersion, 0, 0, 0x80}); err == nil {
+		t.Fatal("malformed request accepted")
 	}
 }
 
