@@ -3,6 +3,7 @@ package chord
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"iqn/internal/transport"
@@ -52,6 +53,35 @@ func TestHashDeterministicAndSpread(t *testing.T) {
 	}
 	if low < 20 || low > 80 {
 		t.Fatalf("poor hash spread: %d/100 in lower half", low)
+	}
+}
+
+// TestHashIDsPinned pins ring positions: every key and address hashes
+// to the ID it always had (a moved ID would move ownership of every
+// published term), and hashing a key or address of ordinary length
+// allocates nothing.
+func TestHashIDsPinned(t *testing.T) {
+	long := strings.Repeat("x", 300)
+	for _, c := range []struct {
+		got  ID
+		want ID
+	}{
+		{HashKey(""), 0xf07e85f401d30b22},
+		{HashKey("p2p"), 0x5f93d18285b385ee},
+		{HashKey("routing"), 0x0bf3376aa9e1be3e},
+		{HashKey("abcdefghijklmnopqrstuvwxyz0123456789a"), 0xe6bfd9a1c2db0eae},
+		{HashKey(long), 0x259a04d949d2e4c7},
+		{HashAddr("127.0.0.1:9000"), 0xa1a002c789fc3be4},
+		{HashAddr("peer-07"), 0x49a45549e4078999},
+	} {
+		if c.got != c.want {
+			t.Errorf("hash = %v, want %v", c.got, c.want)
+		}
+	}
+	for _, key := range []string{"p2p", "forest fire fo", "abcdefghijklmnopqrstuvwxyz0123456789a"} {
+		if allocs := testing.AllocsPerRun(100, func() { HashKey(key); HashAddr(key) }); allocs != 0 {
+			t.Errorf("hashing a %d-byte key made %.0f allocations", len(key), allocs)
+		}
 	}
 }
 

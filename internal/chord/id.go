@@ -23,15 +23,18 @@ const M = 64
 type ID uint64
 
 // HashKey maps a directory key (an index term) onto the ring.
-func HashKey(key string) ID {
-	sum := sha1.Sum([]byte("key:" + key))
-	return ID(binary.BigEndian.Uint64(sum[:8]))
-}
+func HashKey(key string) ID { return hashPrefixed("key:", key) }
 
 // HashAddr maps a node address onto the ring. The "node:" prefix keeps
 // node IDs and key IDs from colliding systematically for equal strings.
-func HashAddr(addr string) ID {
-	sum := sha1.Sum([]byte("node:" + addr))
+func HashAddr(addr string) ID { return hashPrefixed("node:", addr) }
+
+// hashPrefixed is the top 64 bits of SHA-1(prefix + s), hashed from a
+// stack buffer so that a key or address of up to ~120 bytes costs no
+// allocation (it is hashed once per published post and per lookup).
+func hashPrefixed(prefix, s string) ID {
+	var buf [128]byte
+	sum := sha1.Sum(append(append(buf[:0], prefix...), s...))
 	return ID(binary.BigEndian.Uint64(sum[:8]))
 }
 

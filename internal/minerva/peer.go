@@ -35,11 +35,12 @@ import (
 	"iqn/internal/transport"
 )
 
-// MethodQuery is the query-forwarding RPC every peer serves: one
-// score-descending chunk of the peer's local result list per call,
-// addressed by a (generation, offset) cursor. Exported so
-// fault-injection harnesses (internal/sim) can scope rules to the query
-// path (e.g. "crash the peer on its Nth incoming query call").
+// MethodQuery names the query-forwarding RPC every peer serves
+// (transport.Query): one score-descending chunk of the peer's local
+// result list per call, addressed by a (generation, offset) cursor.
+// Exported so fault-injection harnesses (internal/sim) can scope rules
+// to the query path (e.g. "crash the peer on its Nth incoming query
+// call").
 const MethodQuery = "peer.query"
 
 // staleCursorMsg is the error text the query handler returns when a
@@ -391,20 +392,16 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 	}
 	served := cfg.Metrics.Counter("peer.queries_served")
 	chunksServed := cfg.Metrics.Counter("peer.chunks_served")
-	node.Mux().Handle(MethodQuery, func(req []byte) ([]byte, error) {
-		q, err := transport.DecodeChunkRequest(req)
-		if err != nil {
-			return nil, err
-		}
+	transport.Query.Handle(node.Mux(), func(q transport.ChunkRequest) (transport.ResultChunk, error) {
 		chunksServed.Inc()
 		s := p.snap.Load()
 		if s == nil {
 			// No index: an exhausted stream, not an error — mirrors
 			// LocalSearch returning nil.
-			return transport.EncodeChunk(transport.ResultChunk{Done: true}), nil
+			return transport.ResultChunk{Done: true}, nil
 		}
 		if q.Gen != 0 && q.Gen != s.gen {
-			return nil, fmt.Errorf("%s: generation %d replaced by %d", staleCursorMsg, q.Gen, s.gen)
+			return transport.ResultChunk{}, fmt.Errorf("%s: generation %d replaced by %d", staleCursorMsg, q.Gen, s.gen)
 		}
 		if q.Offset == 0 {
 			// One stream = one served query, however many chunks it
@@ -428,8 +425,11 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 		if end > len(results) {
 			end = len(results)
 		}
-		return transport.EncodeChunkOf(s.gen, end == len(results), results[off:end],
-			func(r ir.Result) (uint64, float64) { return r.DocID, r.Score }), nil
+		entries := make([]transport.ScoredEntry, end-off)
+		for i, r := range results[off:end] {
+			entries[i] = transport.ScoredEntry{Doc: r.DocID, Score: r.Score}
+		}
+		return transport.ResultChunk{Gen: s.gen, Done: end == len(results), Entries: entries}, nil
 	})
 	return p, nil
 }

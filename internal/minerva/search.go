@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -216,6 +217,11 @@ func (p *Peer) Search(terms []string, opts SearchOptions) (*SearchResult, error)
 func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOptions) (*SearchResult, error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("minerva: empty query")
+	}
+	// The query frame carries K and the chunk size as at most
+	// math.MaxInt32; a larger one would fail every forwarded call.
+	if k, size := opts.k(), opts.chunkSize(p.cfg); k > math.MaxInt32 || size > math.MaxInt32 {
+		return nil, fmt.Errorf("minerva: K %d or chunk size %d above %d", k, size, math.MaxInt32)
 	}
 	p.cfg.Metrics.Counter("search.queries").Inc()
 	if !p.cfg.SearchCoalescing {

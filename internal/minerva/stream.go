@@ -197,12 +197,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 	// strong θ up front — seeded bounds can then cut weak peers off with
 	// zero chunks pulled.
 	if !opts.DisableSelf {
-		self := p.LocalSearch(q.Terms, opts.k(), opts.Conjunctive)
-		entries := make([]topk.DocScore, len(self))
-		for i, r := range self {
-			entries[i] = topk.DocScore{Doc: r.DocID, Score: r.Score}
-		}
-		coord.Offer("self:"+p.name, entries, true)
+		coord.Offer("self:"+p.name, p.LocalSearch(q.Terms, opts.k(), opts.Conjunctive), true)
 	}
 	var failed []int // indexes into out.errs of the current round's failures
 	fail := func(ps *peerStream, errText string, unreachable bool) {
@@ -280,13 +275,12 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			ps.restarts = 0
 			m.Counter("topk.chunks").Inc()
 			n := len(chunk.Entries)
-			entries := make([]topk.DocScore, n)
+			start := len(ps.delivered)
 			ps.delivered = slices.Grow(ps.delivered, n)
-			for j, e := range chunk.Entries {
-				entries[j] = topk.DocScore{Doc: e.Doc, Score: e.Score}
+			for _, e := range chunk.Entries {
 				ps.delivered = append(ps.delivered, ir.Result{DocID: e.Doc, Score: e.Score})
 			}
-			coord.Offer(string(ps.peer), entries, chunk.Done)
+			coord.Offer(string(ps.peer), ps.delivered[start:], chunk.Done)
 			ps.offset += n
 			ps.entries += n
 			m.Counter("topk.stream_entries").Add(int64(n))
@@ -362,11 +356,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 		return out.errs[i].Err < out.errs[j].Err
 	})
 	mergeSpan := span.Child("merge")
-	docs := coord.Results()
-	merged := make([]ir.Result, len(docs))
-	for i, d := range docs {
-		merged[i] = ir.Result{DocID: d.Doc, Score: d.Score}
-	}
+	merged := coord.Results()
 	mergeSpan.SetInt("merged_docs", int64(coord.Merged()))
 	mergeSpan.SetInt("results", int64(len(merged)))
 	mergeSpan.End()
@@ -399,10 +389,10 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 		go func(i int, ps *peerStream) {
 			defer wg.Done()
 			s := spans[i]
-			// Both directions are the query frames (transport.ChunkRequest
-			// out, transport.ResultChunk back), sent through the retry
-			// policy directly.
-			payload, err := transport.EncodeChunkRequest(transport.ChunkRequest{
+			// EncodeRequest and CallFrame rather than Call: on an in-process
+			// network the peer's handler runs on this goroutine's stack, and
+			// one more frame under it grows that stack on every call.
+			frame := transport.Query.EncodeRequest(transport.ChunkRequest{
 				Terms:       q.Terms,
 				K:           opts.k(),
 				Conjunctive: opts.Conjunctive,
@@ -410,33 +400,19 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 				Size:        chunkSize,
 				Gen:         ps.gen,
 			})
-			if err != nil {
-				out[i] = chunkOutcome{err: err}
-				s.Set("cause", "marshal")
-				s.End()
-				return
-			}
-			var raw []byte
-			attempts, err := policy.Do(string(ps.peer), func() error {
-				var cerr error
-				raw, cerr = transport.CallTimeout(caller, string(ps.peer), MethodQuery, payload, policy.Timeout)
-				return cerr
-			})
+			chunk, attempts, err := transport.Query.CallFrame(caller, string(ps.peer), frame, policy)
 			if attempts > 1 {
 				p.cfg.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
 			}
 			s.SetInt("attempts", int64(attempts))
 			if err == nil {
-				var chunk transport.ResultChunk
-				if chunk, err = transport.DecodeChunk(raw); err == nil {
-					s.SetInt("entries", int64(len(chunk.Entries)))
-					if chunk.Done {
-						s.Set("done", "true")
-					}
-					out[i] = chunkOutcome{chunk: chunk, attempts: attempts}
-					s.End()
-					return
+				s.SetInt("entries", int64(len(chunk.Entries)))
+				if chunk.Done {
+					s.Set("done", "true")
 				}
+				out[i] = chunkOutcome{chunk: chunk, attempts: attempts}
+				s.End()
+				return
 			}
 			s.Set("cause", errCause(err))
 			out[i] = chunkOutcome{attempts: attempts, err: err}

@@ -1,7 +1,7 @@
 package minerva
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -15,24 +15,12 @@ import (
 	"iqn/internal/transport"
 )
 
-// pullChunk issues one raw query call against a peer, the way the
-// initiator does.
-func pullChunk(t *testing.T, net transport.Network, addr string, req transport.ChunkRequest) (transport.ResultChunk, error) {
-	t.Helper()
-	payload, err := transport.EncodeChunkRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pullRaw(net, addr, payload)
-}
-
-// pullRaw sends an already encoded request frame.
-func pullRaw(net transport.Network, addr string, payload []byte) (transport.ResultChunk, error) {
-	raw, err := net.Call(addr, MethodQuery, payload)
-	if err != nil {
-		return transport.ResultChunk{}, err
-	}
-	return transport.DecodeChunk(raw)
+// pullChunk issues one query call against a peer, the way the
+// initiator does. The encoder writes any K, offset and size, so a
+// request can carry fields no initiator would send.
+func pullChunk(net transport.Network, addr string, req transport.ChunkRequest) (transport.ResultChunk, error) {
+	c, _, err := transport.Query.Call(net, addr, req, transport.RetryPolicy{})
+	return c, err
 }
 
 func TestChunkHandlerServesCursor(t *testing.T) {
@@ -47,7 +35,7 @@ func TestChunkHandlerServesCursor(t *testing.T) {
 	var got []ir.Result
 	var gen uint64
 	for off := 0; ; {
-		c, err := pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
+		c, err := pullChunk(net.Transport, peer.Name(), transport.ChunkRequest{
 			Terms: terms, K: 20, Offset: off, Size: 2, Gen: gen,
 		})
 		if err != nil {
@@ -75,47 +63,34 @@ func TestChunkHandlerServesCursor(t *testing.T) {
 		}
 	}
 	// A cursor past the end is an empty final chunk, not an error.
-	c, err := pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
+	c, err := pullChunk(net.Transport, peer.Name(), transport.ChunkRequest{
 		Terms: terms, K: 20, Offset: len(full) + 100, Size: 2, Gen: gen,
 	})
 	if err != nil || !c.Done || len(c.Entries) != 0 {
 		t.Fatalf("past-end chunk = %+v, %v; want empty done", c, err)
 	}
-	// An offset outside the frame's range (a negative one cannot be
-	// encoded) is rejected.
-	if _, err := pullRaw(net.Transport, peer.Name(), rawChunkRequest(20, 1<<40, 2, terms)); err == nil {
+	// An offset outside the frame's range is rejected by the handler's
+	// decoder.
+	if _, err := pullChunk(net.Transport, peer.Name(), transport.ChunkRequest{
+		Terms: terms, K: 20, Offset: 1 << 40, Size: 2,
+	}); err == nil {
 		t.Fatal("out-of-range offset accepted")
 	}
 	// Re-indexing replaces the snapshot generation: the old cursor is
 	// answered with a stale-cursor error, a fresh stream succeeds.
 	peer.IndexCollection(nil)
 	peer.IndexCollection(nil) // twice: gen must move even if docs match
-	_, err = pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
+	_, err = pullChunk(net.Transport, peer.Name(), transport.ChunkRequest{
 		Terms: terms, K: 20, Offset: 2, Size: 2, Gen: gen,
 	})
 	if err == nil || !isStaleCursor(err) {
 		t.Fatalf("stale cursor answered with %v, want stale-cursor error", err)
 	}
-	if c, err := pullChunk(t, net.Transport, peer.Name(), transport.ChunkRequest{
+	if c, err := pullChunk(net.Transport, peer.Name(), transport.ChunkRequest{
 		Terms: terms, K: 20, Offset: 0, Size: 2, Gen: 0,
 	}); err != nil || c.Gen == gen {
 		t.Fatalf("fresh stream after re-index: chunk %+v, err %v", c, err)
 	}
-}
-
-// rawChunkRequest hand-assembles a version-1 request frame with
-// arbitrary 64-bit K, offset and size fields, which EncodeChunkRequest
-// refuses to produce.
-func rawChunkRequest(k, offset, size uint64, terms []string) []byte {
-	frame := []byte{1, 0}
-	for _, v := range []uint64{k, offset, size, 0, uint64(len(terms))} {
-		frame = binary.AppendUvarint(frame, v)
-	}
-	for _, term := range terms {
-		frame = binary.AppendUvarint(frame, uint64(len(term)))
-		frame = append(frame, term...)
-	}
-	return frame
 }
 
 // TestQueryHandlerSurvivesHugeK sends the query handler depths no real
@@ -128,10 +103,10 @@ func TestQueryHandlerSurvivesHugeK(t *testing.T) {
 	peer := net.Peers[2]
 	terms := queries[0].Terms
 	mux := peer.Node().Mux()
-	if _, err := mux.Dispatch(MethodQuery, rawChunkRequest(1<<40, 0, 4, terms)); err == nil {
+	if _, err := mux.Dispatch(MethodQuery, transport.Query.EncodeRequest(transport.ChunkRequest{Terms: terms, K: 1 << 40, Size: 4})); err == nil {
 		t.Fatal("K = 2^40 accepted")
 	}
-	raw, err := mux.Dispatch(MethodQuery, rawChunkRequest(math.MaxInt32, 0, 4, terms))
+	raw, err := mux.Dispatch(MethodQuery, transport.Query.EncodeRequest(transport.ChunkRequest{Terms: terms, K: math.MaxInt32, Size: 4}))
 	if err != nil {
 		t.Fatalf("K = MaxInt32: %v", err)
 	}
@@ -148,6 +123,65 @@ func TestQueryHandlerSurvivesHugeK(t *testing.T) {
 		if e.Doc != want[i].DocID || e.Score != want[i].Score {
 			t.Fatalf("entry %d = %+v, want %+v", i, e, want[i])
 		}
+	}
+}
+
+// TestQueryHandlerFramesMatchEncodeChunk: the handler's reply is
+// exactly transport.EncodeChunk of the chunk it carries, so a probe that
+// times EncodeChunk/DecodeChunk times the frames production sends.
+func TestQueryHandlerFramesMatchEncodeChunk(t *testing.T) {
+	net, _, queries := buildTestNetwork(t, Config{SynopsisSeed: 7})
+	peer := net.Peers[2]
+	mux := peer.Node().Mux()
+	for _, req := range []transport.ChunkRequest{
+		{Terms: queries[0].Terms, K: 20, Size: 4},
+		{Terms: queries[0].Terms, K: 20, Size: 50},
+		{Terms: []string{"zzzznonexistent"}, K: 20, Size: 4},
+	} {
+		raw, err := mux.Dispatch(MethodQuery, transport.Query.EncodeRequest(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := transport.DecodeChunk(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc := transport.EncodeChunk(c); !bytes.Equal(enc, raw) {
+			t.Fatalf("request %+v: handler sent %x, EncodeChunk gives %x", req, raw, enc)
+		}
+	}
+	if transport.Query.Name != MethodQuery {
+		t.Fatalf("transport.Query is %q, the peers serve %q", transport.Query.Name, MethodQuery)
+	}
+}
+
+// TestSearchRejectsOversizedK: a K or chunk size the query frame cannot
+// carry fails the search once, before routing, instead of failing every
+// forwarded call.
+func TestSearchRejectsOversizedK(t *testing.T) {
+	net, _, queries := buildTestNetwork(t, Config{SynopsisSeed: 7})
+	terms := queries[0].Terms
+	served := func() (n int64) {
+		for _, p := range net.Peers {
+			n += p.QueriesServed()
+		}
+		return n
+	}
+	before := served()
+	for _, opts := range []SearchOptions{
+		{K: math.MaxInt32 + 1},
+		{K: 20, TopKStreaming: true, ChunkSize: math.MaxInt32 + 1},
+	} {
+		if res, err := net.Peers[0].Search(terms, opts); err == nil || !strings.Contains(err.Error(), "above") {
+			t.Fatalf("K %d, chunk size %d: result %+v, error %v; want a limit error", opts.K, opts.ChunkSize, res, err)
+		}
+	}
+	if n := served() - before; n != 0 {
+		t.Fatalf("rejected searches reached %d peers", n)
+	}
+	// MaxInt32 itself is a valid depth.
+	if _, err := net.Peers[0].Search(terms, SearchOptions{K: math.MaxInt32, MaxPeers: 2}); err != nil {
+		t.Fatalf("K = MaxInt32: %v", err)
 	}
 }
 

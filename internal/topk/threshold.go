@@ -33,19 +33,13 @@ package topk
 import (
 	"math"
 	"sort"
-)
 
-// DocScore is one (document, score) entry of a result stream.
-type DocScore struct {
-	// Doc is the document identifier.
-	Doc uint64
-	// Score is the document's aggregated score at the source.
-	Score float64
-}
+	"iqn/internal/ir"
+)
 
 // source is one peer's stream state inside the coordinator.
 type source struct {
-	entries []DocScore
+	entries []ir.Result
 	// bound is a ceiling on every score the source may still send:
 	// the seeded bound before the first chunk, then the last received
 	// score (the stream is descending).
@@ -94,16 +88,16 @@ func (c *Coordinator) AddSource(id string, bound float64) {
 // Offer ingests one chunk from a source: entries must continue the
 // stream in descending score order. done marks the stream exhausted.
 // Unknown ids are registered implicitly with an infinite seed bound.
-func (c *Coordinator) Offer(id string, entries []DocScore, done bool) {
+func (c *Coordinator) Offer(id string, entries []ir.Result, done bool) {
 	s := c.sources[id]
 	if s == nil {
 		s = &source{bound: math.Inf(1)}
 		c.sources[id] = s
 	}
+	s.entries = append(s.entries, entries...)
 	for _, e := range entries {
-		s.entries = append(s.entries, e)
-		if best, ok := c.merged[e.Doc]; !ok || e.Score > best {
-			c.merged[e.Doc] = e.Score
+		if best, ok := c.merged[e.DocID]; !ok || e.Score > best {
+			c.merged[e.DocID] = e.Score
 			c.kth = math.NaN()
 		}
 	}
@@ -138,8 +132,8 @@ func (c *Coordinator) rebuild() {
 	}
 	for _, s := range c.sources {
 		for _, e := range s.entries {
-			if best, ok := c.merged[e.Doc]; !ok || e.Score > best {
-				c.merged[e.Doc] = e.Score
+			if best, ok := c.merged[e.DocID]; !ok || e.Score > best {
+				c.merged[e.DocID] = e.Score
 			}
 		}
 	}
@@ -192,16 +186,16 @@ func (c *Coordinator) EarlyStopped(id string) bool {
 // Results returns the merged top-k, descending by score with ascending
 // document ID breaking ties — exactly ir.Merge's order — truncated
 // to k (everything at unbounded depth).
-func (c *Coordinator) Results() []DocScore {
-	out := make([]DocScore, 0, len(c.merged))
+func (c *Coordinator) Results() []ir.Result {
+	out := make([]ir.Result, 0, len(c.merged))
 	for d, s := range c.merged {
-		out = append(out, DocScore{Doc: d, Score: s})
+		out = append(out, ir.Result{DocID: d, Score: s})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].Doc < out[j].Doc
+		return out[i].DocID < out[j].DocID
 	})
 	if c.k > 0 && len(out) > c.k {
 		out = out[:c.k]

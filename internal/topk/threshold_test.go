@@ -6,29 +6,31 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"iqn/internal/ir"
 )
 
 // bruteTopK is the reference the coordinator must match exactly: merge
 // every list completely (per-document max score), sort by descending
 // score with ascending doc breaking ties, truncate to k.
-func bruteTopK(lists map[string][]DocScore, k int) []DocScore {
+func bruteTopK(lists map[string][]ir.Result, k int) []ir.Result {
 	best := map[uint64]float64{}
 	for _, l := range lists {
 		for _, e := range l {
-			if s, ok := best[e.Doc]; !ok || e.Score > s {
-				best[e.Doc] = e.Score
+			if s, ok := best[e.DocID]; !ok || e.Score > s {
+				best[e.DocID] = e.Score
 			}
 		}
 	}
-	out := make([]DocScore, 0, len(best))
+	out := make([]ir.Result, 0, len(best))
 	for d, s := range best {
-		out = append(out, DocScore{Doc: d, Score: s})
+		out = append(out, ir.Result{DocID: d, Score: s})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].Doc < out[j].Doc
+		return out[i].DocID < out[j].DocID
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
@@ -39,14 +41,14 @@ func bruteTopK(lists map[string][]DocScore, k int) []DocScore {
 // randomSortedLists builds per-source descending score lists with
 // duplicate documents across sources, duplicate scores within and
 // across sources (quantized draws), and uneven lengths.
-func randomSortedLists(rng *rand.Rand, sources, universe, maxLen int) map[string][]DocScore {
-	lists := map[string][]DocScore{}
+func randomSortedLists(rng *rand.Rand, sources, universe, maxLen int) map[string][]ir.Result {
+	lists := map[string][]ir.Result{}
 	for s := 0; s < sources; s++ {
 		n := rng.Intn(maxLen + 1)
 		if n > universe {
 			n = universe
 		}
-		l := make([]DocScore, 0, n)
+		l := make([]ir.Result, 0, n)
 		seen := map[uint64]bool{}
 		for len(l) < n {
 			doc := uint64(rng.Intn(universe))
@@ -55,13 +57,13 @@ func randomSortedLists(rng *rand.Rand, sources, universe, maxLen int) map[string
 			}
 			seen[doc] = true
 			// Quantized scores force ties, the tie-break minefield.
-			l = append(l, DocScore{Doc: doc, Score: float64(rng.Intn(20)) / 4})
+			l = append(l, ir.Result{DocID: doc, Score: float64(rng.Intn(20)) / 4})
 		}
 		sort.Slice(l, func(i, j int) bool {
 			if l[i].Score != l[j].Score {
 				return l[i].Score > l[j].Score
 			}
-			return l[i].Doc < l[j].Doc
+			return l[i].DocID < l[j].DocID
 		})
 		lists[fmt.Sprintf("s%d", s)] = l
 	}
@@ -72,7 +74,7 @@ func randomSortedLists(rng *rand.Rand, sources, universe, maxLen int) map[string
 // loop: round-robin chunk pulls in source order, stop decisions after
 // each full round. It returns the results plus how many entries were
 // pulled in total (the quantity early termination minimizes).
-func runPull(lists map[string][]DocScore, k, chunk int, seed func(string) float64) ([]DocScore, int) {
+func runPull(lists map[string][]ir.Result, k, chunk int, seed func(string) float64) ([]ir.Result, int) {
 	c := NewCoordinator(k)
 	ids := make([]string, 0, len(lists))
 	for id := range lists {
@@ -110,7 +112,7 @@ func runPull(lists map[string][]DocScore, k, chunk int, seed func(string) float6
 
 // seedFromList computes the sound seeded bound a directory would
 // publish: the maximum score of the list (Σ over one term here).
-func seedBounds(lists map[string][]DocScore) func(string) float64 {
+func seedBounds(lists map[string][]ir.Result) func(string) float64 {
 	return func(id string) float64 {
 		l := lists[id]
 		if len(l) == 0 {
@@ -161,17 +163,17 @@ func TestThresholdExactness(t *testing.T) {
 // wire entries on a shaped workload: one dominant source and many weak
 // ones, small k — the weak sources must be cut off early.
 func TestThresholdSavesPulls(t *testing.T) {
-	lists := map[string][]DocScore{}
-	strong := make([]DocScore, 40)
+	lists := map[string][]ir.Result{}
+	strong := make([]ir.Result, 40)
 	for i := range strong {
-		strong[i] = DocScore{Doc: uint64(i), Score: 100 - float64(i)}
+		strong[i] = ir.Result{DocID: uint64(i), Score: 100 - float64(i)}
 	}
 	lists["strong"] = strong
 	total := len(strong)
 	for s := 0; s < 5; s++ {
-		weak := make([]DocScore, 40)
+		weak := make([]ir.Result, 40)
 		for i := range weak {
-			weak[i] = DocScore{Doc: uint64(1000 + s*100 + i), Score: 10 - float64(i)*0.2}
+			weak[i] = ir.Result{DocID: uint64(1000 + s*100 + i), Score: 10 - float64(i)*0.2}
 		}
 		lists[fmt.Sprintf("weak%d", s)] = weak
 		total += len(weak)
@@ -192,9 +194,9 @@ func TestThresholdSavesPulls(t *testing.T) {
 // bound of a source is already below θ established by other sources,
 // not a single entry is pulled from it.
 func TestThresholdSeededSkip(t *testing.T) {
-	lists := map[string][]DocScore{
-		"a": {{Doc: 1, Score: 9}, {Doc: 2, Score: 8}},
-		"b": {{Doc: 3, Score: 0.5}, {Doc: 4, Score: 0.4}},
+	lists := map[string][]ir.Result{
+		"a": {{DocID: 1, Score: 9}, {DocID: 2, Score: 8}},
+		"b": {{DocID: 3, Score: 0.5}, {DocID: 4, Score: 0.4}},
 	}
 	c := NewCoordinator(2)
 	c.AddSource("a", 9)
@@ -225,13 +227,13 @@ func TestThresholdEqualBoundKeepsStreaming(t *testing.T) {
 	c := NewCoordinator(1)
 	c.AddSource("a", 5)
 	c.AddSource("b", 5)
-	c.Offer("a", []DocScore{{Doc: 10, Score: 5}}, true)
+	c.Offer("a", []ir.Result{{DocID: 10, Score: 5}}, true)
 	if c.Stopped("b") {
 		t.Fatal("source b stopped at bound == θ; an equal score with a smaller doc would be missed")
 	}
-	c.Offer("b", []DocScore{{Doc: 3, Score: 5}}, true)
+	c.Offer("b", []ir.Result{{DocID: 3, Score: 5}}, true)
 	got := c.Results()
-	if len(got) != 1 || got[0].Doc != 3 {
+	if len(got) != 1 || got[0].DocID != 3 {
 		t.Fatalf("results = %+v, want doc 3 (tie-break by ascending doc)", got)
 	}
 }
@@ -241,9 +243,9 @@ func TestThresholdEqualBoundKeepsStreaming(t *testing.T) {
 // stopped under the old threshold become pullable again so the final
 // result is exact over the survivors.
 func TestThresholdRemoveSourceReopens(t *testing.T) {
-	lists := map[string][]DocScore{
-		"dying": {{Doc: 1, Score: 9}, {Doc: 2, Score: 8.5}, {Doc: 3, Score: 8}},
-		"weak":  {{Doc: 10, Score: 2}, {Doc: 11, Score: 1.5}},
+	lists := map[string][]ir.Result{
+		"dying": {{DocID: 1, Score: 9}, {DocID: 2, Score: 8.5}, {DocID: 3, Score: 8}},
+		"weak":  {{DocID: 10, Score: 2}, {DocID: 11, Score: 1.5}},
 	}
 	c := NewCoordinator(2)
 	c.AddSource("dying", 9)
@@ -260,7 +262,7 @@ func TestThresholdRemoveSourceReopens(t *testing.T) {
 	}
 	c.Offer("weak", lists["weak"], true)
 	got := c.Results()
-	want := bruteTopK(map[string][]DocScore{"weak": lists["weak"]}, 2)
+	want := bruteTopK(map[string][]ir.Result{"weak": lists["weak"]}, 2)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("result %d = %+v, want %+v", i, got[i], want[i])
@@ -324,7 +326,7 @@ func TestThresholdRandomDeaths(t *testing.T) {
 				t.Fatalf("seed %d: pull loop did not terminate", seed)
 			}
 		}
-		survivors := map[string][]DocScore{}
+		survivors := map[string][]ir.Result{}
 		for _, id := range ids {
 			if !dead[id] {
 				survivors[id] = lists[id]

@@ -123,7 +123,8 @@ func encodeFrame[T any](enc func(*Encoder, T), v T) []byte {
 // Decoder reads one frame's fields in the order they were encoded. The
 // first malformed field sets a sticky error; every later read returns a
 // zero value and every later Count returns 0, so a codec can decode
-// straight through and the caller checks the error once.
+// straight through and the caller checks the error once. Method codecs
+// receive one; it is pooled, so a codec must not retain it.
 type Decoder struct {
 	body  []byte
 	limit uint64
@@ -257,45 +258,91 @@ func (d *Decoder) Count(minBytes int) int {
 // codec, then the check that every section was consumed exactly. A nil
 // codec accepts only an empty body.
 func decodeFrame[T any](data []byte, limit int, dec func(*Decoder) T) (T, error) {
-	var zero T
+	var v T
+	d, err := newDecoder(data, limit)
+	if err != nil {
+		return v, err
+	}
+	if dec != nil {
+		v = dec(d)
+	}
+	if err := d.release(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// newDecoder checks a frame's header and returns a pooled Decoder over
+// its sections. The codec is a func value, so the Decoder it is handed
+// escapes; pooling it keeps a frame's allocations to the value's own
+// memory. The header and the checks in release live outside the generic
+// decodeFrame to keep its stack frame small: on an in-process network a
+// server decodes on its caller's goroutine, deep under the call, and a
+// larger frame there made every forwarding goroutine grow its stack
+// once more.
+func newDecoder(data []byte, limit int) (*Decoder, error) {
 	if len(data) < 1 {
-		return zero, fmt.Errorf("%w: empty", errFrame)
+		return nil, fmt.Errorf("%w: empty", errFrame)
 	}
 	if data[0] != frameVersion {
-		return zero, fmt.Errorf("%w: version %d (want %d)", errFrame, data[0], frameVersion)
+		return nil, fmt.Errorf("%w: version %d (want %d)", errFrame, data[0], frameVersion)
 	}
 	rest := data[1:]
 	var sizes [2]uint64
 	for i := range sizes {
 		v, n := canonicalUvarint(rest)
 		if n <= 0 {
-			return zero, fmt.Errorf("%w: section length malformed", errFrame)
+			return nil, fmt.Errorf("%w: section length malformed", errFrame)
 		}
 		sizes[i] = v
 		rest = rest[n:]
 	}
 	if sizes[0] > uint64(len(rest)) || sizes[1] > uint64(len(rest))-sizes[0] {
-		return zero, fmt.Errorf("%w: sections of %d+%d bytes in %d", errFrame, sizes[0], sizes[1], len(rest))
+		return nil, fmt.Errorf("%w: sections of %d+%d bytes in %d", errFrame, sizes[0], sizes[1], len(rest))
 	}
 	bodyLen := len(rest) - int(sizes[0]) - int(sizes[1])
-	d := Decoder{
-		body:    rest[:bodyLen],
-		limit:   uint64(limit),
-		rawStrs: rest[bodyLen : bodyLen+int(sizes[0])],
-		rawBins: rest[bodyLen+int(sizes[0]):],
-	}
-	var v T
-	if dec != nil {
-		v = dec(&d)
-	}
+	d := decoders.Get().(*Decoder)
+	d.body = rest[:bodyLen]
+	d.limit = uint64(limit)
+	d.rawStrs = rest[bodyLen : bodyLen+int(sizes[0])]
+	d.rawBins = rest[bodyLen+int(sizes[0]):]
+	return d, nil
+}
+
+// release returns the codec's first error, or an error if any section
+// has bytes left unread, and puts the Decoder back in the pool — reset,
+// so that it pins neither the frame nor the value's strings and bytes.
+func (d *Decoder) release() error {
+	err := d.err
 	switch {
-	case d.err != nil:
-		return zero, d.err
+	case err != nil:
 	case len(d.body) != 0:
-		return zero, fmt.Errorf("%w: %d trailing body bytes", errFrame, len(d.body))
+		err = fmt.Errorf("%w: %d trailing body bytes", errFrame, len(d.body))
 	case d.soff != len(d.rawStrs) || d.boff != len(d.rawBins):
-		return zero, fmt.Errorf("%w: %d string and %d byte-section bytes unread", errFrame,
+		err = fmt.Errorf("%w: %d string and %d byte-section bytes unread", errFrame,
 			len(d.rawStrs)-d.soff, len(d.rawBins)-d.boff)
 	}
-	return v, nil
+	*d = Decoder{}
+	decoders.Put(d)
+	return err
+}
+
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
+// canonicalUvarint decodes an unsigned varint and additionally rejects
+// non-minimal encodings (binary.Uvarint accepts them), so every value
+// has exactly one wire form and a decoded frame re-encodes to the same
+// bytes — the property that lets tests compare frames byte for byte.
+func canonicalUvarint(data []byte) (uint64, int) {
+	v, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, n
+	}
+	if n > 1 && data[n-1] == 0 {
+		// A trailing zero continuation byte adds no value bits: the
+		// encoding is longer than necessary.
+		return 0, -n
+	}
+	return v, n
 }

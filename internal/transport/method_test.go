@@ -120,6 +120,28 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameDecodeAllocatesNothing: the Decoder a codec reads through is
+// pooled, so a frame with no strings, bytes or counts decodes without a
+// single allocation.
+func TestFrameDecodeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
+	sum := addRPC.EncodeRequest([2]int64{3, -4})
+	flat := recordRPC.EncodeRequest(record{U: 1, I: -1, F: 2.5, B: true})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := addRPC.DecodeRequest(sum); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recordRPC.DecodeRequest(flat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding two flat frames made %.0f allocations, want 0", allocs)
+	}
+}
+
 // TestFrameRejectsMalformed feeds the decoder every malformation its
 // strictness promises to catch; each must fail with errFrame.
 func TestFrameRejectsMalformed(t *testing.T) {

@@ -7,10 +7,9 @@
 //
 // A peer exposes one address with a method multiplexer (Mux); subsystems
 // (Chord routing, the directory service, query execution) register their
-// methods on the same Mux. Every payload is a hand-encoded frame: Chord
-// and the directory declare each of their RPCs once, as a Method whose
-// codecs write frame.go's frames, and query forwarding has its own
-// frames (chunk.go).
+// methods on the same Mux. Every payload is a hand-encoded frame: Chord,
+// the directory and query forwarding (Query, chunk.go) declare each of
+// their RPCs once, as a Method whose codecs write frame.go's frames.
 //
 // The overload layer rides the same abstraction: Mux.SetLimit arms
 // server-side admission control (bounded concurrency plus a short wait
