@@ -14,6 +14,7 @@ package directory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -82,7 +83,7 @@ type Post struct {
 }
 
 // PeerList is every peer's post for one term, the directory's answer to
-// a lookup. Order is deterministic (by peer name).
+// a lookup: strictly ascending by peer name, one post per peer.
 type PeerList []Post
 
 // Service stores the directory fraction a node is responsible for and
@@ -91,9 +92,12 @@ type PeerList []Post
 type Service struct {
 	node *chord.Node
 
-	mu    sync.RWMutex
-	data  map[string]map[string]Post // term → peer → post
-	floor int64                      // highest Prune minEpoch seen (posts below are dead)
+	mu sync.RWMutex
+	// data holds each term's PeerList as reads serve it, so a read copies
+	// and never sorts. Every write keeps it so: store and ReplaceTerm drop
+	// posts below floor, and Prune sweeps as it raises floor.
+	data  map[string]PeerList
+	floor int64 // highest Prune minEpoch seen (posts below are dead)
 
 	// invalidate, when set (SetInvalidation), is called after every local
 	// mutation with each affected term and the node's current prune floor
@@ -132,16 +136,13 @@ func (s *Service) fireInvalidate(terms []string, floor int64) {
 
 // NewService attaches a directory service to a Chord node.
 func NewService(node *chord.Node) *Service {
-	s := &Service{node: node, data: make(map[string]map[string]Post)}
+	s := &Service{node: node, data: make(map[string]PeerList)}
 	mux := node.Mux()
-	postRPC.Handle(mux, func(posts []Post) (int, error) {
-		s.store(posts)
-		return len(posts), nil
-	})
+	postRPC.Handle(mux, func(posts []Post) (int, error) { return s.store(posts), nil })
 	getRPC.Handle(mux, func(terms []string) (map[string]PeerList, error) {
 		out := make(map[string]PeerList, len(terms))
 		for _, t := range terms {
-			out[t] = s.peerList(t)
+			out[t] = s.Lookup(t)
 		}
 		return out, nil
 	})
@@ -151,53 +152,65 @@ func NewService(node *chord.Node) *Service {
 	return s
 }
 
-// Prune removes every stored post with Epoch < minEpoch and returns how
-// many were dropped. Terms left without posts disappear entirely. The
-// node remembers the highest minEpoch it pruned at (its prune floor, see
-// Floor) so anti-entropy repair cannot resurrect pruned posts from a
-// replica that missed the prune.
+// Prune raises the node's prune floor to minEpoch and drops every
+// stored post below it, returning how many were dropped; a minEpoch at
+// or below the floor changes nothing and returns 0. Terms left without
+// posts disappear entirely. The floor (see Floor) outlives the sweep:
+// later writes below it are dropped too, so neither a late publish nor
+// anti-entropy repair from a replica that missed the prune can bring a
+// pruned post back.
 func (s *Service) Prune(minEpoch int64) int {
 	s.mu.Lock()
-	if minEpoch > s.floor {
-		s.floor = minEpoch
+	if minEpoch <= s.floor {
+		s.mu.Unlock()
+		return 0
 	}
+	s.floor = minEpoch
 	dropped := 0
 	var touched []string
-	for term, byPeer := range s.data {
-		before := len(byPeer)
-		for peer, post := range byPeer {
-			if post.Epoch < minEpoch {
-				delete(byPeer, peer)
-				dropped++
-			}
+	for term, pl := range s.data {
+		kept := applyEpochFloor(pl, minEpoch)
+		if len(kept) == len(pl) {
+			continue
 		}
-		if len(byPeer) < before {
-			touched = append(touched, term)
-		}
-		if len(byPeer) == 0 {
+		dropped += len(pl) - len(kept)
+		touched = append(touched, term)
+		clear(pl[len(kept):])
+		if len(kept) == 0 {
 			delete(s.data, term)
+		} else {
+			s.data[term] = kept
 		}
 	}
-	floor := s.floor
 	s.mu.Unlock()
-	s.fireInvalidate(touched, floor)
+	s.fireInvalidate(touched, minEpoch)
 	return dropped
 }
 
-// store upserts posts into the local fraction: one post per (term, peer).
-func (s *Service) store(posts []Post) {
+// store upserts posts into the local fraction, one post per (term,
+// peer), and returns how many it stored: a post below the prune floor
+// is dead and dropped.
+func (s *Service) store(posts []Post) int {
 	s.mu.Lock()
+	stored := 0
 	var touched []string
 	seen := make(map[string]struct{}, len(posts))
 	for _, p := range posts {
-		byPeer := s.data[p.Term]
-		if byPeer == nil {
-			byPeer = make(map[string]Post)
+		if p.Epoch < s.floor {
+			continue
+		}
+		pl, ok := s.data[p.Term]
+		switch i := peerSlot(pl, p.Peer); {
+		case i < len(pl) && pl[i].Peer == p.Peer:
+			pl[i] = p
+		case ok:
+			s.data[p.Term] = slices.Insert(pl, i, p)
+		default:
 			// The key outlives the post: its own copy keeps it from
 			// pinning the decoded request's string section.
-			s.data[strings.Clone(p.Term)] = byPeer
+			s.data[strings.Clone(p.Term)] = PeerList{p}
 		}
-		byPeer[p.Peer] = p
+		stored++
 		if _, dup := seen[p.Term]; !dup {
 			seen[p.Term] = struct{}{}
 			touched = append(touched, p.Term)
@@ -206,19 +219,14 @@ func (s *Service) store(posts []Post) {
 	floor := s.floor
 	s.mu.Unlock()
 	s.fireInvalidate(touched, floor)
+	return stored
 }
 
-// peerList snapshots the local posts for a term, sorted by peer name.
-func (s *Service) peerList(term string) PeerList {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	byPeer := s.data[term]
-	out := make(PeerList, 0, len(byPeer))
-	for _, p := range byPeer {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
+// peerSlot returns the index of peer's post in a peer-sorted list, or
+// the index it would be inserted at. The index-based search never
+// copies a Post, as a comparator taking Post values would.
+func peerSlot(pl PeerList, peer string) int {
+	return sort.Search(len(pl), func(i int) bool { return pl[i].Peer >= peer })
 }
 
 // Floor returns the node's prune floor: the highest minEpoch any Prune
@@ -230,34 +238,6 @@ func (s *Service) Floor() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.floor
-}
-
-// raiseFloor lifts the prune floor (repair messages propagate floors
-// between replicas) and drops any stored posts that fall below it.
-func (s *Service) raiseFloor(floor int64) {
-	s.mu.Lock()
-	if floor <= s.floor {
-		s.mu.Unlock()
-		return
-	}
-	s.floor = floor
-	var touched []string
-	for term, byPeer := range s.data {
-		before := len(byPeer)
-		for peer, post := range byPeer {
-			if post.Epoch < floor {
-				delete(byPeer, peer)
-			}
-		}
-		if len(byPeer) < before {
-			touched = append(touched, term)
-		}
-		if len(byPeer) == 0 {
-			delete(s.data, term)
-		}
-	}
-	s.mu.Unlock()
-	s.fireInvalidate(touched, floor)
 }
 
 // TermCount returns how many terms this node currently stores posts for

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"iqn/internal/chord"
@@ -66,8 +67,8 @@ func (s *Service) registerHandoff() {
 		return s.PostsInRange(hr.From, hr.To), nil
 	})
 	handoffPushRPC.Handle(mux, func(hp handoffPush) (int, error) {
-		s.raiseFloor(hp.Floor)
-		s.store(applyEpochFloor(hp.Posts, s.Floor()))
+		s.Prune(hp.Floor)
+		s.store(hp.Posts)
 		return len(hp.Posts), nil
 	})
 	withdrawRPC.Handle(mux, func(wr withdrawRequest) (int, error) {
@@ -80,21 +81,19 @@ func (s *Service) registerHandoff() {
 func (s *Service) PostsInRange(from, to chord.ID) []Post {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Post
-	for term, byPeer := range s.data {
-		if !chord.InInterval(from, chord.HashKey(term), to) {
-			continue
-		}
-		for _, p := range byPeer {
-			out = append(out, p)
+	var terms []string
+	n := 0
+	for term, pl := range s.data {
+		if chord.InInterval(from, chord.HashKey(term), to) {
+			terms = append(terms, term)
+			n += len(pl)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Term != out[j].Term {
-			return out[i].Term < out[j].Term
-		}
-		return out[i].Peer < out[j].Peer
-	})
+	sort.Strings(terms)
+	out := slices.Grow([]Post(nil), n)
+	for _, term := range terms {
+		out = append(out, s.data[term]...)
+	}
 	return out
 }
 
@@ -113,15 +112,17 @@ func (s *Service) removePeerPosts(peer string, terms []string) int {
 	removed := 0
 	var touched []string
 	for _, term := range terms {
-		byPeer := s.data[term]
-		if _, ok := byPeer[peer]; !ok {
+		pl := s.data[term]
+		i := peerSlot(pl, peer)
+		if i == len(pl) || pl[i].Peer != peer {
 			continue
 		}
-		delete(byPeer, peer)
 		removed++
 		touched = append(touched, term)
-		if len(byPeer) == 0 {
+		if pl = slices.Delete(pl, i, i+1); len(pl) == 0 {
 			delete(s.data, term)
+		} else {
+			s.data[term] = pl
 		}
 	}
 	floor := s.floor
@@ -147,12 +148,13 @@ type AcquireReport struct {
 
 // AcquireRangeFrom pulls the interval (from, self] from each source in
 // turn, merges the copies per term (highest epoch wins), and stores the
-// result. Sources are best-effort: each failure is recorded in the
-// report and the remaining sources are still tried; the error is
-// non-nil only when sources existed and every one of them failed. A
-// joining node that is not yet visible to the ring can pass the range
-// bound it learned from its future successor (chord.Node.PredecessorOf)
-// before its own predecessor pointer is set.
+// result (store drops what falls below the local prune floor). Sources
+// are best-effort: each failure is recorded in the report and the
+// remaining sources are still tried; the error is non-nil only when
+// sources existed and every one of them failed. A joining node that is
+// not yet visible to the ring can pass the range bound it learned from
+// its future successor (chord.Node.PredecessorOf) before its own
+// predecessor pointer is set.
 func (s *Service) AcquireRangeFrom(from chord.ID, sources []chord.NodeRef) (AcquireReport, error) {
 	rep := AcquireReport{Sources: len(sources)}
 	if len(sources) == 0 {
@@ -181,9 +183,7 @@ func (s *Service) AcquireRangeFrom(from chord.ID, sources []chord.NodeRef) (Acqu
 	for _, lists := range byTerm {
 		merged = append(merged, MergePeerLists(lists)...)
 	}
-	merged = applyEpochFloor(merged, s.Floor())
-	s.store(merged)
-	rep.Acquired = len(merged)
+	rep.Acquired = s.store(merged)
 	return rep, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -105,16 +106,20 @@ func (s *Service) registerRepair() {
 		return digestResponse{Dig: DigestPosts(s.Lookup(term)), Floor: s.Floor()}, nil
 	})
 	repairRPC.Handle(mux, func(r repairRequest) (int, error) {
-		s.raiseFloor(r.Floor)
-		s.ReplaceTerm(r.Term, applyEpochFloor(r.Posts, r.Floor))
+		s.Prune(r.Floor)
+		s.ReplaceTerm(r.Term, r.Posts)
 		return len(r.Posts), nil
 	})
 }
 
-// Lookup returns the node's stored PeerList for a term, sorted by peer
-// name (the local fraction only — use Client.FetchAllReportOpts for a
-// network read).
-func (s *Service) Lookup(term string) PeerList { return s.peerList(term) }
+// Lookup returns a copy of the node's stored PeerList for a term,
+// sorted by peer name (the local fraction only — use
+// Client.FetchAllReportOpts for a network read).
+func (s *Service) Lookup(term string) PeerList {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.data[term])
+}
 
 // StoredTerms returns every term this node stores posts for, sorted.
 func (s *Service) StoredTerms() []string {
@@ -131,32 +136,56 @@ func (s *Service) StoredTerms() []string {
 // ReplaceTerm overwrites the node's stored posts for a term wholesale
 // (an empty list deletes the term). Unlike store's upsert, replacement
 // also removes posts absent from the new list — the semantics repair
-// needs so divergent replicas converge to identical state.
+// needs so divergent replicas converge to identical state. Posts below
+// the node's prune floor are dropped, as store drops them, and what is
+// left may come in any order: SortedByPeer sanitizes it.
 func (s *Service) ReplaceTerm(term string, posts PeerList) {
 	s.mu.Lock()
-	if len(posts) == 0 {
+	if pl := SortedByPeer(applyEpochFloor(slices.Clone(posts), s.floor)); len(pl) == 0 {
 		delete(s.data, term)
 	} else {
-		byPeer := make(map[string]Post, len(posts))
-		for _, p := range posts {
-			byPeer[p.Peer] = p
-		}
 		// As in store: the key gets its own copy, so it never pins a
 		// decoded request.
-		s.data[strings.Clone(term)] = byPeer
+		s.data[strings.Clone(term)] = pl
 	}
 	floor := s.floor
 	s.mu.Unlock()
 	s.fireInvalidate([]string{term}, floor)
 }
 
+// SortedByPeer returns pl when it is strictly sorted by peer name, as
+// the directory stores and serves it. A list that is not (a repair
+// payload, or the reply of a buggy or hostile directory) is sorted on a
+// copy and reduced to one post per peer, the last one in list order
+// winning — the upsert order store would apply.
+func SortedByPeer(pl PeerList) PeerList {
+	strict := true
+	for i := 1; i < len(pl) && strict; i++ {
+		strict = pl[i-1].Peer < pl[i].Peer
+	}
+	if strict {
+		return pl
+	}
+	out := slices.Clone(pl)
+	slices.SortStableFunc(out, func(a, b Post) int { return strings.Compare(a.Peer, b.Peer) })
+	w := 0
+	for i := range out {
+		if i+1 < len(out) && out[i+1].Peer == out[i].Peer {
+			continue
+		}
+		out[w] = out[i]
+		w++
+	}
+	return out[:w]
+}
+
 // DigestPosts computes the canonical digest of a PeerList: every
-// identity and statistics field of every post, hashed in peer order.
-// Any difference a merge could repair — a missing post, a stale epoch,
-// a diverged synopsis — changes the digest.
+// identity and statistics field of every post, hashed in peer order
+// (SortedByPeer, so the digest is order-insensitive). Any difference a
+// merge could repair — a missing post, a stale epoch, a diverged
+// synopsis — changes the digest.
 func DigestPosts(pl PeerList) TermDigest {
-	sorted := append(PeerList(nil), pl...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Peer < sorted[j].Peer })
+	sorted := SortedByPeer(pl)
 	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v int64) {
@@ -232,14 +261,12 @@ func MergePeerLists(lists []PeerList) PeerList {
 	return out
 }
 
-// applyEpochFloor drops every post below the prune floor. The merged-max
-// floor inside MergePeerLists cannot see a floor held only as node state
-// (a replica pruned to empty has no posts left to witness the epoch), so
-// repair paths apply the exchanged floor explicitly on top.
+// applyEpochFloor drops every post below the prune floor, in place. The
+// merged-max floor inside MergePeerLists cannot see a floor held only as
+// node state (a replica pruned to empty has no posts left to witness the
+// epoch), so RepairTerm applies the replica set's floor on top; a
+// Service applies its own floor on every write.
 func applyEpochFloor(pl PeerList, floor int64) PeerList {
-	if floor <= 0 {
-		return pl
-	}
 	out := pl[:0]
 	for _, p := range pl {
 		if p.Epoch >= floor {

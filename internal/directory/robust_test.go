@@ -11,49 +11,6 @@ import (
 	"iqn/internal/transport"
 )
 
-// ringOn boots n chord nodes with directory services on an arbitrary
-// transport (testRing fixed to InMem; this variant lets tests wrap the
-// network in Faulty for latency injection).
-func ringOn(t *testing.T, net transport.Network, n, replicas int) ([]*chord.Node, []*Service, []*Client) {
-	t.Helper()
-	nodes := make([]*chord.Node, n)
-	services := make([]*Service, n)
-	clients := make([]*Client, n)
-	for i := range nodes {
-		node, err := chord.New(dirAddr(i), net, chord.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		services[i] = NewService(node)
-		clients[i] = NewClient(node, replicas)
-	}
-	nodes[0].Create()
-	for i := 1; i < n; i++ {
-		if err := nodes[i].Join(nodes[0].Self().Addr); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 3; r++ {
-			for j := 0; j <= i; j++ {
-				nodes[j].Stabilize()
-			}
-		}
-	}
-	for r := 0; r < 2*n; r++ {
-		for _, node := range nodes {
-			node.Stabilize()
-		}
-	}
-	for _, node := range nodes {
-		node.FixAllFingers()
-	}
-	return nodes, services, clients
-}
-
-func dirAddr(i int) string {
-	return "dir-" + string([]byte{byte('0' + i/10), byte('0' + i%10)})
-}
-
 // serviceByAddr maps a replica address back to its service.
 func serviceByAddr(nodes []*chord.Node, services []*Service, addr string) *Service {
 	for i, n := range nodes {
@@ -155,7 +112,7 @@ func TestFetchAllReportWinnersAndFallback(t *testing.T) {
 
 func TestHedgedFetchOutrunsSlowOwner(t *testing.T) {
 	f := transport.NewFaulty(transport.NewInMem(), 11)
-	nodes, _, clients := ringOn(t, f, 5, 3)
+	nodes, _, clients := testRingOn(t, f, 5, 3)
 	c := clients[0]
 	if _, err := c.Publish([]Post{mkPost("p", "delta", 9)}); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -417,8 +416,9 @@ func errCause(err error) string {
 // The directory serves every PeerList sorted by peer name, so the
 // candidates come out of a k-way merge over the term lists, already in
 // name order: one step gathers every post of the smallest peer name at
-// the lists' heads. No per-peer state is kept beyond the candidate
-// itself.
+// the lists' heads. A list that is not sorted (a buggy or hostile
+// directory) goes through directory.SortedByPeer first. No per-peer
+// state is kept beyond the candidate itself.
 func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.PeerList) ([]core.Candidate, error) {
 	// CORI globals, with the paper's approximation: |V_avg| over the
 	// collections found in the PeerLists, np = distinct peers seen
@@ -442,7 +442,7 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 	sort.Strings(names)
 	heads := make([]directory.PeerList, len(names))
 	for i, term := range names {
-		heads[i] = peerSorted(lists[term])
+		heads[i] = directory.SortedByPeer(lists[term])
 	}
 	m := peerMerge{heads: heads, lists: make([]directory.PeerList, len(heads))}
 	m.reset()
@@ -535,31 +535,6 @@ func (m *peerMerge) skip(peer string) {
 			m.lists[i] = pl[1:]
 		}
 	}
-}
-
-// peerSorted returns pl when it is strictly sorted by peer name, as the
-// directory serves it. A list that is not (a buggy or hostile directory)
-// is sorted on a copy and reduced to one post per peer, the last one in
-// list order winning.
-func peerSorted(pl directory.PeerList) directory.PeerList {
-	strict := true
-	for i := 1; i < len(pl) && strict; i++ {
-		strict = pl[i-1].Peer < pl[i].Peer
-	}
-	if strict {
-		return pl
-	}
-	out := slices.Clone(pl)
-	slices.SortStableFunc(out, func(a, b directory.Post) int { return strings.Compare(a.Peer, b.Peer) })
-	w := 0
-	for i := range out {
-		if i+1 < len(out) && out[i+1].Peer == out[i].Peer {
-			continue
-		}
-		out[w] = out[i]
-		w++
-	}
-	return out[:w]
 }
 
 // trimPeerLists keeps only the posts of the top `limit` peers by summed

@@ -3,6 +3,7 @@ package minerva
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,15 +12,16 @@ import (
 	"iqn/internal/transport"
 )
 
-// slowNet delays every RPC, widening the in-flight window so concurrent
-// duplicate searches reliably overlap and coalesce.
+// slowNet delays every RPC once armed, widening the in-flight window so
+// concurrent duplicate searches reliably overlap and coalesce. It starts
+// disarmed, so building the network over it costs no delay.
 type slowNet struct {
 	transport.Network
-	delay time.Duration
+	delay atomic.Int64 // nanoseconds
 }
 
-func (s slowNet) Call(addr, method string, req []byte) ([]byte, error) {
-	time.Sleep(s.delay)
+func (s *slowNet) Call(addr, method string, req []byte) ([]byte, error) {
+	time.Sleep(time.Duration(s.delay.Load()))
 	return s.Network.Call(addr, method, req)
 }
 
@@ -27,12 +29,14 @@ func TestSearchCoalescingSharesExecution(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: 1500, VocabSize: 1200, Seed: 23})
 	cols := dataset.AssignSlidingWindow(corpus, 20, 4, 2)
-	net, err := BuildNetwork(slowNet{transport.NewInMem(), 10 * time.Millisecond}, corpus, cols,
+	slow := &slowNet{Network: transport.NewInMem()}
+	net, err := BuildNetwork(slow, corpus, cols,
 		Config{SynopsisSeed: 5, SearchCoalescing: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
+	slow.delay.Store(int64(10 * time.Millisecond))
 	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: 1, Seed: 23})
 	terms := queries[0].Terms
 	opts := SearchOptions{K: 20, MaxPeers: 3}

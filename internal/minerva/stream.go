@@ -65,11 +65,11 @@ const maxRerouteRounds = 4
 // progress between generation bumps never exhausts the cap.
 const maxStreamRestarts = 2
 
-// peerStream is the client-side cursor of one remote result stream.
+// peerStream is the client-side cursor of one remote result stream. The
+// entries pulled from its current generation live in the coordinator
+// (topk.Coordinator.Entries); their count is the next offset to pull.
 type peerStream struct {
 	peer core.PeerID
-	// offset is the next entry index to pull.
-	offset int
 	// gen pins the server snapshot generation after the first chunk
 	// (0 = not pinned yet).
 	gen uint64
@@ -83,11 +83,6 @@ type peerStream struct {
 	reached bool
 	// entries counts pulled entries (the per-peer result count).
 	entries int
-	// delivered accumulates the entries pulled from the current
-	// generation, feeding the adaptive log's divergence detector. A
-	// stale-cursor restart discards it along with the cursor — the old
-	// generation's ordering must not be mixed with the new one's.
-	delivered []ir.Result
 	// attempts accumulates transport attempts across chunks.
 	attempts int
 }
@@ -199,7 +194,8 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 	if !opts.DisableSelf {
 		coord.Offer("self:"+p.name, p.LocalSearch(q.Terms, opts.k(), opts.Conjunctive), true)
 	}
-	var failed []int // indexes into out.errs of the current round's failures
+	var buf []ir.Result // one chunk's entries on their way into the coordinator
+	var failed []int    // indexes into out.errs of the current round's failures
 	fail := func(ps *peerStream, errText string, unreachable bool) {
 		ps.failed = true
 		coord.RemoveSource(string(ps.peer))
@@ -237,7 +233,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			break
 		}
 		fwdStart := time.Now()
-		outcomes := p.forward(batch, q, opts, chunkSize, dl, fwdSpan)
+		outcomes := p.forward(batch, coord, q, opts, chunkSize, dl, fwdSpan)
 		fwdSpan.SetDuration("spent", time.Since(fwdStart))
 		fwdSpan.End()
 		for i, co := range outcomes {
@@ -248,8 +244,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 					// The peer re-indexed under the cursor: drop what the
 					// old generation sent and restart against the new one.
 					ps.restarts++
-					ps.offset, ps.gen = 0, 0
-					ps.delivered = nil
+					ps.gen = 0
 					addSource(ps.peer)
 					m.Counter("topk.stream_restarts").Inc()
 					continue
@@ -275,13 +270,11 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			ps.restarts = 0
 			m.Counter("topk.chunks").Inc()
 			n := len(chunk.Entries)
-			start := len(ps.delivered)
-			ps.delivered = slices.Grow(ps.delivered, n)
+			buf = slices.Grow(buf[:0], n)
 			for _, e := range chunk.Entries {
-				ps.delivered = append(ps.delivered, ir.Result{DocID: e.Doc, Score: e.Score})
+				buf = append(buf, ir.Result{DocID: e.Doc, Score: e.Score})
 			}
-			coord.Offer(string(ps.peer), ps.delivered[start:], chunk.Done)
-			ps.offset += n
+			coord.Offer(string(ps.peer), buf, chunk.Done)
 			ps.entries += n
 			m.Counter("topk.stream_entries").Add(int64(n))
 			if !ps.reached {
@@ -338,7 +331,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			continue
 		}
 		out.perPeer[ps.peer] = ps.entries
-		out.deliveries[ps.peer] = ps.delivered
+		out.deliveries[ps.peer] = coord.Entries(string(ps.peer))
 		if coord.EarlyStopped(string(ps.peer)) {
 			m.Counter("topk.early_stops").Inc()
 		}
@@ -369,7 +362,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 // through the peer's circuit-breaker set when one is armed — and
 // reports per-stream outcomes in batch order. It never swallows a
 // failure; execute decides whether to re-route or surface it.
-func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
+func (p *Peer) forward(batch []*peerStream, coord *topk.Coordinator, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
 	caller := p.caller()
 	policy := opts.Retry
 	policy.Timeout = dl.Cap(policy.Timeout)
@@ -381,12 +374,14 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 	for i, ps := range batch {
 		spans[i] = span.Child("call")
 		spans[i].Setf("peer", "%s", ps.peer)
-		spans[i].SetInt("offset", int64(ps.offset))
+		spans[i].SetInt("offset", int64(len(coord.Entries(string(ps.peer)))))
 	}
 	var wg sync.WaitGroup
 	for i, ps := range batch {
 		wg.Add(1)
-		go func(i int, ps *peerStream) {
+		// The offset is read here, not in the goroutine: the coordinator
+		// is not safe for concurrent use.
+		go func(i int, ps *peerStream, offset int) {
 			defer wg.Done()
 			s := spans[i]
 			// EncodeRequest and CallFrame rather than Call: on an in-process
@@ -396,7 +391,7 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 				Terms:       q.Terms,
 				K:           opts.k(),
 				Conjunctive: opts.Conjunctive,
-				Offset:      ps.offset,
+				Offset:      offset,
 				Size:        chunkSize,
 				Gen:         ps.gen,
 			})
@@ -417,7 +412,7 @@ func (p *Peer) forward(batch []*peerStream, q core.Query, opts SearchOptions, ch
 			s.Set("cause", errCause(err))
 			out[i] = chunkOutcome{attempts: attempts, err: err}
 			s.End()
-		}(i, ps)
+		}(i, ps, len(coord.Entries(string(ps.peer))))
 	}
 	wg.Wait()
 	return out

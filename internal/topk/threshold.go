@@ -109,6 +109,16 @@ func (c *Coordinator) Offer(id string, entries []ir.Result, done bool) {
 	}
 }
 
+// Entries returns the entries a source offered since AddSource last
+// (re)set it, in stream order, so their count is the stream's next
+// offset. Callers must not modify the slice.
+func (c *Coordinator) Entries(id string) []ir.Result {
+	if s := c.sources[id]; s != nil {
+		return s.entries
+	}
+	return nil
+}
+
 // RemoveSource drops a stream and everything it contributed — the
 // mid-stream peer-death path. The merged state is rebuilt from the
 // surviving sources, so θ can drop and previously stopped sources can

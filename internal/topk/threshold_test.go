@@ -71,9 +71,10 @@ func randomSortedLists(rng *rand.Rand, sources, universe, maxLen int) map[string
 }
 
 // runPull drives the coordinator exactly like the streaming search
-// loop: round-robin chunk pulls in source order, stop decisions after
-// each full round. It returns the results plus how many entries were
-// pulled in total (the quantity early termination minimizes).
+// loop: round-robin chunk pulls in source order, each at the offset the
+// coordinator's Entries give, stop decisions after each full round. It
+// returns the results plus how many entries were pulled in total (the
+// quantity early termination minimizes).
 func runPull(lists map[string][]ir.Result, k, chunk int, seed func(string) float64) ([]ir.Result, int) {
 	c := NewCoordinator(k)
 	ids := make([]string, 0, len(lists))
@@ -81,7 +82,6 @@ func runPull(lists map[string][]ir.Result, k, chunk int, seed func(string) float
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	offsets := map[string]int{}
 	for _, id := range ids {
 		c.AddSource(id, seed(id))
 	}
@@ -93,14 +93,13 @@ func runPull(lists map[string][]ir.Result, k, chunk int, seed func(string) float
 				continue
 			}
 			l := lists[id]
-			off := offsets[id]
+			off := len(c.Entries(id))
 			end := off + chunk
 			if end > len(l) {
 				end = len(l)
 			}
 			c.Offer(id, l[off:end], end == len(l))
 			pulled += end - off
-			offsets[id] = end
 			progress = true
 		}
 		if !progress {
@@ -257,6 +256,9 @@ func TestThresholdRemoveSourceReopens(t *testing.T) {
 	// The dominant source dies mid-stream: its entries are dropped and
 	// the weak source must resume.
 	c.RemoveSource("dying")
+	if c.Entries("dying") != nil {
+		t.Fatal("a removed source still has entries")
+	}
 	if c.Stopped("weak") {
 		t.Fatal("weak still stopped after the dominating source died")
 	}
