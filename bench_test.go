@@ -445,7 +445,7 @@ func BenchmarkMIPsKernels(b *testing.B) {
 		acc := sa.Clone().(*synopsis.MIPs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := acc.UnionInPlace(sb); err != nil {
+			if _, _, err := acc.UnionTracked(sb); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -149,8 +149,8 @@ func main() {
 		fmt.Printf("overlap:     estimated %.0f, true %d\n",
 			synopsis.OverlapFromResemblance(est, float64(len(idsA)), float64(len(idsB))), inter)
 		fmt.Printf("novelty(B|A): estimated %.0f, true %d\n", nov, distinctB-inter)
-		u, err := sa.Union(sb)
-		if err != nil {
+		u := sa.Clone()
+		if err := u.UnionInPlace(sb); err != nil {
 			fmt.Fprintln(os.Stderr, "synopsize:", err)
 			os.Exit(1)
 		}

@@ -297,7 +297,10 @@ func (n *Node) FindSuccessor(id ID) (NodeRef, error) {
 	cur := n.self
 	var lastErr error
 	for hop := 0; hop < maxHops; hop++ {
-		succs, err := n.successorListOf(cur)
+		succs, err := n.SuccessorsOf(cur)
+		if err == nil && len(succs) == 0 {
+			err = fmt.Errorf("%w: %s has no successors", ErrNotFound, cur.Addr)
+		}
 		if err != nil {
 			// cur died mid-walk: remember it and restart from self.
 			n.metrics.lookupRestarts.Inc()
@@ -340,22 +343,6 @@ func (n *Node) FindSuccessor(id ID) (NodeRef, error) {
 		return NodeRef{}, fmt.Errorf("%w: exceeded %d hops for %s (last error: %v)", ErrNotFound, maxHops, id, lastErr)
 	}
 	return NodeRef{}, fmt.Errorf("%w: exceeded %d hops for %s", ErrNotFound, maxHops, id)
-}
-
-// successorListOf fetches a node's successor list: locally for self,
-// remotely otherwise.
-func (n *Node) successorListOf(ref NodeRef) ([]NodeRef, error) {
-	if ref.Addr == n.self.Addr {
-		return n.SuccessorList(), nil
-	}
-	succs, _, err := successorsRPC.Call(n.rpc(), ref.Addr, none, oneShot)
-	if err != nil {
-		return nil, err
-	}
-	if len(succs) == 0 {
-		return nil, fmt.Errorf("%w: %s has no successors", ErrNotFound, ref.Addr)
-	}
-	return succs, nil
 }
 
 // closestPrecedingOf evaluates the closest-preceding-finger step on a
@@ -431,11 +418,11 @@ func (n *Node) ReplicaSet(key string, count int) ([]NodeRef, error) {
 		return out, nil
 	}
 	seen := map[string]struct{}{owner.Addr: {}}
-	succs, err := n.successorListOf(owner)
-	if err != nil {
+	succs, err := n.SuccessorsOf(owner)
+	if err != nil || len(succs) == 0 {
 		// The owner resolved but does not answer (it may have just
-		// died): walk the ring past it so callers still get live
-		// replicas to fail over to.
+		// died) or names no successor: walk the ring past it so callers
+		// still get live replicas to fail over to.
 		prev := owner
 		for len(out) < count {
 			next, werr := n.FindSuccessor(prev.ID + 1)

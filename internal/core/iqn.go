@@ -99,28 +99,6 @@ func isBloom(s synopsis.Set) bool {
 	return ok
 }
 
-// unionRef folds set into *ref in place when the family supports it and
-// by allocate-and-replace otherwise. The resulting reference is
-// value-identical either way. *ref must be owned by the caller (a Clone,
-// never a candidate's synopsis). MIPs references go through unionRefMIPs
-// instead, for the change evidence.
-func unionRef(ref *synopsis.Set, set synopsis.Set) error {
-	switch r := (*ref).(type) {
-	case *synopsis.MIPs:
-		_, _, err := r.UnionInPlace(set)
-		return err
-	case synopsis.InPlaceUnioner:
-		return r.UnionInPlace(set)
-	default:
-		u, err := (*ref).Union(set)
-		if err != nil {
-			return err
-		}
-		*ref = u
-		return nil
-	}
-}
-
 // combinedSynopsis caches a candidate's query-specific synopsis.
 type combinedSynopsis struct {
 	set  synopsis.Set
@@ -347,7 +325,7 @@ func (s *perPeerState) absorb(idx int, c *Candidate) (float64, error) {
 		s.refIsBloom = isBloom(s.ref)
 		s.maskLog = append(s.maskLog, ^uint64(0))
 	} else if refM, ok := s.ref.(*synopsis.MIPs); ok {
-		changed, shrunk, err := refM.UnionInPlace(cs.set)
+		changed, shrunk, err := refM.UnionTracked(cs.set)
 		if err != nil {
 			return 0, err
 		}
@@ -356,7 +334,7 @@ func (s *perPeerState) absorb(idx int, c *Candidate) (float64, error) {
 		}
 		s.maskLog = append(s.maskLog, changed)
 	} else {
-		if err := unionRef(&s.ref, cs.set); err != nil {
+		if err := s.ref.UnionInPlace(cs.set); err != nil {
 			return 0, err
 		}
 		s.maskLog = append(s.maskLog, ^uint64(0))
@@ -565,11 +543,8 @@ func (s *termState) absorb(idx int, c *Candidate) (float64, error) {
 				set = set.Clone()
 			}
 			s.refs[t] = set
-		} else {
-			if err := unionRef(&ref, set); err != nil {
-				return 0, err
-			}
-			s.refs[t] = ref
+		} else if err := ref.UnionInPlace(set); err != nil {
+			return 0, err
 		}
 		s.cards[t] += n
 		total += n

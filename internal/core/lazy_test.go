@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -137,12 +138,55 @@ func randPlanCandidates(rng *rand.Rand, cfg synopsis.Config, n int, terms []stri
 	return cands
 }
 
+// inputBytes encodes every synopsis Route may read — the plain and the
+// histogram-cell synopses of the initiator and every candidate, in a
+// fixed order — so a test can prove a call folded only into synopses it
+// owns.
+func inputBytes(t *testing.T, initiator *Candidate, cands []Candidate) [][]byte {
+	t.Helper()
+	all := cands
+	if initiator != nil {
+		all = append([]Candidate{*initiator}, cands...)
+	}
+	var out [][]byte
+	add := func(s synopsis.Set) {
+		b, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	for _, c := range all {
+		var terms []string
+		for term := range c.TermSynopses {
+			terms = append(terms, term)
+		}
+		sort.Strings(terms)
+		for _, term := range terms {
+			add(c.TermSynopses[term])
+			if h := c.TermHistograms[term]; h != nil {
+				for _, cell := range h.Cells {
+					if cell.Synopsis != nil {
+						add(cell.Synopsis)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // assertSamePlan requires Route's plan and the oracle's to be identical
-// down to the float bits of every Step.
+// down to the float bits of every Step, and both to leave every input
+// synopsis byte-identical: aggregation folds only into clones.
 func assertSamePlan(t *testing.T, q Query, initiator *Candidate, cands []Candidate, opts Options) {
 	t.Helper()
+	before := inputBytes(t, initiator, cands)
 	exhaustive, errEx := selectExhaustive(q, initiator, cands, opts)
 	lazy, errLazy := Route(q, initiator, cands, opts)
+	if !reflect.DeepEqual(inputBytes(t, initiator, cands), before) {
+		t.Fatal("routing modified an input synopsis")
+	}
 	if (errEx == nil) != (errLazy == nil) {
 		t.Fatalf("error disagreement: exhaustive=%v lazy=%v", errEx, errLazy)
 	}

@@ -44,20 +44,18 @@ func combinePerPeer(c Candidate, q Query) (synopsis.Set, float64, error) {
 			cardUpper += s.Cardinality()
 		}
 		if acc == nil {
-			acc = s.Clone()
+			acc = s.Clone() // owned: the term synopses are shared read-only
 			continue
 		}
 		var err error
-		var next synopsis.Set
 		if q.Type == Conjunctive {
-			next, err = intersectWithFallback(acc, s)
+			err = intersectWithFallback(acc, s)
 		} else {
-			next, err = acc.Union(s)
+			err = acc.UnionInPlace(s)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		acc = next
 	}
 	if acc == nil {
 		return nil, 0, nil
@@ -75,19 +73,14 @@ func combinePerPeer(c Candidate, q Query) (synopsis.Set, float64, error) {
 	return acc, card, nil
 }
 
-// intersectWithFallback intersects two synopses, falling back to union
-// for families without an intersection (hash sketches): the union is a
+// intersectWithFallback folds b into acc by intersection, falling back
+// to union for families without one (hash sketches): the union is a
 // superset of the intersection, so the result is a valid — if very
 // conservative — synopsis (Section 6.1).
-func intersectWithFallback(a, b synopsis.Set) (synopsis.Set, error) {
-	if ix, ok := a.(synopsis.Intersecter); ok {
-		s, err := ix.Intersect(b)
-		if err == nil {
-			return s, nil
-		}
-		if !errors.Is(err, synopsis.ErrUnsupported) {
-			return nil, err
-		}
+func intersectWithFallback(acc, b synopsis.Set) error {
+	err := acc.IntersectInPlace(b)
+	if errors.Is(err, synopsis.ErrUnsupported) {
+		return acc.UnionInPlace(b)
 	}
-	return a.Union(b)
+	return err
 }

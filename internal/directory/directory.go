@@ -296,9 +296,11 @@ func NewClient(node *chord.Node, replicas int) *Client {
 // Publish posts a batch of per-term publications: posts are grouped by
 // responsible node (so peers "batch multiple posts directed to the same
 // recipient", Section 7.2) and each group is written to the owner and its
-// replicas. The report accounts for every replica write group, and the
-// error is non-nil when a term cannot be resolved or when every group
-// failed (no replica accepted anything).
+// replicas. The report accounts for every replica write group: a group
+// counts as written only when its owner stored every post it was sent,
+// so posts an owner dropped below its prune floor surface as a
+// ReplicaError. The error is non-nil when a term cannot be resolved or
+// when every group failed (no replica stored its whole batch).
 func (c *Client) Publish(posts []Post) (PublishReport, error) {
 	var rep PublishReport
 	addrs, groups, err := groupByReplica(c, posts, func(p Post) string { return p.Term }, c.Replicas, "")
@@ -307,7 +309,12 @@ func (c *Client) Publish(posts []Post) (PublishReport, error) {
 	}
 	rep.Groups = len(addrs)
 	for _, addr := range addrs {
-		if _, err := invoke(c, postRPC, addr, groups[addr], 0); err != nil {
+		stored, err := invoke(c, postRPC, addr, groups[addr], 0)
+		if err == nil && stored < len(groups[addr]) {
+			// The owner dropped posts below its prune floor.
+			err = fmt.Errorf("stored %d of %d posts", stored, len(groups[addr]))
+		}
+		if err != nil {
 			rep.Errors = append(rep.Errors, replicaError(addr, "post", "", err))
 			continue
 		}

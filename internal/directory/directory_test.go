@@ -316,18 +316,29 @@ func TestPruneAgesOutStalePosts(t *testing.T) {
 	if len(pl) != 1 || pl[0].Peer != "live-peer" {
 		t.Fatalf("after prune PeerList = %+v", pl)
 	}
-	// Terms whose posts all expire vanish entirely.
-	if _, err := clients[0].Publish([]Post{mkPost("dead-peer", "gone", 5)}); err != nil {
+	// Terms whose posts all expire vanish entirely. The post is at the
+	// floor, so the owner stores it (below it, Publish would fail).
+	gone := mkPost("dead-peer", "gone", 5)
+	gone.Epoch = 1
+	if _, err := clients[0].Publish([]Post{gone}); err != nil {
 		t.Fatal(err)
 	}
+	if total := termTotal(services); total != 2 {
+		t.Fatalf("%d terms stored before the full prune, want 2", total)
+	}
 	clients[0].PruneBelow(10)
+	if total := termTotal(services); total != 0 {
+		t.Fatalf("%d terms survive full prune", total)
+	}
+}
+
+// termTotal sums the terms stored across the services.
+func termTotal(services []*Service) int {
 	total := 0
 	for _, s := range services {
 		total += s.TermCount()
 	}
-	if total != 0 {
-		t.Fatalf("%d terms survive full prune", total)
-	}
+	return total
 }
 
 func TestHandoffOnJoin(t *testing.T) {

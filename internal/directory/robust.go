@@ -50,9 +50,10 @@ type ReplicaError struct {
 type PublishReport struct {
 	// Groups is the number of per-replica write groups attempted.
 	Groups int
-	// Written is how many groups were acknowledged.
+	// Written is how many groups stored every post they were sent.
 	Written int
-	// Errors lists each replica write that failed.
+	// Errors lists each replica write that failed or stored fewer posts
+	// than it was sent (posts below the owner's prune floor are dropped).
 	Errors []ReplicaError
 }
 

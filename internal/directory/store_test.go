@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,8 +238,8 @@ func TestServiceMatchesMapModel(t *testing.T) {
 // TestPublishBelowFloorIsDropped pins the floor rule on the publish path:
 // once a prune raised the owners' floor, a post below it is dead on
 // arrival. An uncached read and a cached read that witnessed the floor
-// must then see the same PeerList, and the dir.post reply counts only
-// the posts stored.
+// must then see the same PeerList, the dir.post reply counts only the
+// posts stored, and Publish reports the shortfall as an error.
 func TestPublishBelowFloorIsDropped(t *testing.T) {
 	nodes, _, clients, _ := testRing(t, 4, 2)
 	live := mkPost("peerA", "omega", 5)
@@ -250,8 +251,8 @@ func TestPublishBelowFloorIsDropped(t *testing.T) {
 	clients[1].PruneBelow(3)
 	stale := mkPost("peerB", "omega", 6)
 	stale.Epoch = 1
-	if _, err := clients[0].Publish([]Post{stale}); err != nil {
-		t.Fatal(err)
+	if _, err := clients[0].Publish([]Post{stale}); err == nil {
+		t.Fatal("publish below every owner's floor succeeded, want an error")
 	}
 	uncached, err := fetch(clients[2], "omega")
 	if err != nil {
@@ -275,5 +276,36 @@ func TestPublishBelowFloorIsDropped(t *testing.T) {
 		if n, err := invoke(clients[0], postRPC, o.Addr, []Post{stale}, 0); err != nil || n != 0 {
 			t.Fatalf("dir.post of a below-floor post to %s = %d, %v; want 0 stored", o.Addr, n, err)
 		}
+	}
+}
+
+// TestPublishReportsFloorShortfall pins Publish's reading of the dir.post
+// reply: a replica group whose owner stored fewer posts than it was sent
+// (the rest fell below its prune floor) is a ReplicaError naming both
+// counts and is not counted as written, so a batch every owner dropped
+// fails the call.
+func TestPublishReportsFloorShortfall(t *testing.T) {
+	_, _, clients, _ := testRing(t, 4, 2)
+	clients[1].PruneBelow(3)
+	stale := mkPost("peerB", "omega", 6)
+	stale.Epoch = 1
+	rep, err := clients[0].Publish([]Post{stale})
+	if err == nil || rep.Written != 0 || rep.Groups != 2 {
+		t.Fatalf("publish below the floor = %+v, %v; want 0 of 2 groups written and an error", rep, err)
+	}
+	for _, re := range rep.Errors {
+		if re.Op != "post" || re.Unreachable || !strings.Contains(re.Err, "stored 0 of 1 posts") {
+			t.Fatalf("replica error %+v, want a reachable post shortfall naming both counts", re)
+		}
+	}
+	// One live and one stale post in a group: the group stored only part
+	// of its batch, so it is not written.
+	live := mkPost("peerA", "omega", 5)
+	live.Epoch = 3
+	if rep, err = clients[0].Publish([]Post{live, stale}); err == nil || rep.Written != 0 {
+		t.Fatalf("partly stale publish = %+v, %v; want no group written and an error", rep, err)
+	}
+	if rep, err = clients[0].Publish([]Post{live}); err != nil || rep.Written != rep.Groups || len(rep.Errors) != 0 {
+		t.Fatalf("publish at the floor = %+v, %v; want every group written", rep, err)
 	}
 }

@@ -11,8 +11,6 @@
 package histogram
 
 import (
-	"fmt"
-
 	"iqn/internal/ir"
 	"iqn/internal/synopsis"
 )
@@ -98,31 +96,6 @@ func (h *Histogram) SizeBits() int {
 	return n
 }
 
-// Union merges another histogram cell-wise (cell i with cell i) and
-// returns the result; the operands are unchanged. Both histograms must
-// have the same number of cells and compatible synopses. Cell counts
-// become additive upper bounds, not exact counts, because cross-peer
-// duplicates are unknown.
-func (h *Histogram) Union(other *Histogram) (*Histogram, error) {
-	if len(other.Cells) != len(h.Cells) {
-		return nil, fmt.Errorf("histogram: %d vs %d cells: %w", len(h.Cells), len(other.Cells), synopsis.ErrIncompatible)
-	}
-	out := &Histogram{Cells: make([]Cell, len(h.Cells))}
-	for i := range h.Cells {
-		u, err := h.Cells[i].Synopsis.Union(other.Cells[i].Synopsis)
-		if err != nil {
-			return nil, err
-		}
-		out.Cells[i] = Cell{
-			Lo:       min(h.Cells[i].Lo, other.Cells[i].Lo),
-			Hi:       max(h.Cells[i].Hi, other.Cells[i].Hi),
-			Synopsis: u,
-			Count:    h.Cells[i].Count + other.Cells[i].Count,
-		}
-	}
-	return out, nil
-}
-
 // Flatten unions all cells into one score-agnostic synopsis — the
 // reference set "already covered", regardless of band. Cells without a
 // synopsis (empty cells decoded off the wire) are skipped; a histogram
@@ -137,11 +110,9 @@ func (h *Histogram) Flatten() (synopsis.Set, error) {
 			acc = c.Synopsis.Clone()
 			continue
 		}
-		u, err := acc.Union(c.Synopsis)
-		if err != nil {
+		if err := acc.UnionInPlace(c.Synopsis); err != nil {
 			return nil, err
 		}
-		acc = u
 	}
 	return acc, nil
 }

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"iqn/internal/ir"
@@ -73,33 +74,16 @@ func TestSizeBits(t *testing.T) {
 	}
 }
 
-func TestUnionCellWise(t *testing.T) {
-	a := Build(ascendingPostings(0, 100), 4, cfg)
-	b := Build(ascendingPostings(1000, 100), 4, cfg)
-	u, err := a.Union(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range u.Cells {
-		if c.Count != 50 {
-			t.Fatalf("union cell %d count = %d, want 50", i, c.Count)
-		}
-		if est := c.Synopsis.Cardinality(); math.Abs(est-50)/50 > 0.5 {
-			t.Fatalf("union cell %d synopsis cardinality = %v, want ≈50", i, est)
-		}
-	}
-	// Mismatched cell counts error.
-	c := Build(ascendingPostings(0, 10), 2, cfg)
-	if _, err := a.Union(c); err == nil {
-		t.Fatal("union across cell counts succeeded")
-	}
-}
-
 func TestFlatten(t *testing.T) {
 	h := Build(ascendingPostings(0, 200), 4, cfg)
+	before := Build(ascendingPostings(0, 200), 4, cfg)
 	flat, err := h.Flatten()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Flatten folds into a copy: the cells' synopses stay as built.
+	if !reflect.DeepEqual(h, before) {
+		t.Fatal("Flatten modified the histogram's cells")
 	}
 	if est := flat.Cardinality(); math.Abs(est-200)/200 > 0.4 {
 		t.Fatalf("flattened cardinality = %v, want ≈200", est)

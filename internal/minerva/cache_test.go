@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"iqn/internal/core"
 	"iqn/internal/directory"
+	"iqn/internal/synopsis"
 	"iqn/internal/telemetry"
 )
 
@@ -103,6 +105,107 @@ func TestMaintenanceRoundInvalidatesCaches(t *testing.T) {
 		}
 		if post.Epoch < 1 {
 			t.Fatalf("fetch of %q served a below-floor post (epoch %d)", term, post.Epoch)
+		}
+	}
+}
+
+// TestSearchLeavesSharedSynopsesUntouched guards the ownership rule of
+// Aggregate-Synopses: routing folds unions and intersections in place,
+// so it must fold only into clones and references it built itself. The
+// synopses a search reads are shared — the directory cache decodes each
+// post once per epoch, and the peer memoises its own per index
+// generation — and must come out of a batch of searches byte-identical
+// (and still be the instances the next search reads), under per-peer
+// and per-term aggregation, disjunctive and conjunctive queries, with
+// and without score histograms.
+func TestSearchLeavesSharedSynopsesUntouched(t *testing.T) {
+	net, _, queries := buildTestNetwork(t, Config{
+		SynopsisSeed:      7,
+		HistogramCells:    4,
+		DirectoryCacheTTL: time.Hour,
+	})
+	p := net.Peers[0]
+	var terms []string
+	multi := 0
+	for _, q := range queries {
+		terms = append(terms, q.Terms...)
+		if len(q.Terms) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no multi-term query: nothing is aggregated")
+	}
+	lists, _, err := p.Directory().FetchAllReportOpts(terms, 0, directory.FetchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := p.snap.Load()
+	scfg := p.cfg.synopsisConfig(p.cfg.bits())
+	shared := map[string]synopsis.Set{}
+	for term, pl := range lists {
+		for _, post := range pl {
+			set, err := p.Directory().DecodedSynopsis(post)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared["dir "+term+" "+post.Peer] = set
+		}
+		if set, _ := snap.selfSynopsis(term, scfg); set != nil {
+			shared["self "+term] = set
+		}
+	}
+	selfs := 0
+	for term := range lists {
+		if shared["self "+term] != nil {
+			selfs++
+		}
+	}
+	if selfs == 0 || len(shared) == selfs {
+		t.Fatalf("%d shared synopses, %d of them the peer's own: want both kinds", len(shared), selfs)
+	}
+	encode := func() map[string][]byte {
+		out := make(map[string][]byte, len(shared))
+		for key, set := range shared {
+			b, err := set.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[key] = b
+		}
+		return out
+	}
+	before := encode()
+	searches := 0
+	for _, agg := range []core.AggregationMode{core.PerPeer, core.PerTerm} {
+		for _, conj := range []bool{false, true} {
+			for _, hist := range []bool{false, true} {
+				for _, q := range queries {
+					opts := SearchOptions{K: 20, MaxPeers: 4, Aggregation: agg, Conjunctive: conj, UseHistograms: hist}
+					if _, err := p.Search(q.Terms, opts); err != nil {
+						t.Fatal(err)
+					}
+					searches++
+				}
+			}
+		}
+	}
+	after := encode()
+	for key := range before {
+		if !reflect.DeepEqual(before[key], after[key]) {
+			t.Errorf("%d searches modified shared synopsis %s", searches, key)
+		}
+	}
+	// The searches must have read these very instances: the decode memo
+	// and the self-synopsis memo still hand them out.
+	for term, pl := range lists {
+		for _, post := range pl {
+			if set, _ := p.Directory().DecodedSynopsis(post); set != shared["dir "+term+" "+post.Peer] {
+				t.Fatalf("decode memo of %s/%s was replaced; the check above is vacuous", term, post.Peer)
+			}
+		}
+		if set, _ := snap.selfSynopsis(term, scfg); set != shared["self "+term] {
+			t.Fatalf("self-synopsis memo of %s was replaced; the check above is vacuous", term)
 		}
 	}
 }

@@ -81,8 +81,6 @@ type peerStream struct {
 	// reached records that at least one chunk arrived (the stream's
 	// candidate then seeds Reroute's reference synopsis).
 	reached bool
-	// entries counts pulled entries (the per-peer result count).
-	entries int
 	// attempts accumulates transport attempts across chunks.
 	attempts int
 }
@@ -275,7 +273,6 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 				buf = append(buf, ir.Result{DocID: e.Doc, Score: e.Score})
 			}
 			coord.Offer(string(ps.peer), buf, chunk.Done)
-			ps.entries += n
 			m.Counter("topk.stream_entries").Add(int64(n))
 			if !ps.reached {
 				ps.reached = true
@@ -330,8 +327,9 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 		if ps.failed {
 			continue
 		}
-		out.perPeer[ps.peer] = ps.entries
-		out.deliveries[ps.peer] = coord.Entries(string(ps.peer))
+		entries := coord.Entries(string(ps.peer))
+		out.perPeer[ps.peer] = len(entries)
+		out.deliveries[ps.peer] = entries
 		if coord.EarlyStopped(string(ps.peer)) {
 			m.Counter("topk.early_stops").Inc()
 		}

@@ -402,6 +402,51 @@ func TestStreamingStaleCursorRestart(t *testing.T) {
 	}
 }
 
+// TestStreamingRestartPerPeerCountsFinalGeneration re-indexes a streamed
+// peer between two of its chunks at merge depth 0, so every stream runs
+// to completion: the restarted stream's PerPeer must count only the
+// entries of the generation it finished on — the entries it delivered —
+// and match the pull path, not add the entries the restart threw away.
+func TestStreamingRestartPerPeerCountsFinalGeneration(t *testing.T) {
+	net, hook, docsOf, queries := streamHarness(t)
+	initiator := net.Peers[0]
+	q := queries[0]
+	opts := SearchOptions{K: 20, MaxPeers: 3}
+	pull, err := initiator.Search(q.Terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pull.Plan.Peers) == 0 {
+		t.Fatal("empty plan")
+	}
+	victim := pull.Plan.Peers[0]
+	restarted := false
+	hook.arm(func(addr, method string, calls int) error {
+		if method == MethodQuery && addr == string(victim) && calls == 2 && !restarted {
+			restarted = true
+			net.Peer(string(victim)).IndexCollection(docsOf[string(victim)])
+		}
+		return nil
+	})
+	opts.TopKStreaming, opts.ChunkSize = true, 2
+	stream, err := initiator.Search(q.Terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restarted {
+		t.Fatal("the victim answered in one chunk; restart not exercised")
+	}
+	if len(stream.Errors) != 0 {
+		t.Fatalf("restart surfaced as peer loss: %+v", stream.Errors)
+	}
+	if got, want := stream.PerPeer[victim], pull.PerPeer[victim]; got != want {
+		t.Fatalf("restarted stream PerPeer[%s] = %d, pull path %d", victim, got, want)
+	}
+	if !reflect.DeepEqual(stream.PerPeer, pull.PerPeer) {
+		t.Fatalf("PerPeer differs: stream %v, pull %v", stream.PerPeer, pull.PerPeer)
+	}
+}
+
 // TestStreamingRestartCounterResetsOnProgress is the regression test
 // for the stale-cursor restart cap: the cap must bound *consecutive
 // fruitless* restarts, not lifetime restarts. A long-lived stream under

@@ -36,6 +36,7 @@ import (
 	"iqn/internal/core"
 	"iqn/internal/dataset"
 	"iqn/internal/directory"
+	"iqn/internal/ir"
 	"iqn/internal/minerva"
 	"iqn/internal/telemetry"
 	"iqn/internal/transport"
@@ -765,22 +766,7 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 		for _, doc := range res.Results {
 			out.Docs = append(out.Docs, doc.DocID)
 		}
-		ref := net.ReferenceTopK(q.Terms, sc.K, false)
-		hits := 0
-		got := make(map[uint64]struct{}, len(out.Docs))
-		for _, d := range out.Docs {
-			got[d] = struct{}{}
-		}
-		for _, rd := range ref {
-			if _, ok := got[rd.DocID]; ok {
-				hits++
-			}
-		}
-		if len(ref) > 0 {
-			out.Recall = float64(hits) / float64(len(ref))
-		} else {
-			out.Recall = 1
-		}
+		out.Recall = ir.RelativeRecall(res.Results, net.ReferenceTopK(q.Terms, sc.K, false))
 		recallSum += out.Recall
 		recallN++
 		// Invariant: a peer the plan selected and that is crash-marked

@@ -11,8 +11,9 @@ import (
 // each added element sets k bit positions derived by double hashing.
 //
 // Bloom filters support all three set operations the IQN router needs —
-// union (bit-wise OR), intersection (bit-wise AND) and difference
-// (A ∧ ¬B) — and estimate cardinalities from the number of set bits. Their
+// union (bit-wise OR), intersection (bit-wise AND) and the cardinality of
+// the difference (A ∧ ¬B) — and estimate cardinalities from the number
+// of set bits. Their
 // weakness, demonstrated in the paper's Section 3.3/3.4 experiments, is
 // that the error explodes once the filter is overloaded (n ≫ m/k), and
 // that filters of different lengths are mutually incomparable, forcing a
@@ -151,21 +152,9 @@ func (b *Bloom) compatible(other Set) (*Bloom, error) {
 	return o, nil
 }
 
-// Union returns the filter of the set union: bit-wise OR (Section 5.3).
-func (b *Bloom) Union(other Set) (Set, error) {
-	o, err := b.compatible(other)
-	if err != nil {
-		return nil, err
-	}
-	u := &Bloom{m: b.m, k: b.k, bits: make([]uint64, len(b.bits)), n: -1}
-	for i := range b.bits {
-		u.bits[i] = b.bits[i] | o.bits[i]
-	}
-	return u, nil
-}
-
-// UnionInPlace ORs the other filter into the receiver word-by-word
-// without allocating. The receiver's exact cardinality becomes unknown.
+// UnionInPlace folds the other filter into the receiver: the filter of
+// the set union is the bit-wise OR (Section 5.3). The receiver's exact
+// cardinality becomes unknown.
 func (b *Bloom) UnionInPlace(other Set) error {
 	o, err := b.compatible(other)
 	if err != nil {
@@ -178,8 +167,10 @@ func (b *Bloom) UnionInPlace(other Set) error {
 	return nil
 }
 
-// IntersectInPlace ANDs the other filter into the receiver word-by-word
-// without allocating, with the same upward cardinality bias as Intersect.
+// IntersectInPlace ANDs the other filter into the receiver, the
+// intersection approximation of Section 6.1. The AND filter has a higher
+// false-positive rate than a filter built from the true intersection, so
+// cardinality estimates on it are biased upward.
 func (b *Bloom) IntersectInPlace(other Set) error {
 	o, err := b.compatible(other)
 	if err != nil {
@@ -194,10 +185,14 @@ func (b *Bloom) IntersectInPlace(other Set) error {
 
 // DifferenceCardinality estimates |B − other| — the paper's Bloom novelty
 // measure (Section 5.2) — in a single allocation-free pass: it counts the
-// set bits of b ∧ ¬other word-by-word with bits.OnesCount64 and applies
-// the fill-ratio estimate, yielding exactly the value of
-// Difference(other).Cardinality() without materializing the filter. This
-// is the inner loop of every Bloom-based IQN iteration.
+// set bits of the bit-wise difference filter b ∧ ¬other word-by-word with
+// bits.OnesCount64 and applies the fill-ratio estimate, without
+// materializing the filter. The difference filter is not an exact
+// representation of the set difference — bits shared with the reference
+// are cleared even when an element of the difference also maps to them —
+// but its cardinality estimate is what the paper's Bloom-based IQN
+// variant uses. This is the inner loop of every Bloom-based IQN
+// iteration.
 func (b *Bloom) DifferenceCardinality(other Set) (float64, error) {
 	o, err := b.compatible(other)
 	if err != nil {
@@ -208,40 +203,6 @@ func (b *Bloom) DifferenceCardinality(other Set) (float64, error) {
 		ones += bits.OnesCount64(b.bits[i] &^ o.bits[i])
 	}
 	return b.cardinalityFromOnes(float64(ones)), nil
-}
-
-// Intersect returns the bit-wise AND approximation of the intersection
-// (Section 6.1). The AND filter has a higher false-positive rate than a
-// filter built from the true intersection, so cardinality estimates on it
-// are biased upward.
-func (b *Bloom) Intersect(other Set) (Set, error) {
-	o, err := b.compatible(other)
-	if err != nil {
-		return nil, err
-	}
-	x := &Bloom{m: b.m, k: b.k, bits: make([]uint64, len(b.bits)), n: -1}
-	for i := range b.bits {
-		x.bits[i] = b.bits[i] & o.bits[i]
-	}
-	return x, nil
-}
-
-// Difference returns the bit-wise difference bf[i] = b[i] ∧ ¬other[i],
-// the paper's novelty filter (Section 5.2). It is not an exact
-// representation of the set difference — bits shared with the reference
-// are cleared even when an element of the difference also maps to them —
-// but the cardinality estimate on it is what the paper's Bloom-based IQN
-// variant uses.
-func (b *Bloom) Difference(other Set) (Set, error) {
-	o, err := b.compatible(other)
-	if err != nil {
-		return nil, err
-	}
-	d := &Bloom{m: b.m, k: b.k, bits: make([]uint64, len(b.bits)), n: -1}
-	for i := range b.bits {
-		d.bits[i] = b.bits[i] &^ o.bits[i]
-	}
-	return d, nil
 }
 
 // Resemblance estimates |A∩B| / |A∪B| from the cardinality estimates of

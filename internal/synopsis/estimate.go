@@ -28,21 +28,6 @@ func OverlapFromResemblance(r, cardA, cardB float64) float64 {
 	return ov
 }
 
-// ContainmentFromResemblance derives Containment(A,B) = |A∩B|/|B|, the
-// fraction of B already known to A, from a resemblance estimate and the
-// two cardinalities. Resemblance and containment are interconvertible
-// given both cardinalities (Section 3.1).
-func ContainmentFromResemblance(r, cardA, cardB float64) float64 {
-	if cardB <= 0 {
-		return 0
-	}
-	c := OverlapFromResemblance(r, cardA, cardB) / cardB
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
 // NoveltyFromResemblance derives the paper's novelty measure
 //
 //	Novelty(B|A) = |B − (A∩B)| = |B| − |A∩B|

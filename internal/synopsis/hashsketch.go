@@ -21,12 +21,12 @@ const fmPhi = 0.775351
 // The sketch estimates distinct counts and supports union (bit-wise OR,
 // Section 5.2/5.3 of the paper) but, as the paper notes in Section 3.4, no
 // low-error intersection is known, which limits hash sketches for
-// conjunctive multi-dimensional queries; Intersect therefore returns
+// conjunctive multi-dimensional queries; IntersectInPlace therefore returns
 // ErrUnsupported. Like Bloom filters they require equal geometry on both
 // sides of every operation.
 type HashSketch struct {
 	bitmaps []uint64
-	n       int64 // exact #adds, or -1 when unknown (after Union)
+	n       int64 // exact #adds, or -1 when unknown (after a union)
 }
 
 // NewHashSketch returns an empty sketch with m bitmaps of 64 bits. m is
@@ -112,23 +112,10 @@ func (h *HashSketch) compatible(other Set) (*HashSketch, error) {
 	return o, nil
 }
 
-// Union returns the sketch of the set union: bit-wise OR of all bitmaps —
-// a bit is set in the union sketch iff some element of either set sets it
-// (Section 5.2).
-func (h *HashSketch) Union(other Set) (Set, error) {
-	o, err := h.compatible(other)
-	if err != nil {
-		return nil, err
-	}
-	u := &HashSketch{bitmaps: make([]uint64, len(h.bitmaps)), n: -1}
-	for i := range h.bitmaps {
-		u.bitmaps[i] = h.bitmaps[i] | o.bitmaps[i]
-	}
-	return u, nil
-}
-
-// UnionInPlace ORs the other sketch's bitmaps into the receiver without
-// allocating. The receiver's exact cardinality becomes unknown.
+// UnionInPlace folds the other sketch into the receiver: the sketch of
+// the set union is the bit-wise OR of all bitmaps — a bit is set in the
+// union sketch iff some element of either set sets it (Section 5.2). The
+// receiver's exact cardinality becomes unknown.
 func (h *HashSketch) UnionInPlace(other Set) error {
 	o, err := h.compatible(other)
 	if err != nil {
@@ -141,10 +128,11 @@ func (h *HashSketch) UnionInPlace(other Set) error {
 	return nil
 }
 
-// Intersect is unsupported for hash sketches (Section 3.4: "we are not
-// aware of ways to derive aggregated synopses for the intersection").
-func (h *HashSketch) Intersect(Set) (Set, error) {
-	return nil, fmt.Errorf("%w: hash sketch intersection", ErrUnsupported)
+// IntersectInPlace is unsupported for hash sketches (Section 3.4: "we
+// are not aware of ways to derive aggregated synopses for the
+// intersection"); the receiver is left unchanged.
+func (h *HashSketch) IntersectInPlace(Set) error {
+	return fmt.Errorf("%w: hash sketch intersection", ErrUnsupported)
 }
 
 // Resemblance estimates |A∩B| / |A∪B| by inclusion-exclusion over the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -82,7 +83,7 @@ func TestHashSketchUnion(t *testing.T) {
 			seen[id] = struct{}{}
 		}
 	}
-	u, err := ha.Union(hb)
+	u, err := union(ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +101,14 @@ func TestHashSketchUnion(t *testing.T) {
 
 func TestHashSketchIntersectUnsupported(t *testing.T) {
 	a, b := NewHashSketch(8), NewHashSketch(8)
-	_, err := a.Intersect(b)
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Intersect error = %v, want ErrUnsupported", err)
+	a.Add(1)
+	b.Add(2)
+	before := a.Clone()
+	if err := a.IntersectInPlace(b); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("IntersectInPlace error = %v, want ErrUnsupported", err)
+	}
+	if !reflect.DeepEqual(a, before) {
+		t.Fatal("unsupported intersection modified the receiver")
 	}
 }
 
@@ -140,7 +146,7 @@ func TestHashSketchResemblance(t *testing.T) {
 func TestHashSketchIncompatible(t *testing.T) {
 	a := NewHashSketch(8)
 	for _, other := range []Set{NewHashSketch(16), NewMIPs(8, 1), NewBloom(64, 1)} {
-		if _, err := a.Union(other); err == nil {
+		if _, err := union(a, other); err == nil {
 			t.Errorf("Union with %T succeeded, want error", other)
 		}
 		if _, err := a.Resemblance(other); err == nil {
@@ -208,7 +214,7 @@ func TestHashSketchUnionMonotoneProperty(t *testing.T) {
 		for _, id := range idsB {
 			b.Add(id)
 		}
-		u, err := a.Union(b)
+		u, err := union(a, b)
 		if err != nil {
 			return false
 		}

@@ -36,7 +36,7 @@ const mipsEmpty uint32 = math.MaxUint32
 type MIPs struct {
 	seed uint64
 	mins []uint32
-	n    int64 // exact #adds, or -1 when unknown (after Union/Intersect)
+	n    int64 // exact #adds, or -1 when unknown (after a union or intersection)
 	// a and b are the permutation coefficients, derived from seed at
 	// construction (and after decoding) so Add stays cheap. They are not
 	// serialized — the seed regenerates them.
@@ -210,7 +210,7 @@ func (m *MIPs) Resemblance(other Set) (float64, error) {
 // min(n, 64) positions; longer vectors report only the low 64). A
 // position that matches can stop matching only if the other side's
 // minimum at that position later decreases, which is what the router's
-// change tracking in UnionInPlace detects.
+// change tracking in UnionTracked detects.
 func (m *MIPs) ResemblanceDetail(other Set) (r float64, match uint64, n int, err error) {
 	o, err := m.compatible(other)
 	if err != nil {
@@ -232,44 +232,28 @@ func (m *MIPs) ResemblanceDetail(other Set) (r float64, match uint64, n int, err
 	return float64(count) / float64(n), match, n, nil
 }
 
-// Union returns the MIPs vector of the set union: per permutation, the
+// UnionInPlace folds other into the receiver: per permutation, the
 // minimum of the combined set is the minimum of the two minima
-// (Section 5.3). The result has min(N1,N2) permutations and no longer
-// knows its exact cardinality.
-func (m *MIPs) Union(other Set) (Set, error) {
-	o, err := m.compatible(other)
-	if err != nil {
-		return nil, err
-	}
-	n := min(len(m.mins), len(o.mins))
-	u := &MIPs{seed: m.seed, mins: make([]uint32, n), n: -1, a: m.a[:n], b: m.b[:n]}
-	for i := 0; i < n; i++ {
-		u.mins[i] = min(m.mins[i], o.mins[i])
-	}
-	return u, nil
+// (Section 5.3). The receiver shrinks to min(N1,N2) permutations and no
+// longer knows its exact cardinality.
+func (m *MIPs) UnionInPlace(other Set) error {
+	_, _, err := m.UnionTracked(other)
+	return err
 }
 
-// UnionInPlace folds other into the receiver — position-wise minimum over
-// the common prefix — without allocating. It reports which of the first
-// min(n, 64) positions strictly decreased (the change evidence the lazy
-// IQN engine uses to age stale resemblance estimates) and whether the
-// receiver had to shrink to the other vector's length, which invalidates
-// previously computed resemblances altogether. The receiver's exact
-// cardinality becomes unknown, exactly as with Union.
-func (m *MIPs) UnionInPlace(other Set) (changed uint64, shrunk bool, err error) {
+// UnionTracked is UnionInPlace plus the change evidence the lazy IQN
+// engine uses to age stale resemblance estimates: which of the first
+// min(n, 64) positions strictly decreased, and whether the receiver had
+// to shrink to the other vector's length, which invalidates previously
+// computed resemblances altogether.
+func (m *MIPs) UnionTracked(other Set) (changed uint64, shrunk bool, err error) {
 	o, err := m.compatible(other)
 	if err != nil {
 		return 0, false, err
 	}
-	n := min(len(m.mins), len(o.mins))
-	if n < len(m.mins) {
-		shrunk = true
-		m.mins = m.mins[:n]
-		m.a = m.a[:n]
-		m.b = m.b[:n]
-	}
-	for i := 0; i < n; i++ {
-		if o.mins[i] < m.mins[i] {
+	shrunk = m.shrinkTo(len(o.mins))
+	for i, v := range m.mins {
+		if o.mins[i] < v {
 			m.mins[i] = o.mins[i]
 			if i < 64 {
 				changed |= 1 << uint(i)
@@ -280,72 +264,32 @@ func (m *MIPs) UnionInPlace(other Set) (changed uint64, shrunk bool, err error) 
 	return changed, shrunk, nil
 }
 
-// IntersectInPlace applies the conservative intersection heuristic of
-// Intersect — position-wise maximum — to the receiver without allocating.
+// IntersectInPlace applies the paper's conservative intersection
+// heuristic (Section 6.1): per permutation the position-wise maximum.
+// The result is not the MIPs vector of the true intersection, but the
+// true minimum can be no lower than this value, so it is a usable
+// upper-bound synopsis for conjunctive queries.
 func (m *MIPs) IntersectInPlace(other Set) error {
 	o, err := m.compatible(other)
 	if err != nil {
 		return err
 	}
-	n := min(len(m.mins), len(o.mins))
-	if n < len(m.mins) {
-		m.mins = m.mins[:n]
-		m.a = m.a[:n]
-		m.b = m.b[:n]
-	}
-	for i := 0; i < n; i++ {
-		m.mins[i] = max(m.mins[i], o.mins[i])
+	m.shrinkTo(len(o.mins))
+	for i, v := range m.mins {
+		m.mins[i] = max(v, o.mins[i])
 	}
 	m.n = -1
 	return nil
 }
 
-// Intersect returns the paper's conservative intersection heuristic
-// (Section 6.1): per permutation the position-wise maximum. The result is
-// not the MIPs vector of the true intersection, but the true minimum can
-// be no lower than this value, so it is a usable upper-bound synopsis for
-// conjunctive queries.
-func (m *MIPs) Intersect(other Set) (Set, error) {
-	o, err := m.compatible(other)
-	if err != nil {
-		return nil, err
+// shrinkTo truncates the vector to its first n permutations when it is
+// longer, reporting whether it did.
+func (m *MIPs) shrinkTo(n int) bool {
+	if n >= len(m.mins) {
+		return false
 	}
-	n := min(len(m.mins), len(o.mins))
-	x := &MIPs{seed: m.seed, mins: make([]uint32, n), n: -1, a: m.a[:n], b: m.b[:n]}
-	for i := 0; i < n; i++ {
-		x.mins[i] = max(m.mins[i], o.mins[i])
-	}
-	return x, nil
-}
-
-// DistinctRatio returns the fraction of distinct values in the vector,
-// the paper's ad-hoc estimator for the cardinality ratio of aggregated
-// vectors (Section 3.2, "no longer statistically sound"). Exposed for the
-// experimental comparison only; IQN itself uses Resemblance.
-func (m *MIPs) DistinctRatio() float64 {
-	if len(m.mins) == 0 {
-		return 0
-	}
-	seen := make(map[uint32]struct{}, len(m.mins))
-	for _, v := range m.mins {
-		seen[v] = struct{}{}
-	}
-	return float64(len(seen)) / float64(len(m.mins))
-}
-
-// Truncate returns a copy limited to the first n permutations, simulating
-// a peer that publishes a shorter synopsis for the same term (Section 7.2
-// adaptive lengths). n larger than the vector is clamped.
-func (m *MIPs) Truncate(n int) *MIPs {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(m.mins) {
-		n = len(m.mins)
-	}
-	t := &MIPs{seed: m.seed, mins: make([]uint32, n), n: m.n, a: m.a[:n], b: m.b[:n]}
-	copy(t.mins, m.mins[:n])
-	return t
+	m.mins, m.a, m.b = m.mins[:n], m.a[:n], m.b[:n]
+	return true
 }
 
 // Clone returns a deep copy.

@@ -154,7 +154,7 @@ func TestMIPsUnion(t *testing.T) {
 			seen[id] = struct{}{}
 		}
 	}
-	u, err := ma.Union(mb)
+	u, err := union(ma, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMIPsIntersectConservative(t *testing.T) {
 	for _, id := range sb {
 		mb.Add(id)
 	}
-	x, err := ma.Intersect(mb)
+	x, err := intersect(ma, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMIPsHeterogeneousLengths(t *testing.T) {
 		t.Fatalf("heterogeneous resemblance %v too far from %v", r, want)
 	}
 	// Union of different lengths yields the shorter length.
-	u, err := long.Union(short)
+	u, err := union(long, short)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMIPsHeterogeneousLengths(t *testing.T) {
 		t.Fatalf("union length = %d, want 32 (min of operands)", u.(*MIPs).Permutations())
 	}
 	// Symmetric direction works too.
-	if _, err := short.Union(long); err != nil {
+	if _, err := union(short, long); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -235,10 +235,10 @@ func TestMIPsSeedMismatch(t *testing.T) {
 	if _, err := a.Resemblance(b); err == nil {
 		t.Fatal("resemblance across seeds succeeded, want error")
 	}
-	if _, err := a.Union(b); err == nil {
+	if _, err := union(a, b); err == nil {
 		t.Fatal("union across seeds succeeded, want error")
 	}
-	if _, err := a.Intersect(b); err == nil {
+	if _, err := intersect(a, b); err == nil {
 		t.Fatal("intersect across seeds succeeded, want error")
 	}
 }
@@ -250,13 +250,21 @@ func TestMIPsKindMismatch(t *testing.T) {
 	}
 }
 
+// truncate returns a copy limited to the first n permutations, simulating
+// a peer that publishes a shorter synopsis for the same term (Section 7.2
+// adaptive lengths). n is clamped to [1, Permutations()].
+func truncate(m *MIPs, n int) *MIPs {
+	n = max(1, min(n, len(m.mins)))
+	return &MIPs{seed: m.seed, mins: append([]uint32(nil), m.mins[:n]...), n: m.n, a: m.a[:n], b: m.b[:n]}
+}
+
 func TestMIPsTruncate(t *testing.T) {
 	m := NewMIPs(64, 1)
 	for i := 0; i < 100; i++ {
 		m.Add(uint64(i))
 	}
 	for _, n := range []int{-5, 0, 1, 32, 64, 100} {
-		tr := m.Truncate(n)
+		tr := truncate(m, n)
 		want := n
 		if want < 1 {
 			want = 1
@@ -265,18 +273,18 @@ func TestMIPsTruncate(t *testing.T) {
 			want = 64
 		}
 		if tr.Permutations() != want {
-			t.Fatalf("Truncate(%d).Permutations = %d, want %d", n, tr.Permutations(), want)
+			t.Fatalf("truncate(%d).Permutations = %d, want %d", n, tr.Permutations(), want)
 		}
 	}
 	// Truncation preserves the prefix.
-	tr := m.Truncate(16)
+	tr := truncate(m, 16)
 	for i := 0; i < 16; i++ {
 		if tr.mins[i] != m.mins[i] {
-			t.Fatalf("Truncate changed min[%d]", i)
+			t.Fatalf("truncate changed min[%d]", i)
 		}
 	}
 	if tr.Cardinality() != 100 {
-		t.Fatalf("Truncate lost exact count: %v", tr.Cardinality())
+		t.Fatalf("truncate lost exact count: %v", tr.Cardinality())
 	}
 }
 
@@ -294,7 +302,7 @@ func TestMIPsCardinalityEstimate(t *testing.T) {
 		for _, id := range ids[half:] {
 			b.Add(id)
 		}
-		u, err := a.Union(b)
+		u, err := union(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,19 +310,6 @@ func TestMIPsCardinalityEstimate(t *testing.T) {
 		if relErr := math.Abs(est-float64(n)) / float64(n); relErr > 0.35 {
 			t.Fatalf("n=%d: estimate %v, rel err %v > 0.35", n, est, relErr)
 		}
-	}
-}
-
-func TestMIPsDistinctRatio(t *testing.T) {
-	m := NewMIPs(32, 1)
-	if got := m.DistinctRatio(); got != 1.0/32 {
-		t.Fatalf("empty DistinctRatio = %v, want 1/32 (all sentinels identical)", got)
-	}
-	for i := 0; i < 10000; i++ {
-		m.Add(uint64(i))
-	}
-	if got := m.DistinctRatio(); got < 0.5 {
-		t.Fatalf("DistinctRatio after many inserts = %v, want mostly distinct", got)
 	}
 }
 
@@ -346,7 +341,7 @@ func TestMIPsMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip vector differs: resemblance %v", r)
 	}
 	// Unknown-count vectors round-trip too.
-	u, _ := m.Union(m)
+	u, _ := union(m, m)
 	data, err = u.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -409,8 +404,8 @@ func TestMIPsUnionCommutativeProperty(t *testing.T) {
 		for _, id := range idsB {
 			b.Add(id)
 		}
-		u1, err1 := a.Union(b)
-		u2, err2 := b.Union(a)
+		u1, err1 := union(a, b)
+		u2, err2 := union(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -428,7 +423,7 @@ func TestMIPsUnionIdempotentProperty(t *testing.T) {
 		for _, id := range ids {
 			a.Add(id)
 		}
-		u, err := a.Union(a)
+		u, err := union(a, a)
 		if err != nil {
 			return false
 		}

@@ -23,7 +23,7 @@ import (
 // advantage that motivated the variant.
 type SuperLogLog struct {
 	buckets []uint8
-	n       int64 // exact #adds, or -1 when unknown (after Union)
+	n       int64 // exact #adds, or -1 when unknown (after a union)
 }
 
 // sllBitsPerBucket is the storage width per bucket. 5 bits suffice for
@@ -151,22 +151,9 @@ func (s *SuperLogLog) compatible(other Set) (*SuperLogLog, error) {
 	return o, nil
 }
 
-// Union returns the sketch of the set union: bucket-wise max.
-func (s *SuperLogLog) Union(other Set) (Set, error) {
-	o, err := s.compatible(other)
-	if err != nil {
-		return nil, err
-	}
-	u := &SuperLogLog{buckets: make([]uint8, len(s.buckets)), n: -1}
-	for i := range s.buckets {
-		u.buckets[i] = max(s.buckets[i], o.buckets[i])
-	}
-	return u, nil
-}
-
-// UnionInPlace folds the other sketch into the receiver by bucket-wise
-// max without allocating. The receiver's exact cardinality becomes
-// unknown.
+// UnionInPlace folds the other sketch into the receiver: the sketch of
+// the set union is the bucket-wise max. The receiver's exact cardinality
+// becomes unknown.
 func (s *SuperLogLog) UnionInPlace(other Set) error {
 	o, err := s.compatible(other)
 	if err != nil {
@@ -179,9 +166,10 @@ func (s *SuperLogLog) UnionInPlace(other Set) error {
 	return nil
 }
 
-// Intersect is unsupported, as for plain hash sketches (Section 3.4).
-func (s *SuperLogLog) Intersect(Set) (Set, error) {
-	return nil, fmt.Errorf("%w: superloglog intersection", ErrUnsupported)
+// IntersectInPlace is unsupported, as for plain hash sketches
+// (Section 3.4); the receiver is left unchanged.
+func (s *SuperLogLog) IntersectInPlace(Set) error {
+	return fmt.Errorf("%w: superloglog intersection", ErrUnsupported)
 }
 
 // Resemblance estimates |A∩B| / |A∪B| by inclusion-exclusion over the

@@ -72,7 +72,7 @@ func TestSuperLogLogUnion(t *testing.T) {
 			seen[id] = struct{}{}
 		}
 	}
-	u, err := a.Union(b)
+	u, err := union(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,14 @@ func TestSuperLogLogUnion(t *testing.T) {
 
 func TestSuperLogLogIntersectUnsupported(t *testing.T) {
 	a, b := NewSuperLogLog(16), NewSuperLogLog(16)
-	if _, err := a.Intersect(b); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Intersect error = %v", err)
+	a.Add(1)
+	b.Add(2)
+	before := a.Clone()
+	if err := a.IntersectInPlace(b); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("IntersectInPlace error = %v, want ErrUnsupported", err)
+	}
+	if !reflect.DeepEqual(a, before) {
+		t.Fatal("unsupported intersection modified the receiver")
 	}
 }
 
@@ -127,7 +133,7 @@ func TestSuperLogLogResemblance(t *testing.T) {
 func TestSuperLogLogIncompatible(t *testing.T) {
 	a := NewSuperLogLog(16)
 	for _, other := range []Set{NewSuperLogLog(32), NewMIPs(8, 1), NewBloom(64, 1), NewHashSketch(4)} {
-		if _, err := a.Union(other); err == nil {
+		if _, err := union(a, other); err == nil {
 			t.Errorf("Union with %T succeeded", other)
 		}
 	}

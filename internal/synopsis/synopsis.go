@@ -94,8 +94,15 @@ var (
 //
 // Cardinality returns the number of distinct elements: exact while the
 // synopsis has only been built by Add (every implementation counts its own
-// inserts), estimated from the synopsis contents after set operations such
-// as Union, where the exact count is no longer known.
+// inserts), estimated from the synopsis contents after a union or
+// intersection, where the exact count is no longer known.
+//
+// Union and intersection fold the argument into the receiver; a caller
+// that needs a new synopsis clones once and folds into the copy. Folding
+// is safe only on a synopsis the caller owns. The synopses a search reads
+// are shared read-only (the directory cache decodes each post once per
+// epoch, and a peer memoises its own per index generation), so routing
+// folds only into clones and references it built itself.
 type Set interface {
 	// Kind identifies the concrete family.
 	Kind() Kind
@@ -109,40 +116,20 @@ type Set interface {
 	// Resemblance estimates |A∩B| / |A∪B| against another synopsis of the
 	// same family.
 	Resemblance(other Set) (float64, error)
-	// Union returns a new synopsis approximating the union of both sets.
-	// The receiver and argument are not modified.
-	Union(other Set) (Set, error)
+	// UnionInPlace folds other into the receiver, which then approximates
+	// the union of both sets. other is not modified.
+	UnionInPlace(other Set) error
+	// IntersectInPlace folds other into the receiver, which then
+	// approximates the intersection of both sets (Bloom filters on the bit
+	// level, MIPs via the conservative position-wise max heuristic of
+	// Section 6.1). Hash sketches know no intersection and return
+	// ErrUnsupported, leaving the receiver unchanged. other is not
+	// modified.
+	IntersectInPlace(other Set) error
 	// Clone returns a deep copy.
 	Clone() Set
 	// MarshalBinary encodes the synopsis in the self-describing wire form.
 	MarshalBinary() ([]byte, error)
-}
-
-// Intersecter is implemented by synopses that can approximate set
-// intersection (Bloom filters exactly on the bit level, MIPs via the
-// conservative position-wise max heuristic of Section 6.1).
-type Intersecter interface {
-	// Intersect returns a synopsis approximating the intersection.
-	Intersect(other Set) (Set, error)
-}
-
-// Differencer is implemented by synopses that can approximate the set
-// difference A − B (Bloom filters, via the bit-wise difference of
-// Section 5.2).
-type Differencer interface {
-	// Difference returns a synopsis approximating the receiver minus other.
-	Difference(other Set) (Set, error)
-}
-
-// InPlaceUnioner is implemented by synopses that can fold another synopsis
-// of the same family into the receiver without allocating — the
-// aggregation kernel of the IQN reference synopsis. The result is
-// value-identical to replacing the receiver with Union(other). MIPs
-// vectors provide the same operation with change-tracking evidence via
-// their concrete UnionInPlace method instead.
-type InPlaceUnioner interface {
-	// UnionInPlace folds other into the receiver.
-	UnionInPlace(other Set) error
 }
 
 // Config describes how a peer builds synopses. The paper's experiments fix

@@ -1,8 +1,10 @@
 package synopsis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -145,17 +147,32 @@ func TestOverlapFromResemblance(t *testing.T) {
 	}
 }
 
+// containmentFromResemblance derives Containment(A,B) = |A∩B|/|B|, the
+// fraction of B already known to A, from a resemblance estimate and the
+// two cardinalities. Resemblance and containment are interconvertible
+// given both cardinalities (Section 3.1).
+func containmentFromResemblance(r, cardA, cardB float64) float64 {
+	if cardB <= 0 {
+		return 0
+	}
+	c := OverlapFromResemblance(r, cardA, cardB) / cardB
+	if c > 1 {
+		c = 1
+	}
+	return c
+}
+
 func TestContainmentFromResemblance(t *testing.T) {
-	if got := ContainmentFromResemblance(1, 100, 100); got != 1 {
+	if got := containmentFromResemblance(1, 100, 100); got != 1 {
 		t.Fatalf("full containment = %v, want 1", got)
 	}
-	if got := ContainmentFromResemblance(0.5, 100, 0); got != 0 {
+	if got := containmentFromResemblance(0.5, 100, 0); got != 0 {
 		t.Fatalf("empty B containment = %v, want 0", got)
 	}
 	// A small set fully inside a large one: R = 10/1000, containment of B
 	// in A should recover ≈ 1.
 	r := 10.0 / 1000.0
-	got := ContainmentFromResemblance(r, 1000, 10)
+	got := containmentFromResemblance(r, 1000, 10)
 	if math.Abs(got-1) > 0.01 {
 		t.Fatalf("containment of subset = %v, want ≈1", got)
 	}
@@ -230,5 +247,120 @@ func TestEstimateNoveltyContainedSubset(t *testing.T) {
 		if got > 100 {
 			t.Errorf("%s: contained subset novelty = %v, want ≈0 (of 200)", kind, got)
 		}
+	}
+}
+
+// union returns the union synopsis of a and b the way production builds
+// one: b folded into a clone of a. Neither operand is modified.
+func union(a, b Set) (Set, error) {
+	u := a.Clone()
+	if err := u.UnionInPlace(b); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// intersect is union's twin for IntersectInPlace.
+func intersect(a, b Set) (Set, error) {
+	x := a.Clone()
+	if err := x.IntersectInPlace(b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// payload returns a synopsis's family-specific contents — minima, bits,
+// bitmaps or buckets — without the exact count a set operation forgets.
+func payload(s Set) any {
+	switch v := s.(type) {
+	case *MIPs:
+		return v.mins
+	case *Bloom:
+		return v.bits
+	case *HashSketch:
+		return v.bitmaps
+	case *SuperLogLog:
+		return v.buckets
+	}
+	panic(fmt.Sprintf("payload: unknown synopsis %T", s))
+}
+
+// TestUnionMatchesSynopsisOfUnion pins the one union kernel against its
+// exact oracle: for every family, folding B into a clone of A yields the
+// same minima, bits or buckets as the synopsis built from A ∪ B, only
+// without the exact count. MIPs of different lengths union to the
+// shorter length, whose prefix permutations are the shorter vector's.
+func TestUnionMatchesSynopsisOfUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, kind := range []Kind{KindBloom, KindMIPs, KindHashSketch, KindSuperLogLog} {
+		for _, bits := range [][2]int{{2048, 2048}, {2048, 512}, {512, 2048}} {
+			if kind != KindMIPs && bits[0] != bits[1] {
+				continue // only MIPs combine across lengths
+			}
+			ca := Config{Kind: kind, Bits: bits[0], Seed: 9}
+			cb := Config{Kind: kind, Bits: bits[1], Seed: 9}
+			sa, sb := overlappingSets(rng, 1500, 500)
+			a, b := ca.FromIDs(sa), cb.FromIDs(sb)
+			aBefore, bBefore := a.Clone(), b.Clone()
+			u, err := union(a, b)
+			if err != nil {
+				t.Fatalf("%s %v: %v", kind, bits, err)
+			}
+			oracle := Config{Kind: kind, Bits: min(bits[0], bits[1]), Seed: 9}.FromIDs(append(sa, sb...))
+			if !reflect.DeepEqual(payload(u), payload(oracle)) {
+				t.Errorf("%s %v: union differs from the synopsis of the union", kind, bits)
+			}
+			if !reflect.DeepEqual(a, aBefore) || !reflect.DeepEqual(b, bBefore) {
+				t.Errorf("%s %v: union modified an operand", kind, bits)
+			}
+		}
+	}
+}
+
+// TestIntersectInPlaceMatchesOracle pins the intersection kernels
+// against test-local loops: the position-wise max over the common MIPs
+// prefix (Section 6.1's conservative heuristic) and the bit-wise AND of
+// two Bloom filters.
+func TestIntersectInPlaceMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, lens := range [][2]int{{64, 64}, {64, 16}, {16, 64}} {
+		sa, sb := overlappingSets(rng, 800, 300)
+		a, b := NewMIPs(lens[0], 4), NewMIPs(lens[1], 4)
+		for _, id := range sa {
+			a.Add(id)
+		}
+		for _, id := range sb {
+			b.Add(id)
+		}
+		want := make([]uint32, min(lens[0], lens[1]))
+		for i := range want {
+			want[i] = max(a.mins[i], b.mins[i])
+		}
+		x, err := intersect(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := x.(*MIPs).mins; !reflect.DeepEqual(got, want) {
+			t.Errorf("MIPs %v: intersection minima differ from the position-wise max", lens)
+		}
+	}
+	sa, sb := overlappingSets(rng, 800, 300)
+	a, b := NewBloom(4096, 3), NewBloom(4096, 3)
+	for _, id := range sa {
+		a.Add(id)
+	}
+	for _, id := range sb {
+		b.Add(id)
+	}
+	want := make([]uint64, len(a.bits))
+	for i := range want {
+		want[i] = a.bits[i] & b.bits[i]
+	}
+	x, err := intersect(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x.(*Bloom).bits; !reflect.DeepEqual(got, want) {
+		t.Error("Bloom intersection differs from the bit-wise AND")
 	}
 }
