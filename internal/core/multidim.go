@@ -27,8 +27,13 @@ import (
 // Hash sketches have no intersection; per the paper's Section 6.1 the
 // crude-but-valid fallback is to use the union (a superset of the
 // intersection), degrading accuracy but never correctness.
+//
+// The returned synopsis is read-only: for a candidate with one synopsis
+// among the query terms it is that term's shared synopsis itself, and
+// only a fold of two or more works on a clone.
 func combinePerPeer(c Candidate, q Query) (synopsis.Set, float64, error) {
 	var acc synopsis.Set
+	owned := false
 	var cardUpper float64
 	for _, t := range q.Terms {
 		s := c.TermSynopses[t]
@@ -44,8 +49,11 @@ func combinePerPeer(c Candidate, q Query) (synopsis.Set, float64, error) {
 			cardUpper += s.Cardinality()
 		}
 		if acc == nil {
-			acc = s.Clone() // owned: the term synopses are shared read-only
+			acc = s // shared read-only until a second synopsis folds in
 			continue
+		}
+		if !owned {
+			acc, owned = acc.Clone(), true // fold into a copy, never a shared set
 		}
 		var err error
 		if q.Type == Conjunctive {

@@ -5,7 +5,6 @@ import (
 
 	"iqn/internal/adapt"
 	"iqn/internal/core"
-	"iqn/internal/directory"
 	"iqn/internal/ir"
 )
 
@@ -14,7 +13,7 @@ import (
 // initiator records which remote peers actually contributed entries to
 // the merged top-k, alongside what the routing layer predicted
 // (plan-step novelty) and what the directory claimed (the summed
-// MaxScore seed bound streamSeedBounds computes for the streaming
+// MaxScore seed bound candidate assembly computes for the streaming
 // protocol — reused here as the peer's claimed score ceiling). The
 // adapt.Store turns those observations into a per-peer routing prior
 // and a divergence detector; search.go folds the prior back into
@@ -27,7 +26,7 @@ import (
 // and therefore contribute no observation — the breaker/reroute layers
 // already own transient-failure policy, and a dead peer must not be
 // mistaken for a lying one.
-func (p *Peer) recordAdaptive(terms []string, plan core.Plan, lists map[string]directory.PeerList, exec execOutcome, merged []ir.Result, opts SearchOptions) {
+func (p *Peer) recordAdaptive(terms []string, plan core.Plan, s *searchScratch, exec execOutcome, merged []ir.Result, opts SearchOptions) {
 	if len(exec.deliveries) == 0 {
 		return
 	}
@@ -58,10 +57,9 @@ func (p *Peer) recordAdaptive(terms []string, plan core.Plan, lists map[string]d
 		}
 	}
 	predicted := make(map[core.PeerID]float64, len(plan.Steps))
-	for _, s := range plan.Steps {
-		predicted[s.Peer] = s.Novelty
+	for _, step := range plan.Steps {
+		predicted[step.Peer] = step.Novelty
 	}
-	claimed := streamSeedBounds(terms, lists)
 	peers := make([]core.PeerID, 0, len(exec.deliveries))
 	for peer := range exec.deliveries {
 		peers = append(peers, peer)
@@ -73,10 +71,11 @@ func (p *Peer) recordAdaptive(terms []string, plan core.Plan, lists map[string]d
 	obs := adapt.Observation{Terms: terms, Peers: make([]adapt.PeerObservation, 0, len(peers))}
 	for _, peer := range peers {
 		results := exec.deliveries[peer]
+		claimed, _ := s.seedBound(peer)
 		po := adapt.PeerObservation{
 			Peer:             peer,
 			PredictedNovelty: predicted[peer],
-			ClaimedMax:       claimed[peer],
+			ClaimedMax:       claimed,
 			Delivered:        len(results),
 		}
 		for _, r := range results {

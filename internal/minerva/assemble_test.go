@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -90,6 +91,12 @@ func assembleOracle(p *Peer, terms []string, lists map[string]directory.PeerList
 		cands = append(cands, c)
 	}
 	return cands, nil
+}
+
+// assembleCandidates assembles into a fresh working set, so the
+// candidates it returns are the caller's to keep.
+func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.PeerList) ([]core.Candidate, error) {
+	return p.assemble(new(searchScratch), terms, lists)
 }
 
 // assemblyFixture is one peer on a one-node ring whose directory holds a
@@ -246,38 +253,96 @@ func TestAssembleMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestAssembleReusedScratchMatchesOracle holds assembly into one reused
+// working set to the oracle across directories of every size: slots that
+// held a candidate (and its histograms) in an earlier assembly are
+// cleared and refilled, slots past the old capacity get new maps, and no
+// term, histogram or seed bound leaks from one assembly into the next.
+func TestAssembleReusedScratchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2007))
+	s := new(searchScratch)
+	for iter := 0; iter < 40; iter++ {
+		f := newAssemblyFixture(t, rng, time.Hour, 1+rng.Intn(30), 1+rng.Intn(4), iter%2 == 0, 0.7, 0.5*float64(iter%3))
+		// Query order is not name order, and a term may repeat: the
+		// seed bound sums over the distinct terms in query order.
+		terms := append([]string(nil), f.terms...)
+		rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+		if iter%3 == 0 {
+			terms = append(terms, terms[0])
+		}
+		want, err := assembleOracle(f.peer, terms, f.lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.peer.assemble(s, terms, f.lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(s.bounds) != len(got) {
+			t.Fatalf("iter %d: %d candidates and %d bounds, oracle %d candidates", iter, len(got), len(s.bounds), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Peer != w.Peer || math.Float64bits(g.Quality) != math.Float64bits(w.Quality) ||
+				!reflect.DeepEqual(g.TermSynopses, w.TermSynopses) ||
+				!reflect.DeepEqual(g.TermCardinalities, w.TermCardinalities) ||
+				!reflect.DeepEqual(g.TermHistograms, w.TermHistograms) {
+				t.Fatalf("iter %d cand %d (%s): differs from the oracle", iter, i, w.Peer)
+			}
+			var bound float64
+			for i, term := range terms {
+				if slices.Index(terms, term) < i {
+					continue
+				}
+				for _, post := range f.lists[term] {
+					if post.Peer == string(w.Peer) {
+						bound += post.MaxScore
+					}
+				}
+			}
+			if math.Float64bits(s.bounds[i]) != math.Float64bits(bound) {
+				t.Fatalf("iter %d %s: seed bound %v, want %v", iter, w.Peer, s.bounds[i], bound)
+			}
+		}
+	}
+}
+
 // TestAssembleAllocsPerCandidate guards the warm path: on cached lists
-// whose synopses are already decoded, assembly allocates the candidate's
-// two term maps (two allocations each) and a constant, nothing per post.
+// whose synopses are already decoded, assembly into a reused working set
+// refills the candidates' cleared term maps and allocates nothing per
+// candidate and nothing per post — at most a few allocations in all.
 func TestAssembleAllocsPerCandidate(t *testing.T) {
 	f := newAssemblyFixture(t, rand.New(rand.NewSource(5)), time.Hour, 64, 3, true, 1, 0)
-	cands, err := f.peer.assembleCandidates(f.terms, f.lists) // decodes once per epoch
+	s := new(searchScratch)
+	cands, err := f.peer.assemble(s, f.terms, f.lists) // decodes once per epoch
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := f.peer.assembleCandidates(f.terms, f.lists); err != nil {
+		if _, err := f.peer.assemble(s, f.terms, f.lists); err != nil {
 			t.Fatal(err)
 		}
 	})
-	limit := float64(4*len(cands) + 16)
-	t.Logf("%d candidates: %.0f allocations (limit %.0f)", len(cands), allocs, limit)
+	const limit = 4
+	t.Logf("%d candidates: %.0f allocations (limit %d)", len(cands), allocs, limit)
 	if allocs > limit {
-		t.Fatalf("assembling %d candidates made %.0f allocations, limit %.0f", len(cands), allocs, limit)
+		t.Fatalf("assembling %d candidates made %.0f allocations, limit %d", len(cands), allocs, limit)
 	}
 }
 
-// BenchmarkAssembleCandidates times warm-path assembly: 64 peers over
-// three cached terms, every synopsis already decoded.
+// BenchmarkAssembleCandidates times warm-path assembly into a reused
+// working set: 64 peers over three cached terms, every synopsis already
+// decoded.
 func BenchmarkAssembleCandidates(b *testing.B) {
 	f := newAssemblyFixture(b, rand.New(rand.NewSource(5)), time.Hour, 64, 3, true, 1, 0)
-	if _, err := f.peer.assembleCandidates(f.terms, f.lists); err != nil {
+	s := new(searchScratch)
+	if _, err := f.peer.assemble(s, f.terms, f.lists); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.peer.assembleCandidates(f.terms, f.lists); err != nil {
+		if _, err := f.peer.assemble(s, f.terms, f.lists); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -225,12 +225,13 @@ func TestExecuteBudgetExpiredBeforeForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := p.assembleCandidates(terms, lists)
+	s := new(searchScratch)
+	cands, err := p.assemble(s, terms, lists)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := core.Query{Terms: terms}
-	self := p.selfCandidate(terms)
+	self := p.selfCandidate(s, terms)
 	plan, err := core.Route(q, self, cands, core.Options{MaxPeers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +248,7 @@ func TestExecuteBudgetExpiredBeforeForwarding(t *testing.T) {
 	} {
 		dl := core.StartDeadline(time.Nanosecond)
 		time.Sleep(time.Millisecond)
-		exec, merged := p.execute(q, plan, lists, self, cands, opts, nil, dl, nil)
+		exec, merged := p.execute(q, plan, s, self, opts, nil, dl, nil)
 		if !exec.budgetExpired {
 			t.Fatal("budgetExpired not set")
 		}

@@ -192,6 +192,12 @@ type Peer struct {
 	searchMu      sync.Mutex
 	searchFlights map[string]*searchFlight
 
+	// scratch pools the per-search working sets (searchScratch).
+	scratch sync.Pool
+	// selfSource names the initiator's own result list in a search's
+	// top-k coordinator.
+	selfSource string
+
 	queriesServed atomic.Int64
 }
 
@@ -358,6 +364,8 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 		svc:  directory.NewService(node),
 		dir:  directory.NewClient(node, replicas),
 	}
+	p.scratch.New = func() any { return new(searchScratch) }
+	p.selfSource = "self:" + addr
 	if cfg.Adaptive != nil {
 		store, err := adapt.NewStore(*cfg.Adaptive, cfg.Metrics)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -232,10 +233,11 @@ func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOpt
 		p.searchMu.Unlock()
 		<-f.done
 		p.cfg.Metrics.Counter("search.coalesced").Inc()
-		span := telemetry.SpanFrom(ctx)
-		span.Setf("terms", "%s", strings.Join(terms, ","))
-		span.Set("coalesced", "true")
-		span.End()
+		if span := telemetry.SpanFrom(ctx); span != nil {
+			span.Set("terms", strings.Join(terms, ","))
+			span.Set("coalesced", "true")
+			span.End()
+		}
 		if f.err != nil {
 			return nil, f.err
 		}
@@ -286,7 +288,9 @@ func coalesceKey(terms []string, o SearchOptions) string {
 func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts SearchOptions) (*SearchResult, error) {
 	m := p.cfg.Metrics
 	span := telemetry.SpanFrom(ctx)
-	span.Setf("terms", "%s", strings.Join(terms, ","))
+	if span != nil {
+		span.Set("terms", strings.Join(terms, ","))
+	}
 	span.Set("method", opts.Method.String())
 	span.SetInt("max_peers", int64(opts.maxPeers()))
 
@@ -310,7 +314,9 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	if opts.CandidateLimit > 0 {
 		lists = trimPeerLists(lists, opts.CandidateLimit)
 	}
-	cands, err := p.assembleCandidates(terms, lists)
+	s := p.scratch.Get().(*searchScratch)
+	defer p.scratch.Put(s)
+	cands, err := p.assemble(s, terms, lists)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +350,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	}
 	var initiator *core.Candidate
 	if !opts.DisableSelf {
-		initiator = p.selfCandidate(terms)
+		initiator = p.selfCandidate(s, terms)
 	}
 	var plan core.Plan
 	switch opts.Method {
@@ -362,7 +368,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	}
 	routeSpan.SetInt("planned", int64(len(plan.Peers)))
 	routeSpan.End()
-	exec, merged := p.execute(q, plan, lists, initiator, cands, opts, routeOpts.Prior, dl, span)
+	exec, merged := p.execute(q, plan, s, initiator, opts, routeOpts.Prior, dl, span)
 	exec.budgetExpired = exec.budgetExpired || fetchExpired
 	if exec.budgetExpired {
 		span.Set("budget_expired", "true")
@@ -372,7 +378,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 		m.Counter("search.rerouted_peers").Add(int64(n))
 	}
 	if p.adaptive != nil {
-		p.recordAdaptive(terms, plan, lists, exec, merged, opts)
+		p.recordAdaptive(terms, plan, s, exec, merged, opts)
 	}
 	span.End()
 	return &SearchResult{
@@ -409,23 +415,28 @@ func errCause(err error) string {
 	}
 }
 
-// assembleCandidates turns the fetched PeerLists into routing candidates:
-// per peer, the per-term synopses, cardinalities, histograms, and the
-// CORI quality score computed from the posted statistics.
+// assemble turns the fetched PeerLists into routing candidates, built
+// in the search's working set: per peer, the per-term synopses,
+// cardinalities, histograms, the CORI quality score computed from the
+// posted statistics, and the seeded score ceiling of the streaming
+// protocol (s.bounds).
 //
 // The directory serves every PeerList sorted by peer name, so the
 // candidates come out of a k-way merge over the term lists, already in
 // name order: one step gathers every post of the smallest peer name at
 // the lists' heads. A list that is not sorted (a buggy or hostile
 // directory) goes through directory.SortedByPeer first. No per-peer
-// state is kept beyond the candidate itself.
-func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.PeerList) ([]core.Candidate, error) {
+// state is kept beyond the candidate itself, and a candidate slot that
+// held one in an earlier search is cleared and refilled, so a warm
+// assembly allocates nothing per candidate.
+func (p *Peer) assemble(s *searchScratch, terms []string, lists map[string]directory.PeerList) ([]core.Candidate, error) {
 	// CORI globals, with the paper's approximation: |V_avg| over the
 	// collections found in the PeerLists, np = distinct peers seen
 	// (excluding ourselves, which is not a routing candidate). Every
 	// |V_i| is an integer, so the sum is exact in any list order.
-	g := cori.GlobalStats{CollectionFreq: make(map[string]int, len(lists))}
-	names := make([]string, 0, len(lists))
+	s.collFreq = clearedMap(s.collFreq, len(lists))
+	g := cori.GlobalStats{CollectionFreq: s.collFreq}
+	names := s.names[:0]
 	var spaceSum float64
 	var spaceN int
 	for term, pl := range lists {
@@ -439,12 +450,22 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 	if spaceN > 0 {
 		g.AvgTermSpaceSize = spaceSum / float64(spaceN)
 	}
-	sort.Strings(names)
-	heads := make([]directory.PeerList, len(names))
+	slices.Sort(names)
+	s.names = names
+	s.heads = grown(s.heads, len(names))
 	for i, term := range names {
-		heads[i] = directory.SortedByPeer(lists[term])
+		s.heads[i] = directory.SortedByPeer(lists[term])
 	}
-	m := peerMerge{heads: heads, lists: make([]directory.PeerList, len(heads))}
+	// The seed bound sums a peer's MaxScore over the query's distinct
+	// terms in query order, so its bits do not depend on map order.
+	s.seedTerms = s.seedTerms[:0]
+	for _, term := range terms {
+		if i, ok := slices.BinarySearch(names, term); ok && !slices.Contains(s.seedTerms, i) {
+			s.seedTerms = append(s.seedTerms, i)
+		}
+	}
+	s.lists = grown(s.lists, len(names))
+	m := peerMerge{heads: s.heads, lists: s.lists}
 	m.reset()
 	for peer, ok := m.next(); ok; peer, ok = m.next() {
 		if peer != p.name {
@@ -452,22 +473,22 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 		}
 		m.skip(peer)
 	}
-	cands := make([]core.Candidate, 0, g.NumPeers)
+	cands, bounds := s.cands[:0], s.bounds[:0]
 	// cori.Score only reads the stats, so one DocFreq map serves every
 	// candidate in turn.
-	stats := cori.CollectionStats{DocFreq: make(map[string]int, len(names))}
+	s.docFreq = clearedMap(s.docFreq, len(names))
+	stats := cori.CollectionStats{DocFreq: s.docFreq}
+	s.posts = grown(s.posts, len(names))
 	m.reset()
 	for peer, ok := m.next(); ok; peer, ok = m.next() {
 		if peer == p.name {
 			m.skip(peer)
 			continue
 		}
-		c := core.Candidate{
-			Peer:              core.PeerID(peer),
-			TermSynopses:      make(map[string]synopsis.Set, len(names)),
-			TermCardinalities: make(map[string]float64, len(names)),
-		}
+		var c *core.Candidate
+		cands, c = nextCandidate(cands, peer, len(names))
 		clear(stats.DocFreq)
+		clear(s.posts)
 		for i := range m.lists {
 			pl := m.lists[i]
 			if len(pl) == 0 || pl[0].Peer != peer {
@@ -475,6 +496,7 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 			}
 			post := &pl[0]
 			m.lists[i] = pl[1:]
+			s.posts[i] = post
 			term := names[i]
 			stats.DocFreq[term] = post.ListLength
 			stats.TermSpaceSize = post.TermSpaceSize
@@ -496,14 +518,27 @@ func (p *Peer) assembleCandidates(terms []string, lists map[string]directory.Pee
 					return nil, fmt.Errorf("minerva: histogram of %s/%s: %w", peer, term, err)
 				}
 				if c.TermHistograms == nil {
-					c.TermHistograms = map[string]*histogram.Histogram{}
+					c.TermHistograms = s.histograms(len(cands) - 1)
 				}
 				c.TermHistograms[term] = h
 			}
 		}
 		c.Quality = cori.Score(terms, stats, g)
-		cands = append(cands, c)
+		// Local scores add per-term contributions over distinct terms
+		// (ir.Index.Search collapses duplicates), so no document at the
+		// peer scores above this sum — a sound ceiling until the first
+		// chunk refines it. Like routing itself, the seed trusts the
+		// published statistics; a peer whose index grew since its last
+		// publish is re-bounded by its first chunk.
+		var bound float64
+		for _, i := range s.seedTerms {
+			if post := s.posts[i]; post != nil {
+				bound += post.MaxScore
+			}
+		}
+		bounds = append(bounds, bound)
 	}
+	s.cands, s.bounds = cands, bounds
 	return cands, nil
 }
 
@@ -607,22 +642,24 @@ func decodeHistogram(cells []directory.HistCell) (*histogram.Histogram, error) {
 // selfCandidate builds the initiator's reference seed from its local
 // per-term synopses (Section 5.1's alternative to executing the query
 // locally first; equivalent for novelty purposes and cheaper).
-func (p *Peer) selfCandidate(terms []string) *core.Candidate {
-	s := p.snap.Load()
-	if s == nil {
+// The candidate is the working set's: its maps are reused per search.
+func (p *Peer) selfCandidate(s *searchScratch, terms []string) *core.Candidate {
+	snap := p.snap.Load()
+	if snap == nil {
 		return nil
 	}
-	c := &core.Candidate{
+	c := &s.self
+	*c = core.Candidate{
 		Peer:              core.PeerID(p.name),
-		TermSynopses:      map[string]synopsis.Set{},
-		TermCardinalities: map[string]float64{},
+		TermSynopses:      clearedMap(c.TermSynopses, len(terms)),
+		TermCardinalities: clearedMap(c.TermCardinalities, len(terms)),
 	}
 	scfg := p.cfg.synopsisConfig(p.cfg.bits())
 	for _, t := range terms {
 		// Memoized per index generation: routing treats candidate
 		// synopses as read-only, so every query sharing a term shares
 		// one Set instead of rebuilding MIPs per query.
-		set, card := s.selfSynopsis(t, scfg)
+		set, card := snap.selfSynopsis(t, scfg)
 		if set == nil {
 			continue
 		}

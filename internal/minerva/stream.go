@@ -4,13 +4,10 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"iqn/internal/core"
-	"iqn/internal/directory"
 	"iqn/internal/ir"
 	"iqn/internal/telemetry"
 	"iqn/internal/topk"
@@ -99,30 +96,6 @@ func isStaleCursor(err error) bool {
 	return errors.As(err, &re) && strings.Contains(err.Error(), staleCursorMsg)
 }
 
-// streamSeedBounds computes each candidate peer's seeded score upper
-// bound from the directory statistics the search already fetched: the
-// sum over the query's distinct terms of the peer's posted MaxScore.
-// Local scores aggregate per-term contributions additively over
-// distinct terms (ir.Index.Search collapses duplicates), so no
-// document at the peer can score above this sum — a sound ceiling
-// until the first chunk refines it. Like routing itself, the seed
-// trusts the published statistics; a peer whose index grew since its
-// last publish is re-bounded by its first chunk.
-func streamSeedBounds(terms []string, lists map[string]directory.PeerList) map[core.PeerID]float64 {
-	bounds := map[core.PeerID]float64{}
-	seen := map[string]bool{}
-	for _, term := range terms {
-		if seen[term] {
-			continue
-		}
-		seen[term] = true
-		for _, post := range lists[term] {
-			bounds[core.PeerID(post.Peer)] += post.MaxScore
-		}
-	}
-	return bounds
-}
-
 // execOutcome is the result of executing a plan with failure handling.
 type execOutcome struct {
 	perPeer       map[core.PeerID]int
@@ -131,9 +104,10 @@ type execOutcome struct {
 	budgetExpired bool
 	// deliveries maps each answering remote peer to the entries that
 	// crossed the wire from it — the raw material of adaptive
-	// contribution accounting. Failed streams and unanswered peers are
-	// absent: a transport failure says nothing about a peer's honesty or
-	// usefulness.
+	// contribution accounting, so it is nil unless the adaptive store is
+	// armed. The entries alias the working set's coordinator. Failed
+	// streams and unanswered peers are absent: a transport failure says
+	// nothing about a peer's honesty or usefulness.
 	deliveries map[core.PeerID][]ir.Result
 }
 
@@ -150,37 +124,43 @@ type execOutcome struct {
 // and a round that would start after expiry is not forwarded at all —
 // its peers are reported as lost and the search returns the partial
 // results it already has.
-func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.PeerList, initiator *core.Candidate, cands []core.Candidate, opts SearchOptions, prior func(core.PeerID) float64, dl *core.Deadline, span *telemetry.Span) (execOutcome, []ir.Result) {
+//
+// The candidates and their seed bounds are the working set's, as
+// assembled; so are the coordinator and the stream cursors. The merged
+// list and the outcome's perPeer and errs are fresh, but deliveries
+// alias the coordinator and die with the working set.
+func (p *Peer) execute(q core.Query, plan core.Plan, s *searchScratch, initiator *core.Candidate, opts SearchOptions, prior func(core.PeerID) float64, dl *core.Deadline, span *telemetry.Span) (execOutcome, []ir.Result) {
 	m := p.cfg.Metrics
-	coord := topk.NewCoordinator(opts.MergeK)
+	cands := s.cands
+	coord := &s.coord
+	coord.Reset(opts.MergeK)
 	chunkSize := opts.k()
-	var bounds map[core.PeerID]float64 // nil: every stream starts unbounded
 	if opts.TopKStreaming {
 		chunkSize = opts.chunkSize(p.cfg)
-		bounds = streamSeedBounds(q.Terms, lists)
 	}
-	out := execOutcome{
-		perPeer:    make(map[core.PeerID]int, len(plan.Peers)),
-		deliveries: make(map[core.PeerID][]ir.Result, len(plan.Peers)),
+	out := execOutcome{perPeer: make(map[core.PeerID]int, len(plan.Peers))}
+	if p.adaptive != nil {
+		out.deliveries = make(map[core.PeerID][]ir.Result, len(plan.Peers))
 	}
-	byID := make(map[core.PeerID]*core.Candidate, len(cands))
-	for i := range cands {
-		byID[cands[i].Peer] = &cands[i]
-	}
-	tried := make(map[core.PeerID]bool, len(plan.Peers))
-	var reached []core.Candidate // candidates that answered, for Reroute seeding
-	var streams []*peerStream
+	s.tried = grown(s.tried, len(cands))
+	s.streams, s.reached = s.streams[:0], s.reached[:0]
 	addSource := func(peer core.PeerID) {
-		b, ok := bounds[peer]
-		if !ok {
-			b = math.Inf(1)
+		// Pull starts every stream unbounded; streaming seeds each from
+		// the directory's statistics.
+		b := math.Inf(1)
+		if opts.TopKStreaming {
+			if seed, ok := s.seedBound(peer); ok {
+				b = seed
+			}
 		}
 		coord.AddSource(string(peer), b)
 	}
 	addStream := func(peer core.PeerID) {
-		tried[peer] = true
+		if i := candidateIndex(cands, peer); i >= 0 {
+			s.tried[i] = true
+		}
 		addSource(peer)
-		streams = append(streams, &peerStream{peer: peer})
+		s.streams = append(s.streams, peerStream{peer: peer})
 	}
 	for _, peer := range plan.Peers {
 		addStream(peer)
@@ -190,10 +170,8 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 	// strong θ up front — seeded bounds can then cut weak peers off with
 	// zero chunks pulled.
 	if !opts.DisableSelf {
-		coord.Offer("self:"+p.name, p.LocalSearch(q.Terms, opts.k(), opts.Conjunctive), true)
+		coord.Offer(p.selfSource, p.LocalSearch(q.Terms, opts.k(), opts.Conjunctive), true)
 	}
-	var buf []ir.Result // one chunk's entries on their way into the coordinator
-	var failed []int    // indexes into out.errs of the current round's failures
 	fail := func(ps *peerStream, errText string, unreachable bool) {
 		ps.failed = true
 		coord.RemoveSource(string(ps.peer))
@@ -204,18 +182,22 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			Err:         errText,
 			Unreachable: unreachable,
 		})
-		failed = append(failed, len(out.errs)-1)
+		s.failed = append(s.failed, len(out.errs)-1) // indexes into out.errs
 	}
 	rerouteRounds := 0
 	for round := 0; ; round++ {
-		failed = failed[:0]
-		var batch []*peerStream
-		for _, ps := range streams {
+		s.failed = s.failed[:0]
+		// The batch points into s.streams, which grows (re-routing) only
+		// after the round's outcomes are spent.
+		s.batch = s.batch[:0]
+		for i := range s.streams {
+			ps := &s.streams[i]
 			if ps.failed || coord.Stopped(string(ps.peer)) {
 				continue
 			}
-			batch = append(batch, ps)
+			s.batch = append(s.batch, ps)
 		}
+		batch := s.batch
 		if len(batch) == 0 {
 			break
 		}
@@ -231,7 +213,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			break
 		}
 		fwdStart := time.Now()
-		outcomes := p.forward(batch, coord, q, opts, chunkSize, dl, fwdSpan)
+		outcomes := p.forward(&s.round, batch, coord, q, opts, chunkSize, dl, fwdSpan)
 		fwdSpan.SetDuration("spent", time.Since(fwdStart))
 		fwdSpan.End()
 		for i, co := range outcomes {
@@ -268,25 +250,25 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 			ps.restarts = 0
 			m.Counter("topk.chunks").Inc()
 			n := len(chunk.Entries)
-			buf = slices.Grow(buf[:0], n)
+			s.buf = slices.Grow(s.buf[:0], n)
 			for _, e := range chunk.Entries {
-				buf = append(buf, ir.Result{DocID: e.Doc, Score: e.Score})
+				s.buf = append(s.buf, ir.Result{DocID: e.Doc, Score: e.Score})
 			}
-			coord.Offer(string(ps.peer), buf, chunk.Done)
+			coord.Offer(string(ps.peer), s.buf, chunk.Done)
 			m.Counter("topk.stream_entries").Add(int64(n))
 			if !ps.reached {
 				ps.reached = true
-				if c := byID[ps.peer]; c != nil {
-					reached = append(reached, *c)
+				if i := candidateIndex(cands, ps.peer); i >= 0 {
+					s.reached = append(s.reached, cands[i])
 				}
 			}
 		}
-		if len(failed) == 0 || opts.NoReroute || rerouteRounds >= maxRerouteRounds || dl.Expired() {
+		if len(s.failed) == 0 || opts.NoReroute || rerouteRounds >= maxRerouteRounds || dl.Expired() {
 			continue
 		}
 		var remaining []core.Candidate
 		for i := range cands {
-			if !tried[cands[i].Peer] {
+			if !s.tried[i] {
 				remaining = append(remaining, cands[i])
 			}
 		}
@@ -295,10 +277,10 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 		}
 		rerouteRounds++
 		rerouteSpan := span.Child("reroute")
-		rerouteSpan.SetInt("failed", int64(len(failed)))
+		rerouteSpan.SetInt("failed", int64(len(s.failed)))
 		rerouteSpan.SetInt("remaining", int64(len(remaining)))
 		ropts := core.Options{
-			MaxPeers:      len(failed),
+			MaxPeers:      len(s.failed),
 			Aggregation:   opts.Aggregation,
 			UseHistograms: opts.UseHistograms,
 			Span:          rerouteSpan,
@@ -308,7 +290,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 		if opts.NoveltyOnly {
 			ropts.QualityWeight, ropts.NoveltyWeight = 0, 1
 		}
-		replan, err := core.Reroute(q, initiator, reached, remaining, ropts)
+		replan, err := core.Reroute(q, initiator, s.reached, remaining, ropts)
 		rerouteSpan.End()
 		if err != nil {
 			continue
@@ -316,20 +298,23 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 		// Pair replacements with this round's failures in selection
 		// order; replacement streams join the next round's batch.
 		for j, np := range replan.Peers {
-			if j < len(failed) {
-				out.errs[failed[j]].Replacement = np
+			if j < len(s.failed) {
+				out.errs[s.failed[j]].Replacement = np
 			}
 			out.rerouted = append(out.rerouted, np)
 			addStream(np)
 		}
 	}
-	for _, ps := range streams {
+	for i := range s.streams {
+		ps := &s.streams[i]
 		if ps.failed {
 			continue
 		}
 		entries := coord.Entries(string(ps.peer))
 		out.perPeer[ps.peer] = len(entries)
-		out.deliveries[ps.peer] = entries
+		if out.deliveries != nil {
+			out.deliveries[ps.peer] = entries
+		}
 		if coord.EarlyStopped(string(ps.peer)) {
 			m.Counter("topk.early_stops").Inc()
 		}
@@ -340,11 +325,11 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 	// sort golden tests and trace comparisons would flake on scheduling.
 	// Replacement pairing above uses indexes into errs, so the sort must
 	// stay after the last round.
-	sort.Slice(out.errs, func(i, j int) bool {
-		if out.errs[i].Peer != out.errs[j].Peer {
-			return out.errs[i].Peer < out.errs[j].Peer
+	slices.SortFunc(out.errs, func(a, b PerPeerError) int {
+		if c := strings.Compare(string(a.Peer), string(b.Peer)); c != 0 {
+			return c
 		}
-		return out.errs[i].Err < out.errs[j].Err
+		return strings.Compare(a.Err, b.Err)
 	})
 	mergeSpan := span.Child("merge")
 	merged := coord.Results()
@@ -360,58 +345,68 @@ func (p *Peer) execute(q core.Query, plan core.Plan, lists map[string]directory.
 // through the peer's circuit-breaker set when one is armed — and
 // reports per-stream outcomes in batch order. It never swallows a
 // failure; execute decides whether to re-route or surface it.
-func (p *Peer) forward(batch []*peerStream, coord *topk.Coordinator, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
-	caller := p.caller()
-	policy := opts.Retry
-	policy.Timeout = dl.Cap(policy.Timeout)
-	out := make([]chunkOutcome, len(batch))
+//
+// The first stream is pulled on the calling goroutine and every other
+// one on its own, so a batch of n starts n−1 goroutines. On an
+// in-process network a peer's handler runs on the stack of whichever
+// goroutine calls it, and a fresh goroutine grows its stack on every
+// call. The outcomes live in r and are valid until the next round.
+func (p *Peer) forward(r *forwardRound, batch []*peerStream, coord *topk.Coordinator, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
+	r.p, r.caller, r.batch = p, p.caller(), batch
+	r.policy = opts.Retry
+	r.policy.Timeout = dl.Cap(r.policy.Timeout)
+	r.req = transport.ChunkRequest{Terms: q.Terms, K: opts.k(), Conjunctive: opts.Conjunctive, Size: chunkSize}
+	r.out = grown(r.out, len(batch))
+	r.offsets = grown(r.offsets, len(batch))
+	r.spans = grown(r.spans, len(batch))
 	// Per-stream call spans are created here, sequentially, before any
-	// goroutine launches: span IDs are assigned in creation order, so the
-	// trace stays deterministic no matter how the fan-out is scheduled.
-	spans := make([]*telemetry.Span, len(batch))
+	// pull starts: span IDs are assigned in creation order, so the trace
+	// stays deterministic no matter how the fan-out is scheduled. The
+	// offsets are read here too: the coordinator is not safe for
+	// concurrent use.
 	for i, ps := range batch {
-		spans[i] = span.Child("call")
-		spans[i].Setf("peer", "%s", ps.peer)
-		spans[i].SetInt("offset", int64(len(coord.Entries(string(ps.peer)))))
+		r.spans[i] = span.Child("call")
+		r.spans[i].Set("peer", string(ps.peer))
+		r.offsets[i] = len(coord.Entries(string(ps.peer)))
+		r.spans[i].SetInt("offset", int64(r.offsets[i]))
 	}
-	var wg sync.WaitGroup
-	for i, ps := range batch {
-		wg.Add(1)
-		// The offset is read here, not in the goroutine: the coordinator
-		// is not safe for concurrent use.
-		go func(i int, ps *peerStream, offset int) {
-			defer wg.Done()
-			s := spans[i]
-			// EncodeRequest and CallFrame rather than Call: on an in-process
-			// network the peer's handler runs on this goroutine's stack, and
-			// one more frame under it grows that stack on every call.
-			frame := transport.Query.EncodeRequest(transport.ChunkRequest{
-				Terms:       q.Terms,
-				K:           opts.k(),
-				Conjunctive: opts.Conjunctive,
-				Offset:      offset,
-				Size:        chunkSize,
-				Gen:         ps.gen,
-			})
-			chunk, attempts, err := transport.Query.CallFrame(caller, string(ps.peer), frame, policy)
-			if attempts > 1 {
-				p.cfg.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
-			}
-			s.SetInt("attempts", int64(attempts))
-			if err == nil {
-				s.SetInt("entries", int64(len(chunk.Entries)))
-				if chunk.Done {
-					s.Set("done", "true")
-				}
-				out[i] = chunkOutcome{chunk: chunk, attempts: attempts}
-				s.End()
-				return
-			}
-			s.Set("cause", errCause(err))
-			out[i] = chunkOutcome{attempts: attempts, err: err}
-			s.End()
-		}(i, ps, len(coord.Entries(string(ps.peer))))
+	r.wg.Add(len(batch) - 1)
+	for i := 1; i < len(batch); i++ {
+		go func(i int) {
+			defer r.wg.Done()
+			r.pull(i)
+		}(i)
 	}
-	wg.Wait()
-	return out
+	r.pull(0)
+	r.wg.Wait()
+	clear(r.spans) // a pooled working set must not keep a trace alive
+	return r.out
+}
+
+// pull fetches the next chunk of batch[i]'s stream into out[i].
+func (r *forwardRound) pull(i int) {
+	ps, s := r.batch[i], r.spans[i]
+	req := r.req
+	req.Offset, req.Gen = r.offsets[i], ps.gen
+	// EncodeRequest and CallFrame rather than Call: on an in-process
+	// network the peer's handler runs on this goroutine's stack, and one
+	// more frame under it grows that stack on every call.
+	frame := transport.Query.EncodeRequest(req)
+	chunk, attempts, err := transport.Query.CallFrame(r.caller, string(ps.peer), frame, r.policy)
+	if attempts > 1 {
+		r.p.cfg.Metrics.Counter("transport.retries").Add(int64(attempts - 1))
+	}
+	s.SetInt("attempts", int64(attempts))
+	if err == nil {
+		s.SetInt("entries", int64(len(chunk.Entries)))
+		if chunk.Done {
+			s.Set("done", "true")
+		}
+		r.out[i] = chunkOutcome{chunk: chunk, attempts: attempts}
+		s.End()
+		return
+	}
+	s.Set("cause", errCause(err))
+	r.out[i] = chunkOutcome{attempts: attempts, err: err}
+	s.End()
 }

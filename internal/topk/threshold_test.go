@@ -346,3 +346,136 @@ func TestThresholdRandomDeaths(t *testing.T) {
 		}
 	}
 }
+
+// TestThresholdReusedCoordinatorMatchesMerge extends the exactness
+// property to a reused coordinator: one coordinator runs a sequence of
+// randomized merges, each after Reset, with mid-stream removals and a
+// stream reset, and every merge's Results equals ir.Merge over the
+// surviving complete lists — nothing carries over from an earlier
+// merge's sources, table or θ heap.
+func TestThresholdReusedCoordinatorMatchesMerge(t *testing.T) {
+	c := NewCoordinator(0)
+	rng := rand.New(rand.NewSource(77))
+	for search := 0; search < 60; search++ {
+		lists := randomSortedLists(rng, 1+rng.Intn(6), 1+rng.Intn(80), 40)
+		k := rng.Intn(25) // 0 keeps everything
+		chunk := 1 + rng.Intn(8)
+		c.Reset(k)
+		ids := make([]string, 0, len(lists))
+		for id := range lists {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			c.AddSource(id, seedBounds(lists)(id))
+		}
+		victim, restart := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+		dead := false
+		for round := 0; ; round++ {
+			if round == 2 && rng.Intn(2) == 0 {
+				c.RemoveSource(victim)
+				dead = true
+			}
+			if round == 1 && restart != victim {
+				// A stale-cursor restart: the stream starts over.
+				c.AddSource(restart, seedBounds(lists)(restart))
+			}
+			progress := false
+			for _, id := range ids {
+				if dead && id == victim || c.Stopped(id) {
+					continue
+				}
+				l := lists[id]
+				off := len(c.Entries(id))
+				end := min(off+chunk, len(l))
+				c.Offer(id, l[off:end], end == len(l))
+				progress = true
+			}
+			if !progress && round > 2 {
+				break
+			}
+		}
+		var survivors [][]ir.Result
+		for _, id := range ids {
+			if !(dead && id == victim) {
+				survivors = append(survivors, lists[id])
+			}
+		}
+		want := ir.Merge(survivors, k)
+		got := c.Results()
+		if len(got) != len(want) {
+			t.Fatalf("search %d (k=%d): %d results, ir.Merge %d", search, k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("search %d (k=%d): result %d = %+v, ir.Merge %+v", search, k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// coordinatorWorkload is the micro-benchmark's merge: `entries` entries
+// over 5 sources, pulled round-robin in 16-entry chunks into a
+// coordinator of depth 100 that is reset first.
+func coordinatorWorkload(entries int) func(c *Coordinator) {
+	rng := rand.New(rand.NewSource(int64(entries)))
+	ids := []string{"s0", "s1", "s2", "s3", "s4"}
+	lists := map[string][]ir.Result{}
+	for _, id := range ids {
+		l := make([]ir.Result, entries/len(ids))
+		for i := range l {
+			l[i] = ir.Result{DocID: uint64(rng.Intn(4 * entries)), Score: float64(rng.Intn(1000)) / 8}
+		}
+		sort.Slice(l, func(i, j int) bool { return l[i].Score > l[j].Score })
+		lists[id] = l
+	}
+	return func(c *Coordinator) {
+		c.Reset(100)
+		for _, id := range ids {
+			c.AddSource(id, math.Inf(1))
+		}
+		for progress := true; progress; {
+			progress = false
+			for _, id := range ids {
+				l := lists[id]
+				off := len(c.Entries(id))
+				if off == len(l) {
+					continue
+				}
+				end := min(off+16, len(l))
+				c.Offer(id, l[off:end], end == len(l))
+				progress = true
+			}
+		}
+		if len(c.Results()) != 100 {
+			panic("coordinator workload: fewer than 100 results")
+		}
+	}
+}
+
+// TestCoordinatorAllocationsConstant pins the reused coordinator's cost
+// per merge: once its buffers have grown, a merge allocates only the
+// Results slice it hands out, whatever the number of entries.
+func TestCoordinatorAllocationsConstant(t *testing.T) {
+	c := NewCoordinator(0)
+	for _, entries := range []int{500, 5000} {
+		run := coordinatorWorkload(entries)
+		run(c)
+		if allocs := testing.AllocsPerRun(20, func() { run(c) }); allocs > 1 {
+			t.Fatalf("merging %d entries made %.0f allocations, want 1 (the results)", entries, allocs)
+		}
+	}
+}
+
+// BenchmarkCoordinator merges 500 entries from 5 sources in 16-entry
+// chunks into a reused coordinator of depth 100.
+func BenchmarkCoordinator(b *testing.B) {
+	run := coordinatorWorkload(500)
+	c := NewCoordinator(0)
+	run(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(c)
+	}
+}
