@@ -25,8 +25,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"iqn/internal/histogram"
 	"iqn/internal/synopsis"
@@ -201,32 +203,39 @@ type Plan struct {
 	Steps []Step
 }
 
-// sortCandidates orders candidates deterministically (by descending
-// quality, then peer ID) so ties break identically run-to-run.
+// sortCandidates returns the candidates in routing order (see
+// sortByQuality) as a new slice.
 func sortCandidates(cands []Candidate) []Candidate {
-	// Sort an index permutation rather than the slice: Candidate is a
-	// large struct, and moving indices instead of structs keeps the sort
-	// out of the routing hot path. The final index tie-break makes the
-	// order fully deterministic even for duplicate (quality, peer) keys.
 	idx := make([]int, len(cands))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ca, cb := &cands[idx[a]], &cands[idx[b]]
-		if ca.Quality != cb.Quality {
-			return ca.Quality > cb.Quality
-		}
-		if ca.Peer != cb.Peer {
-			return ca.Peer < cb.Peer
-		}
-		return idx[a] < idx[b]
-	})
+	sortByQuality(cands, idx)
 	out := make([]Candidate, len(cands))
 	for i, j := range idx {
 		out[i] = cands[j]
 	}
 	return out
+}
+
+// sortByQuality sorts idx, indexes into cands, into routing order: by
+// descending quality, then peer ID, then index, so ties break
+// identically run to run. Sorting indexes keeps the large Candidate
+// structs in place.
+func sortByQuality(cands []Candidate, idx []int) {
+	slices.SortFunc(idx, func(a, b int) int {
+		ca, cb := &cands[a], &cands[b]
+		if ca.Quality != cb.Quality {
+			if ca.Quality > cb.Quality {
+				return -1
+			}
+			return 1
+		}
+		if c := strings.Compare(string(ca.Peer), string(cb.Peer)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // validateQuery rejects routing without terms.

@@ -25,9 +25,10 @@ import (
 // Candidates whose quality factor is NaN are rejected (never planned),
 // and a negative Options.NoveltyWeight is an error.
 //
-// Route only manipulates synopses — no candidate peer is contacted.
+// Route only manipulates synopses — no candidate peer is contacted. It
+// routes on a fresh Router; a search that routes repeatedly keeps one.
 func Route(q Query, initiator *Candidate, cands []Candidate, opts Options) (Plan, error) {
-	return runIQN(q, initiator, cands, opts)
+	return new(Router).Route(q, initiator, cands, opts)
 }
 
 // powWeight computes x^w with the routing conventions: weight 0 switches
@@ -82,12 +83,10 @@ type referenceState interface {
 	staticCeiling(idx int, c *Candidate) float64
 }
 
-// newReferenceState picks the implementation for the options.
+// newReferenceState picks the implementation for the options, on fresh
+// memory.
 func newReferenceState(q Query, opts Options) (referenceState, error) {
-	if opts.UseHistograms || opts.Aggregation == PerTerm {
-		return &termState{q: q, hist: opts.UseHistograms, refs: map[string]synopsis.Set{}, cards: map[string]float64{}, monotone: true}, nil
-	}
-	return &perPeerState{q: q}, nil
+	return new(Router).state(q, opts), nil
 }
 
 // isBloom reports whether the synopsis is a Bloom filter — the one family
@@ -132,9 +131,12 @@ type ppSnap struct {
 // perPeerState implements Section 6.2: one combined synopsis per peer,
 // one reference synopsis overall.
 type perPeerState struct {
-	q    Query
-	ref  synopsis.Set
-	card float64
+	q Query
+	// owned supplies the copies the state folds into: ref, and the
+	// combination of a candidate with two or more term synopses.
+	owned *ownedSets
+	ref   synopsis.Set
+	card  float64
 	// refIsBloom marks the monotone family (see isBloom).
 	refIsBloom bool
 	// refShaky is set when a MIPs reference shrank to a shorter
@@ -155,19 +157,29 @@ type perPeerState struct {
 	suffix  []uint64
 }
 
+// reset starts a route of q, keeping the per-candidate buffers.
+func (s *perPeerState) reset(q Query, owned *ownedSets) {
+	*s = perPeerState{
+		q: q, owned: owned,
+		combined: s.combined, haveComb: s.haveComb, snap: s.snap,
+		static: s.static, haveStatic: s.haveStatic,
+		maskLog: s.maskLog[:0], suffix: s.suffix[:0],
+	}
+}
+
 func (s *perPeerState) prepare(n int) {
-	s.combined = make([]combinedSynopsis, n)
-	s.haveComb = make([]bool, n)
-	s.snap = make([]ppSnap, n)
-	s.static = make([]float64, n)
-	s.haveStatic = make([]bool, n)
+	s.combined = grown(s.combined, n)
+	s.haveComb = grown(s.haveComb, n)
+	s.snap = grown(s.snap, n)
+	s.static = grown(s.static, n)
+	s.haveStatic = grown(s.haveStatic, n)
 }
 
 func (s *perPeerState) combine(idx int, c *Candidate) (combinedSynopsis, error) {
 	if idx >= 0 && idx < len(s.haveComb) && s.haveComb[idx] {
 		return s.combined[idx], nil
 	}
-	set, card, err := combinePerPeer(*c, s.q)
+	set, card, err := combinePerPeer(c, s.q, s.owned)
 	if err != nil {
 		return combinedSynopsis{}, err
 	}
@@ -321,7 +333,7 @@ func (s *perPeerState) absorb(idx int, c *Candidate) (float64, error) {
 		return 0, nil
 	}
 	if s.ref == nil {
-		s.ref = cs.set.Clone()
+		s.ref = s.owned.copyOf(cs.set)
 		s.refIsBloom = isBloom(s.ref)
 		s.maskLog = append(s.maskLog, ^uint64(0))
 	} else if refM, ok := s.ref.(*synopsis.MIPs); ok {
@@ -366,8 +378,10 @@ type termSnap struct {
 // cells, so peers whose *high-scoring* documents are new win; terms
 // without a histogram keep the plain synopsis at full weight.
 type termState struct {
-	q        Query
-	hist     bool
+	q    Query
+	hist bool
+	// owned supplies the copies each term's reference starts from.
+	owned    *ownedSets
 	refs     map[string]synopsis.Set
 	cards    map[string]float64
 	monotone bool
@@ -377,10 +391,20 @@ type termState struct {
 	haveStatic []bool
 }
 
+// reset starts a route of q, keeping the term maps and the
+// per-candidate buffers.
+func (s *termState) reset(q Query, hist bool, owned *ownedSets) {
+	*s = termState{
+		q: q, hist: hist, owned: owned,
+		refs: cleared(s.refs), cards: cleared(s.cards), monotone: true,
+		snap: s.snap, static: s.static, haveStatic: s.haveStatic,
+	}
+}
+
 func (s *termState) prepare(n int) {
-	s.snap = make([]termSnap, n)
-	s.static = make([]float64, n)
-	s.haveStatic = make([]bool, n)
+	s.snap = grown(s.snap, n)
+	s.static = grown(s.static, n)
+	s.haveStatic = grown(s.haveStatic, n)
 }
 
 // histogram returns the candidate's histogram for the term, or nil when
@@ -540,7 +564,7 @@ func (s *termState) absorb(idx int, c *Candidate) (float64, error) {
 		}
 		if ref := s.refs[t]; ref == nil {
 			if !owned {
-				set = set.Clone()
+				set = s.owned.copyOf(set)
 			}
 			s.refs[t] = set
 		} else if err := ref.UnionInPlace(set); err != nil {

@@ -44,52 +44,9 @@ package core
 // anti-monotone in novelty and ceilings would turn into floors.
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
-
-// runIQN drives the IQN loop from an optional initiator seed.
-func runIQN(q Query, initiator *Candidate, cands []Candidate, opts Options) (Plan, error) {
-	var seeds []*Candidate
-	if initiator != nil {
-		seeds = append(seeds, initiator)
-	}
-	return runIQNSeeded(q, seeds, cands, opts)
-}
-
-// runIQNSeeded is runIQN with an arbitrary list of reference seeds: every
-// seed is absorbed into the reference synopsis before the first
-// Select-Best-Peer round, exactly as the initiator is. Reroute uses this
-// to resume a routing decision mid-flight — the peers a degraded query
-// already reached become seeds, so replacements are scored by the novelty
-// they add beyond what the query already covered.
-func runIQNSeeded(q Query, seeds []*Candidate, cands []Candidate, opts Options) (Plan, error) {
-	if err := validateQuery(q); err != nil {
-		return Plan{}, err
-	}
-	if nw := opts.noveltyWeight(); nw < 0 {
-		return Plan{}, fmt.Errorf("core: NoveltyWeight %g is negative: novelty ceilings would become floors", nw)
-	}
-	state, err := newReferenceState(q, opts)
-	if err != nil {
-		return Plan{}, err
-	}
-	for _, s := range seeds {
-		if _, err := state.absorb(-1, s); err != nil {
-			return Plan{}, err
-		}
-	}
-	sorted, qf := rankable(cands, opts)
-	state.prepare(len(sorted))
-	e := &engine{
-		state: state,
-		cands: sorted,
-		qf:    qf,
-		opts:  opts,
-	}
-	return e.run()
-}
 
 // qualityFactor is the candidate's constant score multiplier,
 // quality^qw times the Options.Prior factor (negative priors clamp to 0,
@@ -110,45 +67,13 @@ func qualityFactor(c *Candidate, opts Options) float64 {
 	return f
 }
 
-// rankable sorts the candidates and computes their quality factors. A
-// candidate whose factor is NaN cannot be ranked, so it is rejected: it
-// is never planned, route.nan_rejected counts it and the span names it
-// (nan_rejected=<peer>). Rejection happens before sorting because a NaN
-// quality would also scramble the sort order of the others; the plan is
-// therefore exactly the one routing without that candidate yields.
-func rankable(cands []Candidate, opts Options) ([]Candidate, []float64) {
-	sorted := sortCandidates(cands)
-	qf := make([]float64, len(sorted))
-	poisoned := false
-	for i := range sorted {
-		qf[i] = qualityFactor(&sorted[i], opts)
-		poisoned = poisoned || math.IsNaN(qf[i])
-	}
-	if !poisoned {
-		return sorted, qf
-	}
-	kept := make([]Candidate, 0, len(cands))
-	for i := range cands {
-		if math.IsNaN(qualityFactor(&cands[i], opts)) {
-			opts.Metrics.Counter("route.nan_rejected").Inc()
-			opts.Span.Setf("nan_rejected", "%s", cands[i].Peer)
-			continue
-		}
-		kept = append(kept, cands[i])
-	}
-	sorted = sortCandidates(kept)
-	qf = qf[:len(sorted)]
-	for i := range sorted {
-		qf[i] = qualityFactor(&sorted[i], opts)
-	}
-	return sorted, qf
-}
-
-// engine holds the per-Route selection state. All per-candidate slices
-// are indexed by position in the sorted candidate slice.
+// engine holds the selection state of one route. All per-candidate
+// slices are indexed by routing position: position i is candidate
+// cands[perm[i]].
 type engine struct {
 	state referenceState
-	cands []Candidate
+	cands []Candidate // the caller's, in input order
+	perm  []int
 	opts  Options
 
 	alive       []bool    // not yet selected
@@ -163,17 +88,27 @@ type engine struct {
 	roundEvals int // evaluations in the current round (telemetry)
 }
 
+// cand returns the candidate at routing position i.
+func (e *engine) cand(i int) *Candidate { return &e.cands[e.perm[i]] }
+
 func (e *engine) run() (Plan, error) {
-	n := len(e.cands)
-	e.alive = make([]bool, n)
-	e.nov = make([]float64, n)
-	e.score = make([]float64, n)
+	n := len(e.perm)
+	e.alive = grown(e.alive, n)
+	e.nov = grown(e.nov, n)
+	e.score = grown(e.score, n)
 	for i := range e.alive {
 		e.alive[i] = true
 	}
 	e.left = n
+	e.evals = 0
 	e.buildOrder()
 
+	// The plan is sized once, at its first peer, for the most peers it
+	// can take; a plan of none stays nil.
+	limit := n
+	if e.opts.MaxPeers > 0 && e.opts.MaxPeers < n {
+		limit = e.opts.MaxPeers
+	}
 	var plan Plan
 	lazySkips := 0
 	for e.left > 0 {
@@ -189,10 +124,13 @@ func (e *engine) run() (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		c := &e.cands[best]
+		c := e.cand(best)
 		// Aggregate-Synopses: fold the winner into the reference.
 		if _, err := e.state.absorb(best, c); err != nil {
 			return Plan{}, err
+		}
+		if plan.Peers == nil {
+			plan.Peers, plan.Steps = make([]PeerID, 0, limit), make([]Step, 0, limit)
 		}
 		plan.Peers = append(plan.Peers, c.Peer)
 		plan.Steps = append(plan.Steps, Step{
@@ -230,16 +168,22 @@ func (e *engine) run() (Plan, error) {
 // order (staticBound descending, index ascending — the order in which
 // a full rescan's tie-break would prefer equally-bounded candidates).
 func (e *engine) buildOrder() {
-	n := len(e.cands)
+	n := len(e.perm)
 	nw := e.opts.noveltyWeight()
-	e.staticBound = make([]float64, n)
-	e.order = make([]int, n)
-	for i := range e.cands {
-		e.staticBound[i] = scoreBound(e.qf[i], powWeight(e.state.staticCeiling(i, &e.cands[i]), nw))
+	e.staticBound = grown(e.staticBound, n)
+	e.order = grown(e.order, n)
+	for i := range e.order {
+		e.staticBound[i] = scoreBound(e.qf[i], powWeight(e.state.staticCeiling(i, e.cand(i)), nw))
 		e.order[i] = i
 	}
-	sort.SliceStable(e.order, func(a, b int) bool {
-		return e.staticBound[e.order[a]] > e.staticBound[e.order[b]]
+	slices.SortStableFunc(e.order, func(a, b int) int {
+		switch sa, sb := e.staticBound[a], e.staticBound[b]; {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
+		}
+		return 0
 	})
 }
 
@@ -260,7 +204,7 @@ func (e *engine) selectBest() (int, error) {
 			// with a larger index, so none can beat the champion.
 			break
 		}
-		cur := scoreBound(e.qf[i], powWeight(e.state.ceiling(i, &e.cands[i]), nw))
+		cur := scoreBound(e.qf[i], powWeight(e.state.ceiling(i, e.cand(i)), nw))
 		if !e.contends(cur, i, champ) {
 			continue
 		}
@@ -306,7 +250,7 @@ func (e *engine) better(champ, i int) int {
 func (e *engine) evalOne(i int, nw float64) error {
 	e.evals++
 	e.roundEvals++
-	nov, err := e.state.novelty(i, &e.cands[i])
+	nov, err := e.state.novelty(i, e.cand(i))
 	if err != nil {
 		return err
 	}

@@ -30,10 +30,10 @@ import (
 //
 // The returned synopsis is read-only: for a candidate with one synopsis
 // among the query terms it is that term's shared synopsis itself, and
-// only a fold of two or more works on a clone.
-func combinePerPeer(c Candidate, q Query) (synopsis.Set, float64, error) {
+// only a fold of two or more works on a copy, taken from owned.
+func combinePerPeer(c *Candidate, q Query, owned *ownedSets) (synopsis.Set, float64, error) {
 	var acc synopsis.Set
-	owned := false
+	folded := false
 	var cardUpper float64
 	for _, t := range q.Terms {
 		s := c.TermSynopses[t]
@@ -52,8 +52,8 @@ func combinePerPeer(c Candidate, q Query) (synopsis.Set, float64, error) {
 			acc = s // shared read-only until a second synopsis folds in
 			continue
 		}
-		if !owned {
-			acc, owned = acc.Clone(), true // fold into a copy, never a shared set
+		if !folded {
+			acc, folded = owned.copyOf(acc), true // fold into a copy, never a shared set
 		}
 		var err error
 		if q.Type == Conjunctive {

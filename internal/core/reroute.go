@@ -16,14 +16,7 @@ package core
 //
 // cands must already exclude the failed and previously selected peers;
 // Reroute does not filter. Determinism matches Route: identical inputs
-// produce identical plans.
+// produce identical plans. Like Route, it runs on a fresh Router.
 func Reroute(q Query, initiator *Candidate, reached []Candidate, cands []Candidate, opts Options) (Plan, error) {
-	seeds := make([]*Candidate, 0, len(reached)+1)
-	if initiator != nil {
-		seeds = append(seeds, initiator)
-	}
-	for i := range reached {
-		seeds = append(seeds, &reached[i])
-	}
-	return runIQNSeeded(q, seeds, cands, opts)
+	return new(Router).Reroute(q, initiator, reached, cands, opts)
 }

@@ -190,10 +190,12 @@ type Peer struct {
 
 	// searchMu guards searchFlights (whole-search coalescing).
 	searchMu      sync.Mutex
-	searchFlights map[string]*searchFlight
+	searchFlights map[flightKey]*searchFlight
 
 	// scratch pools the per-search working sets (searchScratch).
 	scratch sync.Pool
+	// fan runs the pulls of forwarding rounds (see fanout).
+	fan fanout
 	// selfSource names the initiator's own result list in a search's
 	// top-k coordinator.
 	selfSource string
@@ -365,6 +367,7 @@ func NewPeer(addr string, net transport.Network, cfg Config) (*Peer, error) {
 		dir:  directory.NewClient(node, replicas),
 	}
 	p.scratch.New = func() any { return new(searchScratch) }
+	p.fan.jobs = make(chan pullJob)
 	p.selfSource = "self:" + addr
 	if cfg.Adaptive != nil {
 		store, err := adapt.NewStore(*cfg.Adaptive, cfg.Metrics)
@@ -544,12 +547,16 @@ func (p *Peer) Leave() (directory.HandoffReport, error) {
 	}
 	rep, err := p.dir.PushHandoff(p.svc)
 	p.node.Leave()
-	p.node.Close()
+	p.Close()
 	return rep, err
 }
 
-// Close removes the peer from the network.
-func (p *Peer) Close() { p.node.Close() }
+// Close removes the peer from the network and stops its fan-out
+// workers.
+func (p *Peer) Close() {
+	p.node.Close()
+	p.fan.close()
+}
 
 // QueriesServed returns how many forwarded queries this peer has
 // answered — the per-peer load the paper's Section 8.2 worries about

@@ -16,19 +16,22 @@ import (
 // searchScratch is one search's working set: everything the initiator
 // builds per search and drops when the search returns — the candidates
 // and their term maps, the CORI and merge buffers of assembly, the seed
-// bounds, the stream cursors and the top-k coordinator. Each peer keeps
-// a sync.Pool of them, so a warm search reuses the memory of an earlier
-// one instead of allocating per candidate and per entry.
+// bounds, the routing engine, the stream cursors and the top-k
+// coordinator. Each peer keeps a sync.Pool of them, so a warm search
+// reuses the memory of an earlier one instead of allocating per
+// candidate and per entry.
 //
 // Ownership: a working set belongs to one search from the pool's Get
 // until searchUncoalesced returns, and nothing the search returns may
 // alias it. SearchResult's Results come from Coordinator.Results (a
 // fresh slice), PerPeer, Errors and Rerouted are built fresh, and the
-// Plan is core's. What does alias it — the candidates, the initiator's
-// seed, execOutcome.deliveries — is read only before the search returns.
+// router returns every Plan in fresh memory. What does alias it — the
+// candidates, the initiator's seed, execOutcome.deliveries — is read
+// only before the search returns.
 // Coalesced followers share the leader's SearchResult, which is why the
 // rule has no exceptions. The candidates' synopses are not part of the
-// working set: they are the directory cache's shared read-only sets.
+// working set: they are the directory cache's shared read-only sets,
+// and the router folds only into copies of its own.
 type searchScratch struct {
 	// cands are the assembled candidates in peer-name order; slots past
 	// len keep their term maps for the next search. bounds is parallel
@@ -42,6 +45,9 @@ type searchScratch struct {
 	hists []map[string]*histogram.Histogram
 	// self is the initiator's reference seed, reused like a candidate.
 	self core.Candidate
+	// router routes the plan and every reroute; it is Reset when the
+	// working set goes back to the pool.
+	router core.Router
 
 	// Assembly: CORI's per-search and per-candidate frequency maps, the
 	// term names in sorted order, the merge's list heads and cursors,
@@ -57,17 +63,25 @@ type searchScratch struct {
 	seedTerms []int
 
 	// Execution: the coordinator, which candidates were forwarded to, the
-	// streams and each round's batch, the candidates that answered, a
-	// chunk's entries on their way into the coordinator, the current
-	// round's failures, and the round's shared pull state.
-	coord   topk.Coordinator
-	tried   []bool
-	streams []peerStream
-	batch   []*peerStream
-	reached []core.Candidate
-	buf     []ir.Result
-	failed  []int
-	round   forwardRound
+	// streams and each round's batch, the candidates that answered and
+	// those not yet tried (a reroute's seeds and candidates), a chunk's
+	// entries on their way into the coordinator, the current round's
+	// failures, and the round's shared pull state.
+	coord     topk.Coordinator
+	tried     []bool
+	streams   []peerStream
+	batch     []*peerStream
+	reached   []core.Candidate
+	remaining []core.Candidate
+	buf       []ir.Result
+	failed    []int
+	round     forwardRound
+}
+
+// putScratch hands a finished search's working set back to the pool.
+func (p *Peer) putScratch(s *searchScratch) {
+	s.router.Reset()
+	p.scratch.Put(s)
 }
 
 // candidateIndex returns the index of peer among cands, which assembly
@@ -138,7 +152,8 @@ func grown[T any](s []T, n int) []T {
 }
 
 // forwardRound is what the pulls of one forwarding round share. It
-// lives in the working set, so a round allocates only its goroutines.
+// lives in the working set, and the peer's fan-out workers run the
+// pulls, so a warm round allocates nothing of its own.
 type forwardRound struct {
 	p       *Peer
 	caller  transport.Caller

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -247,7 +248,7 @@ func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOpt
 		return &out, nil
 	}
 	if p.searchFlights == nil {
-		p.searchFlights = map[string]*searchFlight{}
+		p.searchFlights = map[flightKey]*searchFlight{}
 	}
 	f := &searchFlight{done: make(chan struct{})}
 	p.searchFlights[key] = f
@@ -269,18 +270,73 @@ type searchFlight struct {
 	err  error
 }
 
-// coalesceKey canonicalizes a query for whole-search coalescing: two
-// searches coalesce only when every result-affecting input matches.
+// flightKey identifies a search for coalescing: two searches coalesce
+// only when every result-affecting input matches. It is a comparable
+// struct rather than a formatted string, so no two different searches
+// can share one: the terms stay separate strings and every option is a
+// field of its own. The first terms sit in head; the rest, rare, are
+// joined into tail, each prefixed with its length.
+type flightKey struct {
+	terms int
+	head  [4]string
+	tail  string
+
+	k, mergeK, maxPeers, candidateLimit, chunkSize int
+	method                                         Method
+	aggregation                                    core.AggregationMode
+	conjunctive, useHistograms, noveltyOnly        bool
+	disableSelf, noReroute, topKStreaming          bool
+	budget                                         time.Duration
+
+	// The retry policy without Sleep, and Jitter by its bits, so a NaN
+	// jitter still equals itself.
+	retryAttempts                     int
+	retryBase, retryMax, retryTimeout time.Duration
+	retryJitter                       uint64
+	retrySeed                         int64
+}
+
+// coalesceKey canonicalizes a query for whole-search coalescing.
 // Retry.Sleep is deliberately excluded — a pacing-only test hook whose
 // function identity would defeat coalescing without ever changing a
-// result.
-func coalesceKey(terms []string, o SearchOptions) string {
+// result. Building the key allocates only for a query of more terms
+// than the key holds in place.
+func coalesceKey(terms []string, o SearchOptions) flightKey {
 	r := o.Retry
-	return fmt.Sprintf("%s\x00k=%d mk=%d mp=%d me=%d ag=%d cj=%t hi=%t no=%t cl=%d ds=%t nr=%t bu=%d tk=%t cs=%d ra=%d rb=%d rm=%d rj=%g rt=%d rs=%d",
-		strings.Join(terms, "\x1f"), o.K, o.MergeK, o.MaxPeers, o.Method, o.Aggregation,
-		o.Conjunctive, o.UseHistograms, o.NoveltyOnly, o.CandidateLimit, o.DisableSelf,
-		o.NoReroute, o.Budget, o.TopKStreaming, o.ChunkSize,
-		r.MaxAttempts, r.BaseDelay, r.MaxDelay, r.Jitter, r.Timeout, r.Seed)
+	key := flightKey{
+		terms:          len(terms),
+		k:              o.K,
+		mergeK:         o.MergeK,
+		maxPeers:       o.MaxPeers,
+		candidateLimit: o.CandidateLimit,
+		chunkSize:      o.ChunkSize,
+		method:         o.Method,
+		aggregation:    o.Aggregation,
+		conjunctive:    o.Conjunctive,
+		useHistograms:  o.UseHistograms,
+		noveltyOnly:    o.NoveltyOnly,
+		disableSelf:    o.DisableSelf,
+		noReroute:      o.NoReroute,
+		topKStreaming:  o.TopKStreaming,
+		budget:         o.Budget,
+		retryAttempts:  r.MaxAttempts,
+		retryBase:      r.BaseDelay,
+		retryMax:       r.MaxDelay,
+		retryTimeout:   r.Timeout,
+		retryJitter:    math.Float64bits(r.Jitter),
+		retrySeed:      r.Seed,
+	}
+	n := copy(key.head[:], terms)
+	if len(terms) > n {
+		var tail []byte
+		for _, t := range terms[n:] {
+			tail = strconv.AppendInt(tail, int64(len(t)), 10)
+			tail = append(tail, ':')
+			tail = append(tail, t...)
+		}
+		key.tail = string(tail)
+	}
+	return key
 }
 
 // searchUncoalesced is the actual search execution (directory fetch,
@@ -315,7 +371,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 		lists = trimPeerLists(lists, opts.CandidateLimit)
 	}
 	s := p.scratch.Get().(*searchScratch)
-	defer p.scratch.Put(s)
+	defer p.putScratch(s)
 	cands, err := p.assemble(s, terms, lists)
 	if err != nil {
 		return nil, err
@@ -359,7 +415,7 @@ func (p *Peer) searchUncoalesced(ctx context.Context, terms []string, opts Searc
 	case MethodPrior:
 		plan, err = core.RoutePrior(q, initiator, cands, routeOpts)
 	default:
-		plan, err = core.Route(q, initiator, cands, routeOpts)
+		plan, err = s.router.Route(q, initiator, cands, routeOpts)
 	}
 	if err != nil {
 		routeSpan.End()

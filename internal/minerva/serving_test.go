@@ -121,7 +121,7 @@ func TestCoalesceKeyDiscriminates(t *testing.T) {
 		mut(&o)
 		variants = append(variants, o)
 	}
-	seen := map[string]int{coalesceKey(terms, base): -1}
+	seen := map[flightKey]int{coalesceKey(terms, base): -1}
 	for i, o := range variants {
 		k := coalesceKey(terms, o)
 		if j, dup := seen[k]; dup {
@@ -139,6 +139,45 @@ func TestCoalesceKeyDiscriminates(t *testing.T) {
 	if coalesceKey(terms, o) != coalesceKey(terms, base) {
 		t.Fatal("Retry.Sleep split the coalescing key")
 	}
+}
+
+// TestCoalesceKeyCollisionFree: searches that differ only in how their
+// terms split, or whose term spells out another search's options, get
+// different keys and so never coalesce — a key that joined the terms
+// with a separator and formatted the options after them gave the first
+// pair one key. A key for a query of up to four terms allocates nothing.
+func TestCoalesceKeyCollisionFree(t *testing.T) {
+	o := SearchOptions{K: 20}
+	forged := o
+	forged.K = 10
+	four := []string{"a", "b", "c", "d"}
+	pairs := []struct {
+		a, b   []string
+		oa, ob SearchOptions
+	}{
+		{[]string{"a", "b"}, []string{"a\x1fb"}, o, o},
+		{[]string{"a\x00k=10"}, []string{"a"}, o, forged},
+		{[]string{"a\x00k=10 mk=0"}, []string{"a"}, forged, forged},
+		{append(four, "ab", "c"), append(four, "a", "bc"), o, o},
+		{append(four, "2:ab"), append(four, "2:a", "b"), o, o},
+		{append(four, "e"), four, o, o},
+	}
+	for i, p := range pairs {
+		if coalesceKey(p.a, p.oa) == coalesceKey(p.b, p.ob) {
+			t.Errorf("pair %d: %q and %q share a coalescing key", i, p.a, p.b)
+		}
+	}
+	if coalesceKey(append(four, "e", "f"), o) != coalesceKey([]string{"a", "b", "c", "d", "e", "f"}, o) {
+		t.Error("identical six-term queries produced different keys")
+	}
+	if raceEnabled {
+		return // allocation counts do not hold under -race
+	}
+	var key flightKey
+	if allocs := testing.AllocsPerRun(100, func() { key = coalesceKey(four, o) }); allocs != 0 {
+		t.Errorf("building a four-term key made %.0f allocations", allocs)
+	}
+	_ = key
 }
 
 // TestSnapshotIsolatedReads races live re-indexing and republication

@@ -266,12 +266,13 @@ func (p *Peer) execute(q core.Query, plan core.Plan, s *searchScratch, initiator
 		if len(s.failed) == 0 || opts.NoReroute || rerouteRounds >= maxRerouteRounds || dl.Expired() {
 			continue
 		}
-		var remaining []core.Candidate
+		remaining := s.remaining[:0]
 		for i := range cands {
 			if !s.tried[i] {
 				remaining = append(remaining, cands[i])
 			}
 		}
+		s.remaining = remaining
 		if len(remaining) == 0 {
 			continue
 		}
@@ -290,7 +291,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, s *searchScratch, initiator
 		if opts.NoveltyOnly {
 			ropts.QualityWeight, ropts.NoveltyWeight = 0, 1
 		}
-		replan, err := core.Reroute(q, initiator, s.reached, remaining, ropts)
+		replan, err := s.router.Reroute(q, initiator, s.reached, remaining, ropts)
 		rerouteSpan.End()
 		if err != nil {
 			continue
@@ -347,10 +348,11 @@ func (p *Peer) execute(q core.Query, plan core.Plan, s *searchScratch, initiator
 // failure; execute decides whether to re-route or surface it.
 //
 // The first stream is pulled on the calling goroutine and every other
-// one on its own, so a batch of n starts n−1 goroutines. On an
-// in-process network a peer's handler runs on the stack of whichever
-// goroutine calls it, and a fresh goroutine grows its stack on every
-// call. The outcomes live in r and are valid until the next round.
+// one by the peer's fan-out workers (see fanout). On an in-process
+// network a peer's handler runs on the stack of whichever goroutine
+// calls it; the workers outlive the round, so the stacks those handlers
+// grew are there for the next round and the next search. The outcomes
+// live in r and are valid until the next round.
 func (p *Peer) forward(r *forwardRound, batch []*peerStream, coord *topk.Coordinator, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
 	r.p, r.caller, r.batch = p, p.caller(), batch
 	r.policy = opts.Retry
@@ -372,10 +374,7 @@ func (p *Peer) forward(r *forwardRound, batch []*peerStream, coord *topk.Coordin
 	}
 	r.wg.Add(len(batch) - 1)
 	for i := 1; i < len(batch); i++ {
-		go func(i int) {
-			defer r.wg.Done()
-			r.pull(i)
-		}(i)
+		p.fan.run(r, i)
 	}
 	r.pull(0)
 	r.wg.Wait()

@@ -231,9 +231,16 @@ func (b *Bloom) Resemblance(other Set) (float64, error) {
 }
 
 // Clone returns a deep copy.
-func (b *Bloom) Clone() Set {
-	c := &Bloom{m: b.m, k: b.k, bits: make([]uint64, len(b.bits)), n: b.n}
-	copy(c.bits, b.bits)
+func (b *Bloom) Clone() Set { return b.CloneInto(nil) }
+
+// CloneInto returns a deep copy, written into dst's memory when dst is a
+// Bloom filter.
+func (b *Bloom) CloneInto(dst Set) Set {
+	c, ok := dst.(*Bloom)
+	if !ok {
+		c = new(Bloom)
+	}
+	*c = Bloom{m: b.m, k: b.k, bits: append(c.bits[:0], b.bits...), n: b.n}
 	return c
 }
 

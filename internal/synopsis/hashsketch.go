@@ -169,9 +169,16 @@ func (h *HashSketch) Resemblance(other Set) (float64, error) {
 }
 
 // Clone returns a deep copy.
-func (h *HashSketch) Clone() Set {
-	c := &HashSketch{bitmaps: make([]uint64, len(h.bitmaps)), n: h.n}
-	copy(c.bitmaps, h.bitmaps)
+func (h *HashSketch) Clone() Set { return h.CloneInto(nil) }
+
+// CloneInto returns a deep copy, written into dst's memory when dst is a
+// hash sketch.
+func (h *HashSketch) CloneInto(dst Set) Set {
+	c, ok := dst.(*HashSketch)
+	if !ok {
+		c = new(HashSketch)
+	}
+	*c = HashSketch{bitmaps: append(c.bitmaps[:0], h.bitmaps...), n: h.n}
 	return c
 }
 

@@ -293,9 +293,17 @@ func (m *MIPs) shrinkTo(n int) bool {
 }
 
 // Clone returns a deep copy.
-func (m *MIPs) Clone() Set {
-	c := &MIPs{seed: m.seed, mins: make([]uint32, len(m.mins)), n: m.n, a: m.a, b: m.b}
-	copy(c.mins, m.mins)
+func (m *MIPs) Clone() Set { return m.CloneInto(nil) }
+
+// CloneInto returns a deep copy, written into dst's memory when dst is a
+// MIPs vector. The permutation coefficients are the shared immutable
+// ones, so only the minima are copied.
+func (m *MIPs) CloneInto(dst Set) Set {
+	c, ok := dst.(*MIPs)
+	if !ok {
+		c = new(MIPs)
+	}
+	*c = MIPs{seed: m.seed, mins: append(c.mins[:0], m.mins...), n: m.n, a: m.a, b: m.b}
 	return c
 }
 

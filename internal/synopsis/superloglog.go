@@ -201,9 +201,16 @@ func (s *SuperLogLog) Resemblance(other Set) (float64, error) {
 }
 
 // Clone returns a deep copy.
-func (s *SuperLogLog) Clone() Set {
-	c := &SuperLogLog{buckets: make([]uint8, len(s.buckets)), n: s.n}
-	copy(c.buckets, s.buckets)
+func (s *SuperLogLog) Clone() Set { return s.CloneInto(nil) }
+
+// CloneInto returns a deep copy, written into dst's memory when dst is a
+// SuperLogLog sketch.
+func (s *SuperLogLog) CloneInto(dst Set) Set {
+	c, ok := dst.(*SuperLogLog)
+	if !ok {
+		c = new(SuperLogLog)
+	}
+	*c = SuperLogLog{buckets: append(c.buckets[:0], s.buckets...), n: s.n}
 	return c
 }
 

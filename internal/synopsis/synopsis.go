@@ -102,7 +102,8 @@ var (
 // is safe only on a synopsis the caller owns. The synopses a search reads
 // are shared read-only (the directory cache decodes each post once per
 // epoch, and a peer memoises its own per index generation), so routing
-// folds only into clones and references it built itself.
+// folds only into copies it owns: CloneInto refills one of them in place,
+// which lets a reused router copy without allocating.
 type Set interface {
 	// Kind identifies the concrete family.
 	Kind() Kind
@@ -128,6 +129,12 @@ type Set interface {
 	IntersectInPlace(other Set) error
 	// Clone returns a deep copy.
 	Clone() Set
+	// CloneInto is Clone into memory the caller owns and no longer
+	// needs: when dst is a synopsis of the receiver's family it is
+	// overwritten with the copy and returned, reusing its buffers;
+	// otherwise (dst nil, or another family) a fresh copy is returned.
+	// Clone is CloneInto(nil).
+	CloneInto(dst Set) Set
 	// MarshalBinary encodes the synopsis in the self-describing wire form.
 	MarshalBinary() ([]byte, error)
 }

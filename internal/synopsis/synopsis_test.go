@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -124,6 +125,52 @@ func TestCloneIndependence(t *testing.T) {
 		}
 		if c.Cardinality() != 4 {
 			t.Errorf("%s: clone did not record add", kind)
+		}
+	}
+}
+
+// TestCloneInto: a copy into a synopsis of the same family reuses that
+// synopsis and its buffers without allocating and is byte-identical to
+// Clone; into nil or another family it is a fresh copy. Either way the
+// copy is independent of its source.
+func TestCloneInto(t *testing.T) {
+	kinds := []Kind{KindBloom, KindMIPs, KindHashSketch, KindSuperLogLog}
+	for _, kind := range kinds {
+		cfg := Config{Kind: kind, Bits: 1024, Seed: 5}
+		src := cfg.FromIDs([]uint64{1, 2, 3, 4})
+		want, err := src.Clone().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := cfg.FromIDs([]uint64{7, 8})
+		if kind == KindMIPs {
+			// A reference that shrank to a shorter vector keeps its
+			// capacity; the copy grows back to the source's length.
+			short := Config{Kind: kind, Bits: 256, Seed: 5}.FromIDs([]uint64{9})
+			if err := dst.UnionInPlace(short); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got Set
+		if allocs := testing.AllocsPerRun(10, func() { got = src.CloneInto(dst) }); allocs != 0 {
+			t.Errorf("%s: CloneInto a same-family synopsis allocated %.0f times", kind, allocs)
+		}
+		if got != dst {
+			t.Errorf("%s: CloneInto did not reuse dst", kind)
+		}
+		for _, other := range []Set{nil, Config{Kind: kinds[(int(kind)+1)%len(kinds)], Bits: 1024}.New()} {
+			if c := src.CloneInto(other); c == other || c.Kind() != kind {
+				t.Errorf("%s: CloneInto(%v) returned %v", kind, other, c)
+			} else if b, _ := c.MarshalBinary(); !bytes.Equal(b, want) {
+				t.Errorf("%s: CloneInto(%v) differs from Clone", kind, other)
+			}
+		}
+		if b, _ := got.MarshalBinary(); !bytes.Equal(b, want) {
+			t.Errorf("%s: CloneInto differs from Clone", kind)
+		}
+		got.Add(99)
+		if b, _ := src.MarshalBinary(); !bytes.Equal(b, want) {
+			t.Errorf("%s: mutating the copy changed its source", kind)
 		}
 	}
 }
