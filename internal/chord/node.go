@@ -290,14 +290,21 @@ func (n *Node) registerHandlers() {
 // The walk is fault-tolerant: nodes that fail mid-walk are remembered in
 // an avoid set and the walk restarts from this node, routing around the
 // corpse (remote finger tables may still reference it before their
-// owners re-stabilize). In the degenerate worst case the walk degrades
-// to a successor-by-successor traversal, which is slow but correct.
+// owners re-stabilize). A node that fast-rejects a hop with
+// transport.ErrOverloaded is alive, only busy: the hop is retried once
+// before the node is avoided. In the degenerate worst case the walk
+// degrades to a successor-by-successor traversal, which is slow but
+// correct. A walk that fails wraps the last failed hop's error, so
+// callers can tell a busy ring from a broken one.
 func (n *Node) FindSuccessor(id ID) (NodeRef, error) {
 	avoid := map[string]struct{}{}
 	cur := n.self
 	var lastErr error
 	for hop := 0; hop < maxHops; hop++ {
 		succs, err := n.SuccessorsOf(cur)
+		if errors.Is(err, transport.ErrOverloaded) {
+			succs, err = n.SuccessorsOf(cur)
+		}
 		if err == nil && len(succs) == 0 {
 			err = fmt.Errorf("%w: %s has no successors", ErrNotFound, cur.Addr)
 		}
@@ -321,6 +328,9 @@ func (n *Node) FindSuccessor(id ID) (NodeRef, error) {
 			break
 		}
 		if succ.IsZero() {
+			if lastErr != nil {
+				return NodeRef{}, fmt.Errorf("%w: no live successor known at %s (last error: %w)", ErrNotFound, cur.Addr, lastErr)
+			}
 			return NodeRef{}, fmt.Errorf("%w: no live successor known at %s", ErrNotFound, cur.Addr)
 		}
 		if betweenIncl(cur.ID, id, succ.ID) {
@@ -340,7 +350,7 @@ func (n *Node) FindSuccessor(id ID) (NodeRef, error) {
 		cur = next
 	}
 	if lastErr != nil {
-		return NodeRef{}, fmt.Errorf("%w: exceeded %d hops for %s (last error: %v)", ErrNotFound, maxHops, id, lastErr)
+		return NodeRef{}, fmt.Errorf("%w: exceeded %d hops for %s (last error: %w)", ErrNotFound, maxHops, id, lastErr)
 	}
 	return NodeRef{}, fmt.Errorf("%w: exceeded %d hops for %s", ErrNotFound, maxHops, id)
 }

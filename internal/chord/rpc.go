@@ -7,10 +7,15 @@ import "iqn/internal/transport"
 // serves each one; every outgoing Chord call goes through the same
 // declaration.
 
+// MaxRing is the largest ring the protocol serves: a ring walk stops
+// there, and a client-side map of the ring holds at most this many
+// nodes.
+const MaxRing = 4096
+
 // maxRefs caps the node references one Chord frame may carry: a
-// successor list or a leave notice's splice is a handful of entries;
-// 4,096 is the largest ring the directory's ring walk accepts.
-const maxRefs = 4096
+// successor list or a leave notice's splice is a handful of entries, a
+// whole ring at most MaxRing.
+const maxRefs = MaxRing
 
 var (
 	findSuccessorRPC = transport.Method[ID, NodeRef]{

@@ -86,6 +86,16 @@ type Post struct {
 // a lookup: strictly ascending by peer name, one post per peer.
 type PeerList []Post
 
+// getReply is the wire form of the dir.get reply: each requested term's
+// PeerList, plus the serving node's predecessor ID (0 when the node does
+// not know its predecessor). The server thereby states the ring interval
+// (PredID, self] it owns, which is what the reader's owner view learns
+// and every reply is checked against.
+type getReply struct {
+	PredID chord.ID
+	Lists  map[string]PeerList
+}
+
 // Service stores the directory fraction a node is responsible for and
 // serves the directory RPCs. Create with NewService; it registers its
 // handlers on the node's mux.
@@ -139,12 +149,12 @@ func NewService(node *chord.Node) *Service {
 	s := &Service{node: node, data: make(map[string]PeerList)}
 	mux := node.Mux()
 	postRPC.Handle(mux, func(posts []Post) (int, error) { return s.store(posts), nil })
-	getRPC.Handle(mux, func(terms []string) (map[string]PeerList, error) {
+	getRPC.Handle(mux, func(terms []string) (getReply, error) {
 		out := make(map[string]PeerList, len(terms))
 		for _, t := range terms {
 			out[t] = s.Lookup(t)
 		}
-		return out, nil
+		return getReply{PredID: node.Predecessor().ID, Lists: out}, nil
 	})
 	pruneRPC.Handle(mux, func(minEpoch int64) (int, error) { return s.Prune(minEpoch), nil })
 	s.registerHandoff()
@@ -283,6 +293,11 @@ type Client struct {
 	// cache, when armed via EnableCache, serves repeated-term reads
 	// locally with bounded staleness (≤ TTL) and epoch validation.
 	cache *readCache
+
+	// view names the owner of every ring interval a dir.get reply has
+	// confirmed, so a read of a term in a known interval skips the
+	// Chord lookup (view.go).
+	view ownerView
 }
 
 // NewClient returns a directory client working through the given node.
@@ -405,12 +420,11 @@ func (c *Client) PruneBelow(minEpoch int64) int {
 // not close (the caller then falls back to per-term lookups). The walk is
 // O(ring size) RPCs, amortized over an arbitrarily large post batch.
 func (c *Client) ringSnapshot() []chord.NodeRef {
-	const maxRing = 4096
 	self := c.node.Self()
 	ring := []chord.NodeRef{self}
 	seen := map[string]struct{}{self.Addr: {}}
 	cur := c.node.Successor()
-	for len(ring) < maxRing {
+	for len(ring) < chord.MaxRing {
 		if cur.IsZero() {
 			return nil
 		}

@@ -36,9 +36,9 @@ var (
 		Name: methodPost, Limit: maxElems,
 		EncodeReq: putPosts, DecodeReq: getPosts, EncodeResp: putInt, DecodeResp: getInt,
 	})
-	getRPC = declare(transport.Method[[]string, map[string]PeerList]{
+	getRPC = declare(transport.Method[[]string, getReply]{
 		Name: methodGet, Limit: maxElems,
-		EncodeReq: putStrings, DecodeReq: getStrings, EncodeResp: putPeerLists, DecodeResp: getPeerLists,
+		EncodeReq: putStrings, DecodeReq: getStrings, EncodeResp: putGetReply, DecodeResp: getGetReply,
 	})
 	pruneRPC = declare(transport.Method[int64, int]{
 		Name: methodPrune, Limit: maxElems,
@@ -182,36 +182,40 @@ func getPosts(d *transport.Decoder) []Post {
 	return posts
 }
 
-// A dir.get reply is a count of terms, then per term in ascending order
-// the term and its posts. The decoder requires that order, so a decoded
-// reply re-encodes to the same bytes.
-func putPeerLists(e *transport.Encoder, lists map[string]PeerList) {
-	terms := make([]string, 0, len(lists))
-	for t := range lists {
+// A dir.get reply is the serving node's predecessor ID, then a count of
+// terms, then per term in ascending order the term and its posts. The
+// decoder requires that order, so a decoded reply re-encodes to the same
+// bytes.
+func putGetReply(e *transport.Encoder, r getReply) {
+	e.Uint(uint64(r.PredID))
+	terms := make([]string, 0, len(r.Lists))
+	for t := range r.Lists {
 		terms = append(terms, t)
 	}
 	slices.Sort(terms)
 	e.Uint(uint64(len(terms)))
 	for _, t := range terms {
 		e.String(t)
-		putPosts(e, lists[t])
+		putPosts(e, r.Lists[t])
 	}
 }
 
-func getPeerLists(d *transport.Decoder) map[string]PeerList {
+func getGetReply(d *transport.Decoder) getReply {
+	r := getReply{PredID: chord.ID(d.Uint())}
 	n := d.Count(2)
 	lists := make(map[string]PeerList, n)
+	r.Lists = lists
 	prev := ""
 	for i := 0; i < n; i++ {
 		t := d.String()
 		if i > 0 && t <= prev {
 			d.Fail("terms out of order: %q after %q", t, prev)
-			return lists
+			return r
 		}
 		lists[t] = getPosts(d)
 		prev = t
 	}
-	return lists
+	return r
 }
 
 func putHandoffRequest(e *transport.Encoder, r handoffRequest) {

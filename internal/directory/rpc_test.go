@@ -62,7 +62,7 @@ func dirCodecs() []codec {
 	bare := mkPost("peerB", "ice", 3)
 	return []codec{
 		codecOf(postRPC, []Post{post, bare}, 2),
-		codecOf(getRPC, []string{"fire", "ice"}, map[string]PeerList{"fire": {post}, "ice": {bare}, "void": nil}),
+		codecOf(getRPC, []string{"fire", "ice"}, getReply{PredID: 1 << 63, Lists: map[string]PeerList{"fire": {post}, "ice": {bare}, "void": nil}}),
 		codecOf(pruneRPC, int64(-3), 7),
 		codecOf(handoffRPC, handoffRequest{From: 1, To: 1 << 60}, []Post{post}),
 		codecOf(handoffPushRPC, handoffPush{Posts: []Post{post}, Floor: 1}, 1),
@@ -114,7 +114,7 @@ func TestLyingCountFailsBeforeAllocating(t *testing.T) {
 	}{
 		{"dir.post request", func(b []byte) error { _, err := postRPC.DecodeRequest(b); return err }, claim()},
 		{"dir.get request", func(b []byte) error { _, err := getRPC.DecodeRequest(b); return err }, claim()},
-		{"dir.get response", func(b []byte) error { _, err := getRPC.DecodeResponse(b); return err }, claim()},
+		{"dir.get response", func(b []byte) error { _, err := getRPC.DecodeResponse(b); return err }, claim(0)},
 		{"dir.handoff response", func(b []byte) error { _, err := handoffRPC.DecodeResponse(b); return err }, claim()},
 		{"dir.handoff_push request", func(b []byte) error { _, err := handoffPushRPC.DecodeRequest(b); return err }, claim()},
 		{"dir.withdraw request", func(b []byte) error { _, err := withdrawRPC.DecodeRequest(b); return err }, claim(0)},
@@ -271,14 +271,14 @@ func TestFramesMatchGob(t *testing.T) {
 		gobOracle(t, "dir.repair request", repairRequest{Term: randString(r), Posts: posts, Floor: int64(randInt(r))},
 			repairRPC.EncodeRequest, repairRPC.DecodeRequest)
 
-		var lists map[string]PeerList
-		if r.IntN(4) > 0 {
-			lists = make(map[string]PeerList)
-			for j := r.IntN(4); j > 0; j-- {
-				lists[randString(r)] = randPosts(r)
-			}
+		// A decoded reply always holds a map, as gob gives one for a map
+		// field that was sent.
+		lists := make(map[string]PeerList)
+		for j := r.IntN(4); j > 0; j-- {
+			lists[randString(r)] = randPosts(r)
 		}
-		gobOracle(t, "dir.get response", lists, getRPC.EncodeResponse, getRPC.DecodeResponse)
+		gobOracle(t, "dir.get response", getReply{PredID: chord.ID(r.Uint64() >> r.IntN(64)), Lists: lists},
+			getRPC.EncodeResponse, getRPC.DecodeResponse)
 
 		var terms []string
 		for j := r.IntN(4); j > 0; j-- {
@@ -297,9 +297,10 @@ func TestFramesMatchGob(t *testing.T) {
 }
 
 // goldenGetReply is the dir.get reply pinned, byte for byte, by
-// testdata/dir_get_reply_v1.hex: two terms, one post with a histogram
-// and one without, and a term with no posts.
-var goldenGetReply = map[string]PeerList{
+// testdata/dir_get_reply_v2.hex: the server's predecessor ID, then two
+// terms, one post with a histogram and one without, and a term with no
+// posts.
+var goldenGetReply = getReply{PredID: 0x0123456789abcdef, Lists: map[string]PeerList{
 	"fire": {
 		{Peer: "p1", PeerAddr: "mem://p1", Term: "fire", ListLength: 12, MaxScore: 3.5, AvgScore: 1.25,
 			TermSpaceSize: 100, NumDocs: 1000, Synopsis: []byte{0xde, 0xad}, Epoch: 3,
@@ -308,10 +309,10 @@ var goldenGetReply = map[string]PeerList{
 			TermSpaceSize: 80, NumDocs: 500, Synopsis: []byte{0xef}, Epoch: -1},
 	},
 	"ice": nil,
-}
+}}
 
 func TestGoldenGetReply(t *testing.T) {
-	text, err := os.ReadFile("testdata/dir_get_reply_v1.hex")
+	text, err := os.ReadFile("testdata/dir_get_reply_v2.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestGetReplyDecodeAllocsConstant(t *testing.T) {
 		for i := range pl {
 			pl[i] = mkPost(strings.Repeat("p", 1+i%7), "fire", 1+i)
 		}
-		frame := getRPC.EncodeResponse(map[string]PeerList{"fire": pl})
+		frame := getRPC.EncodeResponse(getReply{PredID: 7, Lists: map[string]PeerList{"fire": pl}})
 		return testing.AllocsPerRun(50, func() {
 			if _, err := getRPC.DecodeResponse(frame); err != nil {
 				t.Fatal(err)

@@ -188,9 +188,10 @@ type Peer struct {
 	// adaptive routing is off).
 	adaptive *adapt.Store
 
-	// searchMu guards searchFlights (whole-search coalescing).
+	// searchMu guards searchFlights (whole-search coalescing), keyed by
+	// the flight key's hash; the flight holds the key itself.
 	searchMu      sync.Mutex
-	searchFlights map[flightKey]*searchFlight
+	searchFlights map[uint64]*searchFlight
 
 	// scratch pools the per-search working sets (searchScratch).
 	scratch sync.Pool
