@@ -114,12 +114,11 @@ func (n *Node) refreshSuccessors(succ NodeRef) {
 	if succ.Addr != n.self.Addr {
 		if remote, _, err := successorsRPC.Call(n.rpc(), succ.Addr, none, oneShot); err == nil {
 			for _, s := range remote {
-				if s.Addr == n.self.Addr || s.IsZero() {
-					continue
-				}
-				list = append(list, s)
 				if len(list) >= n.cfg.successors() {
 					break
+				}
+				if s.Addr != n.self.Addr && !s.IsZero() {
+					list = append(list, s)
 				}
 			}
 		}

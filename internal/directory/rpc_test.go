@@ -359,6 +359,9 @@ func TestGetReplyDecodeAllocsConstant(t *testing.T) {
 // a registry armed, invoke costs no allocation beyond the RPC itself —
 // the per-method counter name is built once, in the method table.
 func TestInvokeCountsWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
 	_, _, clients, net := testRing(t, 1, 1)
 	c := clients[0]
 	c.Metrics = telemetry.NewRegistry()

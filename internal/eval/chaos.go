@@ -56,7 +56,10 @@ func (tb *testbed) chaos() (*ChaosResult, error) {
 	for _, rate := range chaosFailRates {
 		faulty := transport.NewFaulty(transport.NewInMem(), tb.seed)
 		faulty.SetSleep(noSleep)
-		net, err := tb.deploy(faulty, minerva.Config{Replicas: systemsReplicas})
+		net, err := tb.deploy(faulty, minerva.Config{
+			Replicas:     systemsReplicas,
+			ForwardRetry: transport.RetryPolicy{MaxAttempts: 3, Sleep: noSleep, Seed: tb.seed},
+		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: chaos rate %0.2f: %w", rate, err)
 		}
@@ -80,10 +83,7 @@ func (tb *testbed) chaosPoint(net *minerva.Network, faulty *transport.Faulty, ra
 		faulty.Crash(p.Name())
 	}
 	healRing(alive)
-	opts := minerva.SearchOptions{
-		MaxPeers: systemsMaxPeers,
-		Retry:    transport.RetryPolicy{MaxAttempts: 3, Sleep: noSleep, Seed: tb.seed},
-	}
+	opts := minerva.SearchOptions{MaxPeers: systemsMaxPeers}
 	measure := func(noReroute bool) (recall float64, lost, replaced int, err error) {
 		opts.NoReroute = noReroute
 		recall, err = tb.recall(net, alive, opts, func(res *minerva.SearchResult) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"iqn/internal/directory"
 	"iqn/internal/minerva"
 	"iqn/internal/synopsis"
 	"iqn/internal/transport"
@@ -491,6 +492,37 @@ func TestTrimNum(t *testing.T) {
 		if got := trimNum(in); got != want {
 			t.Errorf("trimNum(%v) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestOverloadDegradesOnFailedSearch: an initiator whose every
+// directory read fails cannot finish a search, and the point counts
+// those failures in Reported and scores them as empty results instead
+// of aborting the experiment.
+func TestOverloadDegradesOnFailedSearch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overload experiment burns real wall time on injected delays")
+	}
+	tb := smallTestbed(t, Fig3Config{
+		CorpusDocs: 1500,
+		VocabSize:  300,
+		Strategy:   Strategy{Fragments: 20, R: 4, Offset: 2}, // 10 peers
+		Queries:    8,
+		K:          10,
+		Seed:       42,
+	})
+	cut := func(f *transport.Faulty, initiators []*minerva.Peer) {
+		f.AddRule(transport.Rule{From: initiators[0].Name(), Method: directory.MethodGet, Drop: 1})
+	}
+	point, err := tb.overloadRun("bare", 2, cut)
+	if err != nil {
+		t.Fatalf("a failed search aborted the point: %v", err)
+	}
+	if point.Reported < 1 {
+		t.Fatalf("Reported = %d, want the failed searches counted", point.Reported)
+	}
+	if point.Recall <= 0 || point.Recall >= 1 {
+		t.Fatalf("recall %v: want the other initiator's searches found, the failed ones empty", point.Recall)
 	}
 }
 

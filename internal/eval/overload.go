@@ -57,7 +57,8 @@ type OverloadPoint struct {
 	// reference top-k.
 	Recall float64 `json:"recall"`
 	// Reported counts structured per-peer errors surfaced across the
-	// workload (every degraded query names what it lost).
+	// workload (every degraded query names what it lost), plus one per
+	// search that failed outright — scored as having found nothing.
 	Reported int `json:"reported"`
 	// Rejected counts fast server-side ErrOverloaded rejects observed by
 	// callers — load shed by admission control rather than queued.
@@ -82,7 +83,7 @@ func (tb *testbed) overload(concurrencies []int) (*OverloadResult, error) {
 	res := &OverloadResult{}
 	for _, conc := range concurrencies {
 		for _, mode := range []string{"bare", "hardened"} {
-			point, err := tb.overloadRun(mode, conc)
+			point, err := tb.overloadRun(mode, conc, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -92,10 +93,16 @@ func (tb *testbed) overload(concurrencies []int) (*OverloadResult, error) {
 	return res, nil
 }
 
-func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
+// overloadRun measures one mode at one load level. fault, non-nil, adds
+// faults of its own once the stragglers are slowed; it is given the
+// initiators.
+func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faulty, []*minerva.Peer)) (OverloadPoint, error) {
 	point := OverloadPoint{Mode: mode, Concurrency: conc}
 	hardened := mode == "hardened"
-	mcfg := minerva.Config{Replicas: systemsReplicas}
+	mcfg := minerva.Config{
+		Replicas:     systemsReplicas,
+		ForwardRetry: transport.RetryPolicy{MaxAttempts: 2, Seed: tb.seed, Sleep: noSleep},
+	}
 	if hardened {
 		mcfg.HedgeDelay = overloadHedgeDelay
 		mcfg.Breakers = &transport.BreakerConfig{FailureThreshold: 2, ProbeAfter: 8, Seed: tb.seed}
@@ -122,6 +129,9 @@ func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
 			faulty.AddRule(transport.Rule{To: p.Name(), Method: m, DelayProb: 1, Delay: overloadSlowDelay})
 		}
 	}
+	if fault != nil {
+		fault(faulty, initiators)
+	}
 
 	// Pre-compute fault-free references sequentially so reference work
 	// never pollutes the measured latencies.
@@ -132,7 +142,6 @@ func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
 	opts := minerva.SearchOptions{
 		K:        tb.k,
 		MaxPeers: systemsMaxPeers,
-		Retry:    transport.RetryPolicy{MaxAttempts: 2, Seed: tb.seed, Sleep: noSleep},
 	}
 	if hardened {
 		opts.Budget = overloadBudget
@@ -164,10 +173,14 @@ func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
 	lats := make([]time.Duration, 0, len(outcomes))
 	var t tally
 	for qi, out := range outcomes {
-		if out.err != nil {
-			return point, fmt.Errorf("eval: overload %s query %d: %w", mode, tb.queries[qi].ID, out.err)
-		}
 		lats = append(lats, out.elapsed)
+		if out.err != nil {
+			// A failed search degrades the point instead of aborting the
+			// run: it found none of its reference and is reported.
+			t.add(nil, refs[qi])
+			point.Reported++
+			continue
+		}
 		t.add(out.res.Results, refs[qi])
 		point.Reported += len(out.res.Errors) + len(out.res.Directory.Errors)
 		for _, pe := range out.res.Errors {

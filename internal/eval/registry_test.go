@@ -3,9 +3,12 @@ package eval
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -136,5 +139,56 @@ func TestDesignInventoryMatchesRegistry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(listed, registered) {
 		t.Fatalf("DESIGN.md §3 lists\n  %v\nthe registry has\n  %v", listed, registered)
+	}
+}
+
+// TestDesignPackageMapMatchesTree keeps DESIGN.md's package map (§6) in
+// step with the source tree: every file it names under a directory
+// line must exist, and every non-test Go file under cmd/ and internal/
+// must be named.
+func TestDesignPackageMapMatchesTree(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := regexp.MustCompile("(?s)## 6\\. Package map\n.*?```\n(.*?)```").FindSubmatch(doc)
+	if section == nil {
+		t.Fatal("DESIGN.md has no §6 package map block")
+	}
+	named := map[string]bool{}
+	for _, line := range strings.Split(string(section[1]), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || !strings.HasSuffix(fields[0], "/") {
+			continue
+		}
+		for _, f := range fields[1:] {
+			if strings.HasSuffix(f, ".go") {
+				named[fields[0]+f] = true
+			}
+		}
+	}
+	inTree := map[string]bool{}
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(filepath.Join("../..", root), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			rel, err := filepath.Rel("../..", path)
+			inTree[filepath.ToSlash(rel)] = true
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := range named {
+		if !inTree[f] {
+			t.Errorf("DESIGN.md §6 names %s, which is not in the tree", f)
+		}
+	}
+	for f := range inTree {
+		if !named[f] {
+			t.Errorf("%s is missing from DESIGN.md §6", f)
+		}
 	}
 }

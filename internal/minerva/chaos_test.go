@@ -36,10 +36,10 @@ func fastRetry() transport.RetryPolicy {
 // and verifies the search still returns results, reports the lost peer
 // in Errors with its attempt count, and re-routes to a replacement.
 func TestSearchDegradesLoudly(t *testing.T) {
-	net, faulty, queries := buildFaultyNetwork(t, Config{SynopsisSeed: 7, Replicas: 2})
+	net, faulty, queries := buildFaultyNetwork(t, Config{SynopsisSeed: 7, Replicas: 2, ForwardRetry: fastRetry()})
 	initiator := net.Peers[0]
 	q := queries[0]
-	opts := SearchOptions{K: 20, MaxPeers: 3, Retry: fastRetry()}
+	opts := SearchOptions{K: 20, MaxPeers: 3}
 	// Learn the fault-free plan first.
 	clean, err := initiator.Search(q.Terms, opts)
 	if err != nil {
@@ -99,10 +99,10 @@ func TestSearchDegradesLoudly(t *testing.T) {
 // TestSearchNoRerouteReportsOnly verifies the ablation: NoReroute still
 // reports the loss but selects no replacements.
 func TestSearchNoRerouteReportsOnly(t *testing.T) {
-	net, faulty, queries := buildFaultyNetwork(t, Config{SynopsisSeed: 7, Replicas: 2})
+	net, faulty, queries := buildFaultyNetwork(t, Config{SynopsisSeed: 7, Replicas: 2, ForwardRetry: fastRetry()})
 	initiator := net.Peers[0]
 	q := queries[0]
-	opts := SearchOptions{K: 20, MaxPeers: 3, Retry: fastRetry(), NoReroute: true}
+	opts := SearchOptions{K: 20, MaxPeers: 3, NoReroute: true}
 	clean, err := initiator.Search(q.Terms, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -242,14 +242,15 @@ func TestSearchPerPeerErrorsDeterministic(t *testing.T) {
 		cols := dataset.AssignSlidingWindow(corpus, 20, 4, 2)
 		faulty := transport.NewFaulty(transport.NewInMem(), 23)
 		faulty.SetSleep(func(time.Duration) {})
-		net, err := BuildNetworkEndpoints(faulty, faulty.Endpoint, corpus, cols, Config{SynopsisSeed: 7, Replicas: 2})
+		net, err := BuildNetworkEndpoints(faulty, faulty.Endpoint, corpus, cols,
+			Config{SynopsisSeed: 7, Replicas: 2, ForwardRetry: fastRetry()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer net.Close()
 		queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: 1, Seed: 11})
 		initiator := net.Peers[0]
-		opts := SearchOptions{K: 20, MaxPeers: 3, Retry: fastRetry()}
+		opts := SearchOptions{K: 20, MaxPeers: 3}
 		clean, err := initiator.Search(queries[0].Terms, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -104,19 +104,19 @@ func TestGracefulLeaveKeepsDirectoryWhole(t *testing.T) {
 	}
 }
 
-// TestBootstrapNetworkMatchesJoinedRing: a network booted above the
-// bootstrap threshold must form a correct ring — every peer's successor
-// is the next peer by ring ID — without any stabilization.
+// TestBootstrapNetworkMatchesJoinedRing: a 64-peer network must form a
+// correct ring — every peer's successor is the next peer by ring ID —
+// without any stabilization.
 func TestBootstrapNetworkMatchesJoinedRing(t *testing.T) {
 	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: 1300, VocabSize: 800, Seed: 31})
-	cols := dataset.AssignSlidingWindow(corpus, bootstrapThreshold, 2, 1)
+	cols := dataset.AssignSlidingWindow(corpus, 64, 2, 1)
 	net, err := BuildNetwork(transport.NewInMem(), nil, cols, Config{SynopsisSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
-	if len(net.Peers) != bootstrapThreshold {
-		t.Fatalf("%d peers, want %d", len(net.Peers), bootstrapThreshold)
+	if len(net.Peers) != 64 {
+		t.Fatalf("%d peers, want 64", len(net.Peers))
 	}
 	refs := make([]chord.NodeRef, len(net.Peers))
 	for i, p := range net.Peers {

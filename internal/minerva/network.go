@@ -29,16 +29,8 @@ type Network struct {
 	cfg    Config
 }
 
-// bootstrapThreshold is the network size above which ring construction
-// switches from the join-and-stabilize protocol (O(n²) RPCs — the
-// faithful but slow path that small deterministic tests depend on) to a
-// zero-RPC warm start from the full membership snapshot
-// (chord.Node.Bootstrap). Live joins and leaves afterwards always go
-// through the real protocol.
-const bootstrapThreshold = 64
-
 // BuildNetwork boots one peer per collection on the given transport,
-// stabilizes the ring deterministically, indexes every collection, and
+// builds the ring from the membership, indexes every collection, and
 // publishes all directory posts. corpus may be nil to skip building the
 // centralized reference index.
 func BuildNetwork(net transport.Network, corpus *dataset.Corpus, cols []dataset.Collection, cfg Config) (*Network, error) {
@@ -69,32 +61,17 @@ func BuildNetworkEndpoints(base transport.Network, netFor func(name string) tran
 		n.Peers = append(n.Peers, p)
 		n.byName[col.Name] = p
 	}
-	if len(n.Peers) >= bootstrapThreshold {
-		// Warm start: every node computes its ring state locally from the
-		// full membership snapshot — no joins, no stabilization rounds.
-		refs := make([]chord.NodeRef, len(n.Peers))
-		for i, p := range n.Peers {
-			refs[i] = p.Node().Self()
-		}
-		for _, p := range n.Peers {
-			p.Node().Bootstrap(refs)
-		}
-	} else {
-		// Deterministic ring construction: join everyone through the first
-		// peer, then run stabilization rounds to convergence.
-		n.Peers[0].CreateRing()
-		for _, p := range n.Peers[1:] {
-			if err := p.JoinRing(n.Peers[0].Name()); err != nil {
-				n.Close()
-				return nil, err
-			}
-			for round := 0; round < 3; round++ {
-				for _, q := range n.Peers {
-					q.Node().Stabilize()
-				}
-			}
-		}
-		n.StabilizeAll()
+	// Every node computes its ring state locally from the full
+	// membership — no joins, no stabilization rounds. The state equals
+	// what the join protocol converges to (chord's
+	// TestJoinConvergesToBootstrap); live joins and leaves afterwards go
+	// through the real protocol.
+	refs := make([]chord.NodeRef, len(n.Peers))
+	for i, p := range n.Peers {
+		refs[i] = p.Node().Self()
+	}
+	for _, p := range n.Peers {
+		p.Node().Bootstrap(refs)
 	}
 	// Index and publish.
 	for i, col := range cols {

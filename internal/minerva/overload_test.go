@@ -138,7 +138,6 @@ func TestSearchBudgetDegradesToPartial(t *testing.T) {
 	start := time.Now()
 	res, err := initiator.Search(q.Terms, SearchOptions{
 		K: 20, MaxPeers: 3,
-		Retry:  transport.RetryPolicy{MaxAttempts: 1},
 		Budget: 50 * time.Millisecond,
 	})
 	elapsed := time.Since(start)
@@ -167,7 +166,6 @@ func TestSearchBudgetDegradesToPartial(t *testing.T) {
 	start = time.Now()
 	res2, err := initiator.Search(q.Terms, SearchOptions{
 		K: 20, MaxPeers: 3,
-		Retry: transport.RetryPolicy{MaxAttempts: 1},
 	})
 	elapsed = time.Since(start)
 	if err != nil {
@@ -281,11 +279,12 @@ func TestSearchBreakerTripsAndTraces(t *testing.T) {
 	run := func() (string, []uint64) {
 		net, faulty, queries := buildFaultyNetwork(t, Config{
 			SynopsisSeed: 7, Replicas: 2,
-			Breakers: &transport.BreakerConfig{FailureThreshold: 2, ProbeAfter: 64},
+			Breakers:     &transport.BreakerConfig{FailureThreshold: 2, ProbeAfter: 64},
+			ForwardRetry: fastRetry(),
 		})
 		initiator := net.Peers[0]
 		q := queries[0]
-		opts := SearchOptions{K: 20, MaxPeers: 3, Retry: fastRetry()}
+		opts := SearchOptions{K: 20, MaxPeers: 3}
 		clean, err := initiator.Search(q.Terms, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -78,6 +78,10 @@ type Config struct {
 	// operations (publishing posts, fetching PeerLists). The zero value
 	// keeps the pre-retry single-attempt behavior.
 	DirectoryRetry transport.RetryPolicy
+	// ForwardRetry is the retry/backoff policy for query forwarding, one
+	// per forwarded chunk call. The zero value makes a single attempt
+	// with no per-call timeout — the pre-retry behavior.
+	ForwardRetry transport.RetryPolicy
 	// Breakers, non-nil, arms per-link circuit breakers on the peer's
 	// outgoing calls (query forwarding and, through the shared caller,
 	// directory traffic): links that keep failing are fast-rejected and
@@ -188,10 +192,12 @@ type Peer struct {
 	// adaptive routing is off).
 	adaptive *adapt.Store
 
-	// searchMu guards searchFlights (whole-search coalescing), keyed by
-	// the flight key's hash; the flight holds the key itself.
+	// searchMu guards searchFlights, the searches in flight under
+	// whole-search coalescing. A peer has few in flight, so a lookup
+	// scans the slice; a map keyed by the flight key, too large to be
+	// stored in place, would allocate on every insert.
 	searchMu      sync.Mutex
-	searchFlights map[uint64]*searchFlight
+	searchFlights []*searchFlight
 
 	// scratch pools the per-search working sets (searchScratch).
 	scratch sync.Pool

@@ -2,10 +2,8 @@ package minerva
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -86,10 +84,6 @@ type SearchOptions struct {
 	// DisableSelf excludes the initiator's local result from seeding the
 	// reference synopsis and from the merged results.
 	DisableSelf bool
-	// Retry is the per-forward retry/backoff policy. The zero value
-	// makes a single attempt with no per-call timeout — the pre-retry
-	// behavior.
-	Retry transport.RetryPolicy
 	// NoReroute disables failure re-routing: by default, when a selected
 	// peer cannot be reached the router re-runs Select-Best-Peer against
 	// the reference synopsis of the peers that did answer and forwards
@@ -232,10 +226,11 @@ func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOpt
 		return p.searchUncoalesced(ctx, terms, opts)
 	}
 	key := coalesceKey(terms, opts)
-	slot := key.slot()
 	p.searchMu.Lock()
-	f := p.searchFlights[slot]
-	if f != nil && f.key == key {
+	for _, f := range p.searchFlights {
+		if f.key != key {
+			continue
+		}
 		f.followers++
 		p.searchMu.Unlock()
 		out := <-f.done
@@ -253,22 +248,14 @@ func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOpt
 		res := *out.res
 		return &res, nil
 	}
-	if f != nil {
-		// A different search hashed to the same slot: run this one on
-		// its own rather than chain slots for a 2^-64 event.
-		p.searchMu.Unlock()
-		return p.searchUncoalesced(ctx, terms, opts)
-	}
-	if p.searchFlights == nil {
-		p.searchFlights = map[uint64]*searchFlight{}
-	}
-	f = flightPool.Get().(*searchFlight)
+	f := flightPool.Get().(*searchFlight)
 	f.key = key
-	p.searchFlights[slot] = f
+	p.searchFlights = append(p.searchFlights, f)
 	p.searchMu.Unlock()
 	res, err := p.searchUncoalesced(ctx, terms, opts)
 	p.searchMu.Lock()
-	delete(p.searchFlights, slot)
+	i := slices.Index(p.searchFlights, f)
+	p.searchFlights = slices.Delete(p.searchFlights, i, i+1)
 	followers := f.followers
 	p.searchMu.Unlock()
 	// Each send completes only once a follower holds the outcome, so
@@ -303,98 +290,24 @@ var flightPool = sync.Pool{New: func() any {
 	return &searchFlight{done: make(chan flightOutcome)}
 }}
 
-// flightSeed hashes flight keys into searchFlights slots.
-var flightSeed = maphash.MakeSeed()
-
 // flightKey identifies a search for coalescing: two searches coalesce
-// only when every result-affecting input matches. It is a comparable
-// struct rather than a formatted string, so no two different searches
-// can share one: the terms stay separate strings and every option is a
-// field of its own. The first terms sit in head; the rest, rare, are
-// joined into tail, each prefixed with its length.
+// only when their terms and their options are equal. The options are
+// the SearchOptions value itself, so a new option splits the key with
+// no edit here, and one that is not comparable fails to compile. The
+// terms stay separate strings: the first sit in head; the rest, rare,
+// are joined into tail, each prefixed with its length.
 type flightKey struct {
 	terms int
 	head  [4]string
 	tail  string
-
-	k, mergeK, maxPeers, candidateLimit, chunkSize int
-	method                                         Method
-	aggregation                                    core.AggregationMode
-	conjunctive, useHistograms, noveltyOnly        bool
-	disableSelf, noReroute, topKStreaming          bool
-	budget                                         time.Duration
-
-	// The retry policy without Sleep, and Jitter by its bits, so a NaN
-	// jitter still equals itself.
-	retryAttempts                     int
-	retryBase, retryMax, retryTimeout time.Duration
-	retryJitter                       uint64
-	retrySeed                         int64
-}
-
-// slot hashes the key into searchFlights. Two keys may share a slot;
-// the caller compares whole keys before coalescing. The hash is built
-// on the stack, so it allocates nothing.
-func (k *flightKey) slot() uint64 {
-	ints := [...]int64{
-		int64(len(k.head[0])), int64(len(k.head[1])), int64(len(k.head[2])), int64(len(k.head[3])),
-		int64(len(k.tail)), int64(k.terms), int64(k.k), int64(k.mergeK), int64(k.maxPeers),
-		int64(k.candidateLimit), int64(k.chunkSize), int64(k.method), int64(k.aggregation),
-		int64(k.budget), int64(k.retryAttempts), int64(k.retryBase), int64(k.retryMax),
-		int64(k.retryTimeout), int64(k.retryJitter), k.retrySeed,
-	}
-	var b [8*len(ints) + 1]byte
-	buf := b[:0]
-	for _, v := range ints {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	var flags byte
-	for i, on := range [...]bool{k.conjunctive, k.useHistograms, k.noveltyOnly, k.disableSelf, k.noReroute, k.topKStreaming} {
-		if on {
-			flags |= 1 << i
-		}
-	}
-	buf = append(buf, flags)
-	var h maphash.Hash
-	h.SetSeed(flightSeed)
-	h.Write(buf)
-	for _, t := range k.head {
-		h.WriteString(t)
-	}
-	h.WriteString(k.tail)
-	return h.Sum64()
+	opts  SearchOptions
 }
 
 // coalesceKey canonicalizes a query for whole-search coalescing.
-// Retry.Sleep is deliberately excluded — a pacing-only test hook whose
-// function identity would defeat coalescing without ever changing a
-// result. Building the key allocates only for a query of more terms
-// than the key holds in place.
+// Building the key allocates only for a query of more terms than the
+// key holds in place.
 func coalesceKey(terms []string, o SearchOptions) flightKey {
-	r := o.Retry
-	key := flightKey{
-		terms:          len(terms),
-		k:              o.K,
-		mergeK:         o.MergeK,
-		maxPeers:       o.MaxPeers,
-		candidateLimit: o.CandidateLimit,
-		chunkSize:      o.ChunkSize,
-		method:         o.Method,
-		aggregation:    o.Aggregation,
-		conjunctive:    o.Conjunctive,
-		useHistograms:  o.UseHistograms,
-		noveltyOnly:    o.NoveltyOnly,
-		disableSelf:    o.DisableSelf,
-		noReroute:      o.NoReroute,
-		topKStreaming:  o.TopKStreaming,
-		budget:         o.Budget,
-		retryAttempts:  r.MaxAttempts,
-		retryBase:      r.BaseDelay,
-		retryMax:       r.MaxDelay,
-		retryTimeout:   r.Timeout,
-		retryJitter:    math.Float64bits(r.Jitter),
-		retrySeed:      r.Seed,
-	}
+	key := flightKey{terms: len(terms), opts: o}
 	n := copy(key.head[:], terms)
 	if len(terms) > n {
 		var tail []byte

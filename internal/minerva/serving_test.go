@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"iqn/internal/core"
 	"iqn/internal/dataset"
 	"iqn/internal/telemetry"
 	"iqn/internal/transport"
@@ -114,8 +115,9 @@ func TestCoalesceKeyDiscriminates(t *testing.T) {
 		func(o *SearchOptions) { o.DisableSelf = true },
 		func(o *SearchOptions) { o.NoReroute = true },
 		func(o *SearchOptions) { o.Budget = time.Second },
-		func(o *SearchOptions) { o.Retry.MaxAttempts = 3 },
-		func(o *SearchOptions) { o.Retry.Seed = 99 },
+		func(o *SearchOptions) { o.Aggregation = core.PerTerm },
+		func(o *SearchOptions) { o.TopKStreaming = true },
+		func(o *SearchOptions) { o.ChunkSize = 8 },
 	} {
 		o := base
 		mut(&o)
@@ -132,12 +134,70 @@ func TestCoalesceKeyDiscriminates(t *testing.T) {
 	if coalesceKey([]string{"alpha"}, base) == coalesceKey([]string{"beta"}, base) {
 		t.Fatal("different terms share a key")
 	}
-	// The pacing-only retry sleep hook must NOT split the key: a
-	// duplicate differing only there still shares the execution.
-	o := base
-	o.Retry.Sleep = func(time.Duration) {}
-	if coalesceKey(terms, o) != coalesceKey(terms, base) {
-		t.Fatal("Retry.Sleep split the coalescing key")
+}
+
+// TestSearchFlightsDrain: a burst of concurrent searches, each query
+// issued by several callers at once, leaves the in-flight table empty
+// once every caller has returned, so a duplicate issued afterwards
+// executes afresh rather than joining a finished flight. Every caller
+// gets its own query's result, whichever flight it joined.
+func TestSearchFlightsDrain(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	corpus := dataset.Generate(dataset.CorpusConfig{NumDocs: 1500, VocabSize: 1200, Seed: 23})
+	cols := dataset.AssignSlidingWindow(corpus, 20, 4, 2)
+	slow := &slowNet{Network: transport.NewInMem()}
+	net, err := BuildNetwork(slow, corpus, cols,
+		Config{SynopsisSeed: 5, SearchCoalescing: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	queries := dataset.GenerateQueries(corpus, dataset.QueryConfig{Count: 3, Seed: 31})
+	opts := SearchOptions{K: 20, MaxPeers: 3}
+	initiator := net.Peers[0]
+	want := make([]*SearchResult, len(queries))
+	for i, q := range queries {
+		if want[i], err = initiator.Search(q.Terms, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	slow.delay.Store(int64(5 * time.Millisecond))
+	const dup = 4
+	results := make([]*SearchResult, dup*len(queries))
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = initiator.Search(queries[i%len(queries)].Terms, opts)
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if w := want[i%len(queries)]; !reflect.DeepEqual(res.Results, w.Results) {
+			t.Fatalf("caller %d got another query's results", i)
+		}
+	}
+	initiator.searchMu.Lock()
+	left := len(initiator.searchFlights)
+	initiator.searchMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights left in the table after the burst", left)
+	}
+	coalesced := reg.Snapshot().Counters["search.coalesced"]
+	if coalesced == 0 {
+		t.Fatal("no search of the burst was coalesced")
+	}
+	if _, err := initiator.Search(queries[0].Terms, opts); err != nil {
+		t.Fatal(err)
+	}
+	if after := reg.Snapshot().Counters["search.coalesced"]; after != coalesced {
+		t.Fatalf("a duplicate after the burst joined a finished flight (coalesced %d -> %d)", coalesced, after)
 	}
 }
 

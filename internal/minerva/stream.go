@@ -113,7 +113,7 @@ type execOutcome struct {
 
 // execute forwards the query to the planned peers and returns the
 // execution outcome plus the merged result list at depth MergeK. Peers
-// are pulled under the search's retry policy; when peers are lost
+// are pulled under the peer's Config.ForwardRetry; when peers are lost
 // anyway, Select-Best-Peer is re-run against the reference synopsis of
 // the peers that answered (core.Reroute) to pick replacements. Every
 // lost peer is reported in the outcome's errs — the search degrades
@@ -341,7 +341,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, s *searchScratch, initiator
 }
 
 // forward fans one round out: it pulls one chunk from every stream of
-// the batch concurrently, each under the search's retry policy — with
+// the batch concurrently, each under Config.ForwardRetry — with
 // per-attempt timeouts capped by the remaining deadline budget, and
 // through the peer's circuit-breaker set when one is armed — and
 // reports per-stream outcomes in batch order. It never swallows a
@@ -355,7 +355,7 @@ func (p *Peer) execute(q core.Query, plan core.Plan, s *searchScratch, initiator
 // live in r and are valid until the next round.
 func (p *Peer) forward(r *forwardRound, batch []*peerStream, coord *topk.Coordinator, q core.Query, opts SearchOptions, chunkSize int, dl *core.Deadline, span *telemetry.Span) []chunkOutcome {
 	r.p, r.caller, r.batch = p, p.caller(), batch
-	r.policy = opts.Retry
+	r.policy = p.cfg.ForwardRetry
 	r.policy.Timeout = dl.Cap(r.policy.Timeout)
 	r.req = transport.ChunkRequest{Terms: q.Terms, K: opts.k(), Conjunctive: opts.Conjunctive, Size: chunkSize}
 	r.out = grown(r.out, len(batch))

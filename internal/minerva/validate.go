@@ -1,6 +1,10 @@
 package minerva
 
-import "fmt"
+import (
+	"fmt"
+
+	"iqn/internal/transport"
+)
 
 // Validate rejects knob combinations that would misbehave at runtime,
 // so bad configs fail loudly at construction (NewPeer calls it) instead
@@ -31,9 +35,14 @@ func (c Config) Validate() error {
 	if c.TopKChunkSize < 0 {
 		return fmt.Errorf("minerva: TopKChunkSize %d is negative (use 0 for the default)", c.TopKChunkSize)
 	}
-	if r := c.DirectoryRetry; r.BaseDelay < 0 || r.MaxDelay < 0 || r.Timeout < 0 {
-		return fmt.Errorf("minerva: DirectoryRetry has a negative duration (base %v, max %v, timeout %v)",
-			r.BaseDelay, r.MaxDelay, r.Timeout)
+	for _, r := range [...]struct {
+		name string
+		transport.RetryPolicy
+	}{{"DirectoryRetry", c.DirectoryRetry}, {"ForwardRetry", c.ForwardRetry}} {
+		if r.BaseDelay < 0 || r.MaxDelay < 0 || r.Timeout < 0 {
+			return fmt.Errorf("minerva: %s has a negative duration (base %v, max %v, timeout %v)",
+				r.name, r.BaseDelay, r.MaxDelay, r.Timeout)
+		}
 	}
 	if a := c.Adaptive; a != nil {
 		if err := a.Validate(); err != nil {

@@ -25,6 +25,7 @@ func TestConfigValidate(t *testing.T) {
 			AdmissionLimit: 8,
 			AdmissionQueue: 16,
 			DirectoryRetry: transport.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+			ForwardRetry:   transport.RetryPolicy{MaxAttempts: 2, Timeout: 50 * time.Millisecond},
 			Breakers:       &transport.BreakerConfig{FailureThreshold: 3, ProbeAfter: 2, Jitter: 0.5},
 		}},
 		{name: "negative synopsis bits", cfg: Config{SynopsisBits: -1}, wantErr: "SynopsisBits"},
@@ -38,6 +39,8 @@ func TestConfigValidate(t *testing.T) {
 		{name: "negative chunk size", cfg: Config{TopKChunkSize: -8}, wantErr: "TopKChunkSize"},
 		{name: "negative retry delay", cfg: Config{DirectoryRetry: transport.RetryPolicy{BaseDelay: -time.Second}}, wantErr: "DirectoryRetry"},
 		{name: "negative retry timeout", cfg: Config{DirectoryRetry: transport.RetryPolicy{Timeout: -time.Second}}, wantErr: "DirectoryRetry"},
+		{name: "negative forward retry delay", cfg: Config{ForwardRetry: transport.RetryPolicy{MaxDelay: -time.Second}}, wantErr: "ForwardRetry"},
+		{name: "negative forward retry timeout", cfg: Config{ForwardRetry: transport.RetryPolicy{Timeout: -time.Second}}, wantErr: "ForwardRetry"},
 		{name: "negative breaker threshold", cfg: Config{Breakers: &transport.BreakerConfig{FailureThreshold: -1}}, wantErr: "Breakers"},
 		{name: "breaker jitter above one", cfg: Config{Breakers: &transport.BreakerConfig{Jitter: 1.5}}, wantErr: "Jitter"},
 		{name: "breaker jitter negative", cfg: Config{Breakers: &transport.BreakerConfig{Jitter: -0.1}}, wantErr: "Jitter"},

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"iqn/internal/core"
+	"iqn/internal/minerva"
 )
 
 // TestCacheParityFaultFree is the tentpole invariant: a fault-free
@@ -79,5 +82,51 @@ func TestCacheParityRequiresTTL(t *testing.T) {
 	_, err := Run(Scenario{Name: "bad", Seed: 1, CacheParity: true})
 	if err == nil || !strings.Contains(err.Error(), "DirectoryCacheTTL") {
 		t.Fatalf("err = %v, want a CacheParity/TTL configuration error", err)
+	}
+}
+
+// TestTwinViolationsSwitches: the parity comparator flags every field
+// it always compares, and the trace and lost-peer set only when asked,
+// each violation under the check's prefix.
+func TestTwinViolationsSwitches(t *testing.T) {
+	base := QueryOutcome{
+		Docs:    []uint64{1, 2},
+		Planned: []core.PeerID{"a", "b"},
+		Errors:  []minerva.PerPeerError{{Peer: "c", Attempts: 1}},
+		Trace:   "t",
+	}
+	same := base
+	same.Errors = []minerva.PerPeerError{{Peer: "c", Attempts: 3}} // attempts may differ
+	if v := twinViolations("x parity", "twin", &Report{Outcomes: []QueryOutcome{base}},
+		&Report{Outcomes: []QueryOutcome{same}}, true, true); len(v) != 0 {
+		t.Fatalf("equal outcomes flagged: %v", v)
+	}
+	for _, tc := range []struct {
+		name        string
+		mut         func(*QueryOutcome)
+		trace, lost bool
+		want        string // "" when the switch leaves the field unchecked
+	}{
+		{"docs", func(o *QueryOutcome) { o.Docs = []uint64{2, 1} }, false, false, "merged docs"},
+		{"plan", func(o *QueryOutcome) { o.Planned = []core.PeerID{"a"} }, false, false, "routing plans"},
+		{"error", func(o *QueryOutcome) { o.Err = "boom" }, false, false, "errors"},
+		{"trace on", func(o *QueryOutcome) { o.Trace = "u" }, true, false, "canonical traces"},
+		{"trace off", func(o *QueryOutcome) { o.Trace = "u" }, false, true, ""},
+		{"lost on", func(o *QueryOutcome) { o.Errors = nil }, false, true, "lost-peer sets"},
+		{"lost off", func(o *QueryOutcome) { o.Errors = nil }, true, false, ""},
+	} {
+		other := base
+		tc.mut(&other)
+		v := twinViolations("x parity", "twin", &Report{Outcomes: []QueryOutcome{base}},
+			&Report{Outcomes: []QueryOutcome{other}}, tc.trace, tc.lost)
+		if tc.want == "" {
+			if len(v) != 0 {
+				t.Errorf("%s: flagged %v", tc.name, v)
+			}
+			continue
+		}
+		if len(v) != 1 || !strings.HasPrefix(v[0], "x parity: query 0 "+tc.want) {
+			t.Errorf("%s: got %v, want one %q violation", tc.name, v, tc.want)
+		}
 	}
 }

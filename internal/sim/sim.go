@@ -30,6 +30,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"iqn/internal/adapt"
@@ -190,8 +191,9 @@ type Scenario struct {
 	// Replicas is the directory replication factor (default 2 — chaos
 	// without replication loses directory fractions by design).
 	Replicas int
-	// Retry is the forward retry policy; its Seed is overridden with the
-	// scenario seed for reproducibility.
+	// Retry is the peers' forward and directory retry policy
+	// (minerva.Config.ForwardRetry and DirectoryRetry); its Seed is
+	// overridden with the scenario seed for reproducibility.
 	Retry transport.RetryPolicy
 	// NoReroute disables failure re-routing (for ablation scenarios).
 	NoReroute bool
@@ -477,7 +479,10 @@ func Run(sc Scenario) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: adaptive replay twin: %w", err)
 		}
-		report.Violations = append(report.Violations, adaptiveParityViolations(report, replay)...)
+		// The prior is a deterministic function of the observations
+		// recorded so far, so a replay must match in every respect.
+		report.Violations = append(report.Violations,
+			twinViolations("adaptive parity", "replay", report, replay, true, false)...)
 		priorOff := sc
 		priorOff.Adaptive = nil
 		off, err := runOnce(priorOff, true)
@@ -498,7 +503,13 @@ func Run(sc Scenario) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: streaming replay twin: %w", err)
 		}
-		report.Violations = append(report.Violations, topKParityViolations(report, pull, replay)...)
+		// The threshold protocol trades bytes, never results or lost
+		// peers; its chunk counts and early stops are deterministic, so
+		// the streaming replay's traces match too.
+		report.Violations = append(report.Violations,
+			twinViolations("topk parity", "pull twin", report, pull, false, true)...)
+		report.Violations = append(report.Violations,
+			twinViolations("topk parity", "streaming replay", report, replay, true, false)...)
 	}
 	if sc.CacheParity {
 		uncached := sc
@@ -507,7 +518,9 @@ func Run(sc Scenario) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: uncached twin: %w", err)
 		}
-		report.Violations = append(report.Violations, cacheParityViolations(report, twin)...)
+		// The read cache promises to be semantically invisible.
+		report.Violations = append(report.Violations,
+			twinViolations("cache parity", "uncached twin", report, twin, true, false)...)
 	}
 	if sc.RecallBound > 0 {
 		clean := sc
@@ -558,6 +571,7 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 		SynopsisSeed:      uint64(sc.Seed) + 99,
 		Replicas:          sc.Replicas,
 		DirectoryRetry:    sc.Retry,
+		ForwardRetry:      sc.Retry,
 		Breakers:          breakers,
 		HedgeDelay:        sc.HedgeDelay,
 		AdmissionLimit:    sc.AdmissionLimit,
@@ -733,7 +747,6 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 			K:             sc.K,
 			MergeK:        sc.MergeK,
 			MaxPeers:      sc.MaxPeers,
-			Retry:         sc.Retry,
 			NoReroute:     sc.NoReroute,
 			Budget:        sc.Budget,
 			TopKStreaming: sc.TopKStreaming,
@@ -816,140 +829,42 @@ func runOnce(sc Scenario, withFaults bool) (*Report, error) {
 	return r, nil
 }
 
-// cacheParityViolations compares a cached run against its uncached twin
-// query by query: the read cache promises to be semantically invisible,
-// so Docs (merged result docIDs), Planned (routing decision), canonical
-// Trace bytes, and search-level error text must all match exactly.
-func cacheParityViolations(cached, uncached *Report) []string {
+// twinViolations compares a run against its twin query by query, each
+// violation under the check's prefix and naming the twin: merged docs,
+// routing plans and search-level error text must match exactly, and so
+// must the canonical traces when trace is set and the lost-peer sets
+// when lost is set. Lost peers compare by name only (attempt counts
+// legitimately differ across chunk sizes — a peer that dies mid-stream
+// has answered earlier chunks); both reports are sorted by peer, so
+// positional comparison is set comparison.
+func twinViolations(prefix, twinName string, run, twin *Report, trace, lost bool) []string {
+	if len(run.Outcomes) != len(twin.Outcomes) {
+		return []string{fmt.Sprintf("%s: %d outcomes vs %d in the %s",
+			prefix, len(run.Outcomes), len(twin.Outcomes), twinName)}
+	}
+	samePeer := func(a, b minerva.PerPeerError) bool { return a.Peer == b.Peer }
 	var v []string
-	if len(cached.Outcomes) != len(uncached.Outcomes) {
-		return []string{fmt.Sprintf("cache parity: %d outcomes cached vs %d uncached",
-			len(cached.Outcomes), len(uncached.Outcomes))}
-	}
-	for i := range cached.Outcomes {
-		c, u := &cached.Outcomes[i], &uncached.Outcomes[i]
-		if !equalUint64s(c.Docs, u.Docs) {
-			v = append(v, fmt.Sprintf("cache parity: query %d merged docs diverge (%d cached vs %d uncached)",
-				i, len(c.Docs), len(u.Docs)))
-		}
-		if !equalPeerIDs(c.Planned, u.Planned) {
-			v = append(v, fmt.Sprintf("cache parity: query %d routing plans diverge", i))
-		}
-		if c.Trace != u.Trace {
-			v = append(v, fmt.Sprintf("cache parity: query %d canonical traces diverge", i))
-		}
-		if c.Err != u.Err {
-			v = append(v, fmt.Sprintf("cache parity: query %d errors diverge (%q vs %q)", i, c.Err, u.Err))
-		}
-	}
-	return v
-}
-
-// adaptiveParityViolations compares an adaptive run against its
-// identically-configured replay query by query: the prior is promised
-// to be a deterministic function of the observations recorded so far,
-// so Docs, Planned peers, canonical Trace bytes, and error text must
-// all match exactly across replays.
-func adaptiveParityViolations(run, replay *Report) []string {
-	var v []string
-	if len(run.Outcomes) != len(replay.Outcomes) {
-		return []string{fmt.Sprintf("adaptive parity: %d outcomes vs %d in replay",
-			len(run.Outcomes), len(replay.Outcomes))}
-	}
 	for i := range run.Outcomes {
-		a, b := &run.Outcomes[i], &replay.Outcomes[i]
-		if !equalUint64s(a.Docs, b.Docs) {
-			v = append(v, fmt.Sprintf("adaptive parity: query %d merged docs diverge across replays", i))
+		a, b := &run.Outcomes[i], &twin.Outcomes[i]
+		if !slices.Equal(a.Docs, b.Docs) {
+			v = append(v, fmt.Sprintf("%s: query %d merged docs diverge from the %s (%d vs %d)",
+				prefix, i, twinName, len(a.Docs), len(b.Docs)))
 		}
-		if !equalPeerIDs(a.Planned, b.Planned) {
-			v = append(v, fmt.Sprintf("adaptive parity: query %d routing plans diverge across replays", i))
+		if !slices.Equal(a.Planned, b.Planned) {
+			v = append(v, fmt.Sprintf("%s: query %d routing plans diverge from the %s", prefix, i, twinName))
 		}
-		if a.Trace != b.Trace {
-			v = append(v, fmt.Sprintf("adaptive parity: query %d canonical traces diverge across replays", i))
+		if lost && !slices.EqualFunc(a.Errors, b.Errors, samePeer) {
+			v = append(v, fmt.Sprintf("%s: query %d lost-peer sets diverge from the %s (%d vs %d)",
+				prefix, i, twinName, len(a.Errors), len(b.Errors)))
+		}
+		if trace && a.Trace != b.Trace {
+			v = append(v, fmt.Sprintf("%s: query %d canonical traces diverge from the %s", prefix, i, twinName))
 		}
 		if a.Err != b.Err {
-			v = append(v, fmt.Sprintf("adaptive parity: query %d errors diverge (%q vs %q)", i, a.Err, b.Err))
+			v = append(v, fmt.Sprintf("%s: query %d errors diverge from the %s (%q vs %q)", prefix, i, twinName, a.Err, b.Err))
 		}
 	}
 	return v
-}
-
-// topKParityViolations checks the streaming protocol's differential
-// promises: against the pull twin, every query's merged docs, routing
-// plan, lost-peer set, and search-level error must match exactly (the
-// threshold protocol trades bytes, never results); against the
-// streaming replay, every query's canonical trace must be byte-
-// identical (chunk counts and early-stop decisions are deterministic).
-func topKParityViolations(stream, pull, replay *Report) []string {
-	var v []string
-	if len(stream.Outcomes) != len(pull.Outcomes) || len(stream.Outcomes) != len(replay.Outcomes) {
-		return []string{fmt.Sprintf("topk parity: %d outcomes streaming vs %d pull vs %d replay",
-			len(stream.Outcomes), len(pull.Outcomes), len(replay.Outcomes))}
-	}
-	for i := range stream.Outcomes {
-		s, p, r := &stream.Outcomes[i], &pull.Outcomes[i], &replay.Outcomes[i]
-		if !equalUint64s(s.Docs, p.Docs) {
-			v = append(v, fmt.Sprintf("topk parity: query %d merged docs diverge (%d streaming vs %d pull)",
-				i, len(s.Docs), len(p.Docs)))
-		}
-		if !equalPeerIDs(s.Planned, p.Planned) {
-			v = append(v, fmt.Sprintf("topk parity: query %d routing plans diverge", i))
-		}
-		if !equalLostPeers(s.Errors, p.Errors) {
-			v = append(v, fmt.Sprintf("topk parity: query %d lost-peer sets diverge (%d streaming vs %d pull)",
-				i, len(s.Errors), len(p.Errors)))
-		}
-		if s.Err != p.Err {
-			v = append(v, fmt.Sprintf("topk parity: query %d errors diverge (%q vs %q)", i, s.Err, p.Err))
-		}
-		if s.Trace != r.Trace {
-			v = append(v, fmt.Sprintf("topk parity: query %d streaming replay traces diverge", i))
-		}
-		if !equalUint64s(s.Docs, r.Docs) {
-			v = append(v, fmt.Sprintf("topk parity: query %d streaming replay docs diverge", i))
-		}
-	}
-	return v
-}
-
-// equalLostPeers compares the peers two error reports name (attempt
-// counts legitimately differ across chunk sizes — a peer that dies
-// mid-stream has answered earlier chunks). Both reports are sorted by
-// peer, so positional comparison is set comparison.
-func equalLostPeers(a, b []minerva.PerPeerError) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Peer != b[i].Peer {
-			return false
-		}
-	}
-	return true
-}
-
-func equalUint64s(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalPeerIDs(a, b []core.PeerID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // breakerTrace renders every peer's breaker transition trace in peer
