@@ -11,12 +11,11 @@ import (
 // TestJoinConvergesToBootstrap: a ring built by the join protocol —
 // every node joining through the first, a stabilization round after
 // each join, then rounds to convergence and a full finger repair —
-// ends in
-// exactly the state Bootstrap computes from the membership: the same
-// predecessor, successor list and finger table at every node, for every
-// ring size below 64, successor-list lengths 1, 2 and 4 and two sets of
-// node names. Harnesses may therefore boot any ring with Bootstrap and
-// leave the join protocol to live joins.
+// ends in exactly the state Bootstrap computes from the membership:
+// the same predecessor, successor list and finger table at every node,
+// for every ring size below 64, successor-list lengths 1, 2 and 4 and
+// two sets of node names. Harnesses may therefore boot any ring with
+// Bootstrap and leave the join protocol to live joins.
 func TestJoinConvergesToBootstrap(t *testing.T) {
 	for _, succs := range []int{1, 2, 4} {
 		for _, names := range []string{"node-%02d", "peer-w%02d"} {
