@@ -109,10 +109,10 @@ func (n *Node) spliceSuccessorsLocked(drop NodeRef, extra []NodeRef) {
 
 // Bootstrap warm-starts the node's ring state from a full membership
 // snapshot: predecessor, successor list, and the whole finger table are
-// computed locally with zero RPCs. It is the deterministic O(1)-per-node
-// alternative to join-and-stabilize when a large ring is constructed in
-// one process (1,000+ peers would otherwise need O(n²) stabilization
-// RPCs just to boot); live joins and leaves afterwards go through the
+// computed locally with zero RPCs. Every in-process harness ring boots
+// through it, whatever its size: the state equals what join-and-stabilize
+// converges to (TestJoinConvergesToBootstrap) without the O(n²)
+// stabilization RPCs. Live joins and leaves afterwards go through the
 // normal protocol. The snapshot must contain this node; order does not
 // matter (it is sorted by ring ID internally).
 func (n *Node) Bootstrap(ring []NodeRef) {

@@ -7,7 +7,7 @@ import (
 // This file implements Chord's ring-maintenance protocol: stabilize,
 // notify, fix-fingers, and successor-list refresh. The background loop
 // (Node.Start) runs these periodically; tests drive them deterministically
-// by calling StabilizeAll-style rounds directly.
+// by calling rounds of Stabilize and FixAllFingers directly.
 
 // Stabilize runs one round of the stabilization protocol:
 //

@@ -511,13 +511,14 @@ func TestOverloadDegradesOnFailedSearch(t *testing.T) {
 		K:          10,
 		Seed:       42,
 	})
-	cut := func(f *transport.Faulty, initiators []*minerva.Peer) {
-		f.AddRule(transport.Rule{From: initiators[0].Name(), Method: directory.MethodGet, Drop: 1})
-	}
-	point, err := tb.overloadRun("bare", 2, cut)
+	faulty := transport.NewFaulty(transport.NewInMem(), tb.seed)
+	net, initiators, err := tb.overloadNet(faulty, false)
 	if err != nil {
-		t.Fatalf("a failed search aborted the point: %v", err)
+		t.Fatal(err)
 	}
+	defer net.Close()
+	faulty.AddRule(transport.Rule{From: initiators[0].Name(), Method: directory.MethodGet, Drop: 1})
+	point := tb.overloadMeasure(net, initiators, "bare", 2)
 	if point.Reported < 1 {
 		t.Fatalf("Reported = %d, want the failed searches counted", point.Reported)
 	}

@@ -48,8 +48,9 @@ type OverloadPoint struct {
 	// Concurrency is the load level: how many initiators queried in
 	// parallel.
 	Concurrency int `json:"concurrency"`
-	// P50Ms, P95Ms, P99Ms are query wall-clock latency percentiles in
-	// milliseconds.
+	// P50Ms, P95Ms, P99Ms are wall-clock latency percentiles, in
+	// milliseconds, of the searches that returned a result; a failed
+	// search counts only in Reported and Recall.
 	P50Ms float64 `json:"p50Ms"`
 	P95Ms float64 `json:"p95Ms"`
 	P99Ms float64 `json:"p99Ms"`
@@ -83,7 +84,7 @@ func (tb *testbed) overload(concurrencies []int) (*OverloadResult, error) {
 	res := &OverloadResult{}
 	for _, conc := range concurrencies {
 		for _, mode := range []string{"bare", "hardened"} {
-			point, err := tb.overloadRun(mode, conc, nil)
+			point, err := tb.overloadRun(mode, conc)
 			if err != nil {
 				return nil, err
 			}
@@ -93,12 +94,20 @@ func (tb *testbed) overload(concurrencies []int) (*OverloadResult, error) {
 	return res, nil
 }
 
-// overloadRun measures one mode at one load level. fault, non-nil, adds
-// faults of its own once the stragglers are slowed; it is given the
-// initiators.
-func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faulty, []*minerva.Peer)) (OverloadPoint, error) {
-	point := OverloadPoint{Mode: mode, Concurrency: conc}
-	hardened := mode == "hardened"
+// overloadRun measures one mode at one load level on a fresh network.
+func (tb *testbed) overloadRun(mode string, conc int) (OverloadPoint, error) {
+	faulty := transport.NewFaulty(transport.NewInMem(), tb.seed)
+	net, initiators, err := tb.overloadNet(faulty, mode == "hardened")
+	if err != nil {
+		return OverloadPoint{}, fmt.Errorf("eval: overload %s: %w", mode, err)
+	}
+	defer net.Close()
+	return tb.overloadMeasure(net, initiators, mode, conc), nil
+}
+
+// overloadNet deploys the network for one mode over faulty and slows
+// the stragglers; it returns the healthy peers, the initiators.
+func (tb *testbed) overloadNet(faulty *transport.Faulty, hardened bool) (*minerva.Network, []*minerva.Peer, error) {
 	mcfg := minerva.Config{
 		Replicas:     systemsReplicas,
 		ForwardRetry: transport.RetryPolicy{MaxAttempts: 2, Seed: tb.seed, Sleep: noSleep},
@@ -111,13 +120,10 @@ func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faul
 	}
 	// No SetSleep override: injected delays burn real wall time so the
 	// latency percentiles mean something.
-	faulty := transport.NewFaulty(transport.NewInMem(), tb.seed)
 	net, err := tb.deploy(faulty, mcfg)
 	if err != nil {
-		return point, fmt.Errorf("eval: overload %s: %w", mode, err)
+		return nil, nil, err
 	}
-	defer net.Close()
-
 	// Slow a deterministic subset of peers on their serving RPCs only
 	// (query + directory reads); ring maintenance traffic stays fast so
 	// the overlay itself is not the bottleneck under test. Initiators are
@@ -129,10 +135,14 @@ func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faul
 			faulty.AddRule(transport.Rule{To: p.Name(), Method: m, DelayProb: 1, Delay: overloadSlowDelay})
 		}
 	}
-	if fault != nil {
-		fault(faulty, initiators)
-	}
+	return net, initiators, nil
+}
 
+// overloadMeasure runs the workload from conc initiators at once and
+// scores it. A failed search degrades the point instead of aborting the
+// run: it found none of its reference and is counted in Reported.
+func (tb *testbed) overloadMeasure(net *minerva.Network, initiators []*minerva.Peer, mode string, conc int) OverloadPoint {
+	point := OverloadPoint{Mode: mode, Concurrency: conc}
 	// Pre-compute fault-free references sequentially so reference work
 	// never pollutes the measured latencies.
 	refs := make([][]ir.Result, len(tb.queries))
@@ -143,7 +153,7 @@ func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faul
 		K:        tb.k,
 		MaxPeers: systemsMaxPeers,
 	}
-	if hardened {
+	if mode == "hardened" {
 		opts.Budget = overloadBudget
 	}
 
@@ -173,14 +183,12 @@ func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faul
 	lats := make([]time.Duration, 0, len(outcomes))
 	var t tally
 	for qi, out := range outcomes {
-		lats = append(lats, out.elapsed)
 		if out.err != nil {
-			// A failed search degrades the point instead of aborting the
-			// run: it found none of its reference and is reported.
 			t.add(nil, refs[qi])
 			point.Reported++
 			continue
 		}
+		lats = append(lats, out.elapsed)
 		t.add(out.res.Results, refs[qi])
 		point.Reported += len(out.res.Errors) + len(out.res.Directory.Errors)
 		for _, pe := range out.res.Errors {
@@ -202,7 +210,7 @@ func (tb *testbed) overloadRun(mode string, conc int, fault func(*transport.Faul
 	point.P95Ms = percentileMs(lats, 95)
 	point.P99Ms = percentileMs(lats, 99)
 	point.Recall = t.recall()
-	return point, nil
+	return point
 }
 
 // percentileMs returns the nearest-rank percentile of sorted latencies,

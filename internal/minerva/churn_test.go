@@ -8,6 +8,19 @@ import (
 	"iqn/internal/transport"
 )
 
+// stabilizeAll runs ring maintenance to convergence after a live join
+// or leave, in place of the peers' background loops.
+func stabilizeAll(n *Network) {
+	for round := 0; round < 2*len(n.Peers); round++ {
+		for _, p := range n.Peers {
+			p.Node().Stabilize()
+		}
+	}
+	for _, p := range n.Peers {
+		p.Node().FixAllFingers()
+	}
+}
+
 // TestLiveJoinAcquiresRangeBeforeVisibility: a peer joining a running
 // network must pull its directory range before it becomes routable, so
 // a fetch that lands on the newcomer immediately after its first
@@ -26,13 +39,13 @@ func TestLiveJoinAcquiresRangeBeforeVisibility(t *testing.T) {
 	}
 	// Converge the whole ring so lookups now route to the newcomer for
 	// its range.
-	net.StabilizeAll()
+	stabilizeAll(net)
 	// Every term the ring maps to the joiner must be served from the
 	// joiner's own fraction — acquired during JoinLive, not republish.
 	self := joiner.Node().Self()
 	pred := joiner.Node().Predecessor()
 	if pred.IsZero() {
-		t.Fatal("joiner has no predecessor after StabilizeAll")
+		t.Fatal("joiner has no predecessor after stabilizing")
 	}
 	owned := 0
 	for _, p := range net.Peers {
@@ -78,7 +91,7 @@ func TestGracefulLeaveKeepsDirectoryWhole(t *testing.T) {
 	if rep.Target == "" || rep.Posts == 0 {
 		t.Fatalf("handoff report %+v: want an acknowledged push", rep)
 	}
-	net.StabilizeAll()
+	stabilizeAll(net)
 	// Every term the leaver stored must still resolve to a live replica
 	// holding posts; none of the surviving posts may name the leaver.
 	survivor := net.Peers[0]

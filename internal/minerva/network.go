@@ -94,19 +94,6 @@ func BuildNetworkEndpoints(base transport.Network, netFor func(name string) tran
 	return n, nil
 }
 
-// StabilizeAll runs ring maintenance to convergence (deterministic
-// alternative to the peers' background loops).
-func (n *Network) StabilizeAll() {
-	for round := 0; round < 2*len(n.Peers); round++ {
-		for _, p := range n.Peers {
-			p.Node().Stabilize()
-		}
-	}
-	for _, p := range n.Peers {
-		p.Node().FixAllFingers()
-	}
-}
-
 // Peer returns a peer by name (nil if unknown).
 func (n *Network) Peer(name string) *Peer { return n.byName[name] }
 

@@ -227,10 +227,7 @@ func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOpt
 	}
 	key := coalesceKey(terms, opts)
 	p.searchMu.Lock()
-	for _, f := range p.searchFlights {
-		if f.key != key {
-			continue
-		}
+	if f := p.flight(key); f != nil {
 		f.followers++
 		p.searchMu.Unlock()
 		out := <-f.done
@@ -266,6 +263,18 @@ func (p *Peer) SearchContext(ctx context.Context, terms []string, opts SearchOpt
 	*f = searchFlight{done: f.done}
 	flightPool.Put(f)
 	return res, err
+}
+
+// flight returns the search in flight under key, or nil; the caller
+// holds searchMu. The scan costs one key comparison per distinct search
+// in flight (BenchmarkSearchFlightScan).
+func (p *Peer) flight(key flightKey) *searchFlight {
+	for _, f := range p.searchFlights {
+		if f.key == key {
+			return f
+		}
+	}
+	return nil
 }
 
 // searchFlight is one in-flight coalesced search. Followers register

@@ -1,7 +1,9 @@
 package minerva
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,6 +168,24 @@ func TestSearchFlightsDrain(t *testing.T) {
 	const dup = 4
 	results := make([]*SearchResult, dup*len(queries))
 	errs := make([]error, len(results))
+	// Sample the table while the burst runs: duplicates join a flight,
+	// so it never holds more than one per distinct query.
+	stop, sampled := make(chan struct{}), make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- most
+				return
+			default:
+			}
+			initiator.searchMu.Lock()
+			most = max(most, len(initiator.searchFlights))
+			initiator.searchMu.Unlock()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)
@@ -175,6 +195,10 @@ func TestSearchFlightsDrain(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(stop)
+	if most := <-sampled; most > len(queries) {
+		t.Fatalf("%d flights in the table at once for %d distinct queries", most, len(queries))
+	}
 	for i, res := range results {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
@@ -198,6 +222,32 @@ func TestSearchFlightsDrain(t *testing.T) {
 	}
 	if after := reg.Snapshot().Counters["search.coalesced"]; after != coalesced {
 		t.Fatalf("a duplicate after the burst joined a finished flight (coalesced %d -> %d)", coalesced, after)
+	}
+}
+
+// BenchmarkSearchFlightScan times what a coalescing search pays for
+// the in-flight table: the lock and a scan that misses every one of n
+// flights. The keys are two-term queries whose terms have one length,
+// so every comparison reaches the bytes of the first term.
+func BenchmarkSearchFlightScan(b *testing.B) {
+	for _, n := range []int{1, 16, 256, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			opts := SearchOptions{K: 20, MaxPeers: 3}
+			p := &Peer{}
+			for i := 0; i < n; i++ {
+				key := coalesceKey([]string{fmt.Sprintf("term%06d", i), "common"}, opts)
+				p.searchFlights = append(p.searchFlights, &searchFlight{key: key})
+			}
+			miss := coalesceKey([]string{"termmissed", "common"}, opts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.searchMu.Lock()
+				if p.flight(miss) != nil {
+					b.Fatal("a miss found a flight")
+				}
+				p.searchMu.Unlock()
+			}
+		})
 	}
 }
 
